@@ -172,6 +172,12 @@ class CaseVerdict:
         return self.status == CONFIRMED
 
 
+def _check_horizon(horizon):
+    # a scan over no m at all would report "all checks pass" vacuously
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+
 def _verify_tail(profile, bound, lo=None):
     """Split profile entries above the bound into verified m's and residuals."""
     verified = []
@@ -289,6 +295,7 @@ def _phi_bound(phi, f, g, checks, notes):
 
 def phi_case_check(phi, f, g, horizon=8):
     """Case Lambda = d_x - Phi(d_y) with P the flow of f under Phi."""
+    _check_horizon(horizon)
     if phi.arity != 1:
         raise ValueError("Phi must be a one-variable symbol")
     if g.arity != 2:
@@ -382,13 +389,13 @@ def monomial_case_check(op, p, g, horizon=8):
     profile = vanishing_profile(op, p, g, horizon)
     checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
     anomalies = []
-    f_m = f
-    for m in range(1, horizon + 1):
+    f_powers = [f]
+    while len(f_powers) < horizon:
+        f_powers.append(f_powers[-1] * f)
+    for m, f_m in enumerate(f_powers, start=1):
         hol_zero = f_m.holomorphic_part().is_zero
         if hol_zero != profile.entries[m - 1].pp_zero:
             anomalies.append(f"holomorphic route disagrees with operator route at m={m}")
-        if m < horizon:
-            f_m = f_m * f
 
     meet = orthant_meet(newton_polytope(f))
     notes = [f"variant: {variant}"]
@@ -406,19 +413,18 @@ def monomial_case_check(op, p, g, horizon=8):
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
     # verify both routes on the tail, per monomial of g and for g as a whole
     verified, residuals = _verify_tail(profile, None, lo=bound)
-    f_m = f
-    for m in range(1, horizon + 1):
-        if m >= bound:
-            for gamma in g.terms:
-                mono = LaurentPoly.monomial(gamma)
-                direct = apply(op ** m, (p ** m) * mono).is_zero
-                holo = (mono * f_m).holomorphic_part().is_zero
-                if direct != holo:
-                    anomalies.append(f"route disagreement at m={m}, gamma={gamma}")
-                elif not direct:
-                    residuals.setdefault(m, f"nonzero on monomial {gamma}")
-        if m < horizon:
-            f_m = f_m * f
+    for m, f_m in enumerate(f_powers, start=1):
+        if m < bound:
+            continue
+        op_m, p_m = op ** m, p ** m
+        for gamma in g.terms:
+            mono = LaurentPoly.monomial(gamma)
+            direct = apply(op_m, p_m * mono).is_zero
+            holo = (mono * f_m).holomorphic_part().is_zero
+            if direct != holo:
+                anomalies.append(f"route disagreement at m={m}, gamma={gamma}")
+            elif not direct:
+                residuals.setdefault(m, f"nonzero on monomial {gamma}")
     verified = tuple(m for m in verified if m not in residuals)
     return CaseVerdict(
         case="monomial",
@@ -501,21 +507,21 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
     checks = []
     notes = []
     anomalies = []
-    support_ok = all(
-        set((op.symbol ** m).terms) == _combination_support(alpha, beta, m)
-        for m in range(1, min(horizon, 5) + 1)
-    )
-    checks.append(("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok))
-    # degree separation: each individual d^{k alpha + l beta} P^m vanishes
-    p_m = p
-    separated = True
+    # the support formula on m <= 5, and degree separation: each individual
+    # d^{k alpha + l beta} P^m vanishes whenever Lambda^m P^m does
+    sym_m, p_m = op.symbol, p
+    support_ok = separated = True
     for m in range(1, horizon + 1):
-        if apply(op ** m, p_m).is_zero:
-            for mu in _combination_support(alpha, beta, m):
+        support = _combination_support(alpha, beta, m)
+        if m <= 5 and set(sym_m.terms) != support:
+            support_ok = False
+        if apply(DiffOp(sym_m), p_m).is_zero:
+            for mu in support:
                 if not apply(DiffOp.monomial(mu), p_m).is_zero:
                     separated = False
         if m < horizon:
-            p_m = p_m * p
+            sym_m, p_m = sym_m * op.symbol, p_m * p
+    checks.append(("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok))
     checks.append(("each d^{k*alpha+l*beta} P^m vanishes individually", separated))
     return _sigma_criterion("two-monomial", op, p, g, horizon, checks, notes, anomalies)
 
@@ -576,6 +582,7 @@ def counterexample_ddv(horizon, precision=12):
     Verifies, exactly per truncation: the powers hypothesis holds, yet
     L^m(P^{m+1}) = (m+1)! e^y and L^m(P^m x) = m*m! e^y for every m.
     """
+    _check_horizon(horizon)
     if precision < horizon + 2:
         raise ValueError("precision must be at least horizon + 2")
     e = _exp_series(precision)
@@ -583,12 +590,15 @@ def counterexample_ddv(horizon, precision=12):
     symbol = LaurentPoly(2, {(1, 1): Fraction(1)})
     x = LaurentPoly.variable(2, 0)
     rows = []
+    p_m = p
     for m in range(1, horizon + 1):
         op_m = DiffOp(symbol ** m)
         depth = precision - m
-        r1 = apply(op_m, p ** m)
-        r2 = apply(op_m, p ** (m + 1))
-        r3 = apply(op_m, (p ** m) * x)
+        p_next = p_m * p
+        r1 = apply(op_m, p_m)
+        r2 = apply(op_m, p_next)
+        r3 = apply(op_m, p_m * x)
+        p_m = p_next
         expect2 = LaurentPoly(2, {
             (0, j): Fraction(factorial(m + 1), factorial(j)) for j in range(depth + 1)
         })
@@ -607,6 +617,7 @@ def counterexample_ddv(horizon, precision=12):
 
 def counterexample_dk(horizon, precision=12):
     """f = y^{-1}(1 + x^{-1} e^y): zero constant terms, yet f^m x has 1/(m-1)!."""
+    _check_horizon(horizon)
     if precision < horizon:
         raise ValueError("precision must be at least the horizon")
     e = _exp_series(precision)

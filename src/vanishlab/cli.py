@@ -7,9 +7,9 @@ environment override is VANISHLAB_HORIZON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import cases, density
 from .cases import CaseVerdict
@@ -34,8 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_horizon():
+    """The horizon when -M is absent: VANISHLAB_HORIZON, read on every call, or 8."""
     value = os.environ.get("VANISHLAB_HORIZON")
-    return int(value) if value else 8
+    if not value:
+        return 8
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"VANISHLAB_HORIZON must be an integer, got {value!r}") from None
 
 
 def _read_arg(value):
@@ -276,7 +282,9 @@ def cmd_counterexample(args, out):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; it holds no per-call state."""
     parser = _Parser(prog="vanishlab",
                      description="Exact checks for vanishing of powers of "
                                  "constant-coefficient differential operators.")
@@ -286,7 +294,8 @@ def build_parser():
         if vars_default is not None:
             p.add_argument("--vars", default=vars_default,
                            help="comma-separated ordered variable names")
-        p.add_argument("-M", "--horizon", type=int, default=_default_horizon())
+        p.add_argument("-M", "--horizon", type=int, default=None,
+                       help="horizon (default: VANISHLAB_HORIZON, else 8)")
         if precision:
             p.add_argument("-D", "--precision", type=int, default=12)
         p.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT)
@@ -346,6 +355,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = Emitter(args.format)
     try:
+        if args.horizon is None:
+            args.horizon = _default_horizon()
         return args.func(args, out)
     except (ParseError, ValueError) as exc:
         print(f"vanishlab: error: {exc}", file=sys.stderr)

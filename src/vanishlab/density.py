@@ -76,6 +76,8 @@ def homogeneous_density(p, u, horizon):
     Homogeneity (generalized degree d != 0) pins the ray's intersection
     with the degree-md hyperplane to the single point m*u.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     degrees = {sum(e) for e in p.terms}
     if len(degrees) != 1:
         raise ValueError("P must be homogeneous")

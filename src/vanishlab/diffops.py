@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import perm
+from operator import sub
 
 from .poly import LaurentPoly, TruncSeries
 
@@ -49,13 +50,29 @@ class DiffOp:
         return f"DiffOp({self.symbol.to_string()!r})"
 
 
+def _falling(mu, beta):
+    """The integer product of the falling factorials b (b-1) ... (b-m+1)."""
+    coeff = 1
+    for m, b in zip(mu, beta):
+        if not m:
+            continue
+        if b >= 0:
+            if b < m:
+                return 0
+            coeff *= perm(b, m)
+        else:
+            # b (b-1) ... (b-m+1) = (-1)^m (-b) (-b+1) ... (-b+m-1)
+            coeff *= perm(m - 1 - b, m) if m % 2 == 0 else -perm(m - 1 - b, m)
+    return coeff
+
+
 def apply_monomial(mu, beta, mode=POLYNOMIAL):
     """Differentiate a single monomial: d^mu applied to z^beta.
 
-    Returns ``(coefficient, exponent)``.  In polynomial mode beta must lie
-    in N^n and the result is zero unless beta >= mu componentwise; in
-    Laurent mode the falling-factorial rule is used, which is the correct
-    extension to negative exponents.
+    Returns ``(coefficient, exponent)`` with an integer coefficient.  In
+    polynomial mode beta must lie in N^n and the result is zero unless
+    beta >= mu componentwise; in Laurent mode the falling-factorial rule is
+    used, which is the correct extension to negative exponents.
     """
     mu = tuple(mu)
     beta = tuple(beta)
@@ -63,23 +80,24 @@ def apply_monomial(mu, beta, mode=POLYNOMIAL):
         raise ValueError("derivative multi-index must be in N^n")
     if mode == POLYNOMIAL and any(b < 0 for b in beta):
         raise ValueError("polynomial mode requires exponents in N^n")
-    coeff = Fraction(1)
-    for m, b in zip(mu, beta):
-        for j in range(m):
-            coeff *= b - j
-        if coeff == 0:
-            return Fraction(0), tuple(b - m for b, m in zip(beta, mu))
-    return coeff, tuple(b - m for b, m in zip(beta, mu))
+    return _falling(mu, beta), tuple(map(sub, beta, mu))
 
 
 def _apply_to_poly(op, poly, mode):
+    if mode == POLYNOMIAL and op.symbol.terms and any(b < 0 for e in poly.terms for b in e):
+        raise ValueError("polynomial mode requires exponents in N^n")
+    ops, da = op.symbol.integer_form()
+    operand, db = poly.integer_form()
+    right = list(operand.items())
     out = {}
-    for mu, c in op.symbol.terms.items():
-        for beta, b in poly.terms.items():
-            coeff, expo = apply_monomial(mu, beta, mode)
+    get = out.get
+    for mu, c in ops.items():
+        for beta, b in right:
+            coeff = _falling(mu, beta)
             if coeff:
-                out[expo] = out.get(expo, Fraction(0)) + c * b * coeff
-    return LaurentPoly(poly.arity, out)
+                expo = tuple(map(sub, beta, mu))
+                out[expo] = get(expo, 0) + c * b * coeff
+    return LaurentPoly.from_integer_form(poly.arity, out, da * db)
 
 
 def apply(op, operand, mode=POLYNOMIAL):

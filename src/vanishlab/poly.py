@@ -1,13 +1,17 @@
 """Exact sparse Laurent polynomials and truncated power series over Q.
 
 All coefficients are `fractions.Fraction`; nothing in this module ever
-touches floating point.  Values are immutable after construction and every
-operation returns a fresh object, so sharing across threads is safe.
+touches floating point.  Products run on integers: each operand is written
+as integer numerators over the lcm of its denominators, the numerators are
+multiplied pair by pair, and one `Fraction` is built per output term.
+Values are immutable after construction and every operation returns a
+fresh object, so sharing across threads is safe.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 
 
 def grlex_key(expo):
@@ -42,6 +46,31 @@ class LaurentPoly:
             clean[expo] = c
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+
+    @classmethod
+    def _trusted(cls, arity, terms):
+        """Wrap a term map that is already clean: int-tuple keys of the right
+        arity, nonzero `Fraction` values.  Skips ``__init__``'s re-normalisation."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    def integer_form(self):
+        """``(numerators, d)``: ``terms[e] == numerators[e] / d`` with ``d`` the
+        lcm of the coefficient denominators."""
+        terms = self.terms
+        d = lcm(*[c.denominator for c in terms.values()])
+        if d == 1:
+            return {e: c.numerator for e, c in terms.items()}, 1
+        return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+    @classmethod
+    def from_integer_form(cls, arity, numerators, d):
+        """The polynomial with coefficients ``numerators[e] / d``; zeros are dropped."""
+        if d == 1:
+            return cls._trusted(arity, {e: Fraction(n) for e, n in numerators.items() if n})
+        return cls._trusted(arity, {e: Fraction(n, d) for e, n in numerators.items() if n})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -128,13 +157,17 @@ class LaurentPoly:
         self._check_arity(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(self.arity, out)
+            total = out.get(e, 0) + c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return LaurentPoly._trusted(self.arity, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -Fraction(other))
@@ -145,16 +178,22 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            return LaurentPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return LaurentPoly._trusted(self.arity, {})
+            return LaurentPoly._trusted(self.arity, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
+        na, da = self.integer_form()
+        nb, db = other.integer_form()
+        right = list(nb.items())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.arity, out)
+        get = out.get
+        for e1, c1 in na.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly.from_integer_form(self.arity, out, da * db)
 
     __rmul__ = __mul__
 
@@ -234,6 +273,14 @@ class LaurentPoly:
         return f"LaurentPoly({self.arity}, {self.to_string()!r})"
 
 
+def _lowest(body, precision, v):
+    """A lower bound on the exponent of v in the series (body, precision)
+    stands for: a zero body only says that nothing up to the precision is there."""
+    if body.is_zero:
+        return precision[v] + 1
+    return body.min_exponent(v)
+
+
 class TruncSeries:
     """A Laurent polynomial with per-variable truncation degrees.
 
@@ -247,11 +294,11 @@ class TruncSeries:
 
     def __init__(self, body, precision):
         precision = dict(precision)
-        kept = {
-            e: c for e, c in body.terms.items()
-            if all(e[v] <= d for v, d in precision.items())
-        }
-        object.__setattr__(self, "body", LaurentPoly(body.arity, kept))
+        bounds = tuple(precision.items())
+        kept = {e: c for e, c in body.terms.items() if all(e[v] <= d for v, d in bounds)}
+        if len(kept) < len(body.terms):
+            body = LaurentPoly._trusted(body.arity, kept)
+        object.__setattr__(self, "body", body)
         object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):
@@ -261,23 +308,27 @@ class TruncSeries:
     def arity(self):
         return self.body.arity
 
-    def _coerce(self, other):
-        """View the other operand as a series over the same tracked variables."""
+    def _operand(self, other):
+        """``(body, precision)`` of the other operand over the same tracked
+        variables; the precision is None for an exact operand (a polynomial
+        or a scalar), which is known in every degree."""
         if isinstance(other, TruncSeries):
             if set(other.precision) != set(self.precision):
                 raise ValueError("mismatched tracked variables")
-            return other
+            return other.body, other.precision
         if isinstance(other, LaurentPoly):
-            exact = {v: float("inf") for v in self.precision}
-            return TruncSeries(other, exact)
+            return other, None
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.constant(self.arity, other), None
         raise TypeError(f"cannot combine TruncSeries with {type(other).__name__}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.arity, other)
-        other = self._coerce(other)
-        prec = {v: min(self.precision[v], other.precision[v]) for v in self.precision}
-        return TruncSeries(self.body + other.body, prec)
+        body, precision = self._operand(other)
+        if precision is None:
+            precision = self.precision
+        else:
+            precision = {v: min(d, precision[v]) for v, d in self.precision.items()}
+        return TruncSeries(self.body + body, precision)
 
     __radd__ = __add__
 
@@ -285,24 +336,22 @@ class TruncSeries:
         return TruncSeries(-self.body, self.precision)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.body * other, self.precision)
-        other = self._coerce(other)
-        if self.body.is_zero or other.body.is_zero:
-            prec = {v: min(self.precision[v], other.precision[v]) for v in self.precision}
-            return TruncSeries(LaurentPoly.zero(self.arity), prec)
-        prec = {}
-        for v in self.precision:
-            va = self.body.min_exponent(v)
-            vb = other.body.min_exponent(v)
-            # [z^k](A*B) only needs A up to k - vb and B up to k - va
-            prec[v] = min(self.precision[v] + vb, other.precision[v] + va)
-        return TruncSeries(self.body * other.body, prec)
+        body, precision = self._operand(other)
+        if precision is None:
+            if body.is_zero:
+                # exactly zero; the own precision is a sound (if modest) claim
+                return TruncSeries(body, self.precision)
+            # the exact factor is known everywhere: only self limits the product
+            prec = {v: d + body.min_exponent(v) for v, d in self.precision.items()}
+        else:
+            # [z^k](A*B) only needs A up to k - low(B) and B up to k - low(A)
+            prec = {v: min(d + _lowest(body, precision, v),
+                           precision[v] + _lowest(self.body, self.precision, v))
+                    for v, d in self.precision.items()}
+        return TruncSeries(self.body * body, prec)
 
     __rmul__ = __mul__
 

@@ -1,0 +1,184 @@
+"""The golden corpus: CLI requests whose structured output is a behaviour contract.
+
+``tests/golden_corpus.json`` stores, for every request, the argv list, the
+exit code and the exact ``--format structured`` stdout.  ``test_golden.py``
+replays it byte for byte.  The requests are the README examples, the two
+series counterexamples at M = 1..8, and one seeded instance of each
+acceptance-test family that the CLI can express (the binomial gap of
+criterion 8 has no CLI form).  Only valid inputs are recorded.
+
+Regenerate (only when an output change is intended, and say so):
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("golden_corpus.json")
+
+README = [
+    ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "-M", "6"],
+    ["polytope", "--sigma=(-2,1);(1,-2)", "--beta=(3,3)"],
+    ["density", "--p=x + y", "--u=(1/2,1/2)", "-M", "8"],
+    ["dk", "--vars=x", "--f=x^-1 + x"],
+    ["case", "one-var", "--vars=x", "--op=dx^2", "--p=x", "--g=x^3"],
+    ["case", "phi", "--phi=dy^2", "--f=y", "--g=x^2*y"],
+    ["case", "monomial", "--op=dx^2", "--p=x*y", "--g=x^3"],
+    ["case", "two-monomial", "--op=dx^2 + dy^3", "--p=x*y"],
+    ["counterexample", "ddv", "-M", "6", "-D", "12"],
+]
+
+NAMES = ("x", "y", "z")
+
+
+def _poly(p, names):
+    return p.to_string(list(names))
+
+
+def _op(p, names):
+    return p.to_string(["d" + v for v in names])
+
+
+def _point(point):
+    return "(" + ",".join(str(v) for v in point) + ")"
+
+
+def _acceptance_families():
+    """One seeded instance per family, drawn as tests/test_acceptance.py draws them."""
+    from vanishlab.poly import LaurentPoly
+    from vanishlab.polytopes import RationalPolytope, SeparationCertificate, orthant_meet
+
+    out = []
+    # criterion 3: orthant meet of a random polytope
+    rng = random.Random(1003)
+    n, k = rng.randrange(1, 4), rng.randrange(1, 6)
+    gens = [tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(k)]
+    out.append(["polytope", "--sigma=" + ";".join(_point(g) for g in gens)])
+
+    # criterion 4: move-away bound on the first certified polytope
+    rng = random.Random(1004)
+    while True:
+        n, k = rng.randrange(1, 4), rng.randrange(1, 5)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(k)]
+        if isinstance(orthant_meet(RationalPolytope(gens)), SeparationCertificate):
+            beta = tuple(rng.randrange(5) for _ in range(n))
+            break
+    out.append(["polytope", "--sigma=" + ";".join(_point(g) for g in gens),
+                "--beta=" + _point(beta)])
+
+    # criterion 5: a two-monomial operator a*d^alpha + b*d^beta on a homogeneous P
+    rng = random.Random(1005)
+    while True:
+        n = rng.randrange(1, 4)
+        alpha = tuple(rng.randrange(4) for _ in range(n))
+        beta = tuple(rng.randrange(4) for _ in range(n))
+        if sum(alpha) != sum(beta):
+            break
+    a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    b = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    names = NAMES[:n]
+    sym = LaurentPoly(n, {alpha: a}) + LaurentPoly(n, {beta: b})
+    out.append(["case", "two-monomial", "--vars=" + ",".join(names),
+                "--op=" + _op(sym, names), "--p=" + "*".join(names), "-M", "6"])
+
+    # criterion 6: one-variable case
+    rng = random.Random(1006)
+    d = rng.randrange(7)
+    m1 = d + 1 + rng.randrange(3)
+    q = {0: Fraction(1)}
+    for _ in range(rng.randrange(3)):
+        q[1 + rng.randrange(3)] = Fraction(rng.randrange(-3, 4))
+    lam = LaurentPoly(1, {(m1,): 1}) * LaurentPoly(1, {(e,): c for e, c in q.items()})
+    p_terms = {(d,): Fraction(rng.choice([1, 2, 3]))}
+    for _ in range(rng.randrange(3)):
+        p_terms[(rng.randrange(d + 1),)] = Fraction(rng.randrange(-3, 4))
+    p = LaurentPoly(1, p_terms)
+    g = LaurentPoly(1, {(rng.randrange(7),): Fraction(rng.choice([1, 2]))})
+    out.append(["case", "one-var", "--vars=x", "--op=" + _op(lam, "x"),
+                "--p=" + _poly(p, "x"), "--g=" + _poly(g, "x"), "-M", "10"])
+
+    # criterion 7: the flow case d_x - Phi(d_y)
+    rng = random.Random(1007)
+    while True:
+        order = 2 + rng.randrange(3)
+        phi_terms = {(order,): Fraction(rng.choice([-2, -1, 1, 2]))}
+        for _ in range(rng.randrange(3)):
+            phi_terms[(order + rng.randrange(1, 3),)] = Fraction(rng.randrange(-2, 3))
+        phi = LaurentPoly(1, phi_terms)
+        f_terms = {(0, rng.randrange(order)): Fraction(rng.choice([1, 2]))}
+        for _ in range(rng.randrange(2)):
+            f_terms[(0, rng.randrange(order))] = Fraction(rng.randrange(-2, 3))
+        f = LaurentPoly(2, f_terms)
+        if f.is_zero:
+            continue
+        g = LaurentPoly(2, {
+            (rng.randrange(2), rng.randrange(3)): Fraction(rng.choice([1, 2])),
+            (rng.randrange(2), rng.randrange(3)): Fraction(rng.randrange(-2, 3)),
+        })
+        if not g.is_zero:
+            break
+    out.append(["case", "phi", "--phi=" + _op(phi, "y"), "--f=" + _poly(f, "xy"),
+                "--g=" + _poly(g, "xy"), "-M", "10"])
+
+    # criterion 9: ray hits through a vertex and through an edge midpoint
+    rng = random.Random(1009)
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        e = tuple(rng.randrange(4) for _ in range(2))
+        terms[e] = terms.get(e, 0) + Fraction(rng.randrange(1, 4))
+    p = LaurentPoly(2, terms)
+    support = sorted(p.terms)
+    s = rng.choice(support)
+    out.append(["density", "--p=" + _poly(p, "xy"), "--u=" + _point(s), "-M", "2"])
+    if len(support) >= 2:
+        s1, s2 = rng.sample(support, 2)
+        u = tuple(Fraction(a + b, 2) for a, b in zip(s1, s2))
+        out.append(["density", "--p=" + _poly(p, "xy"), "--u=" + _point(u), "-M", "2"])
+
+    # criterion 10: operator algebra, as a vanishing profile
+    rng = random.Random(1010)
+    p = LaurentPoly(2, {(rng.randrange(4), rng.randrange(4)): Fraction(rng.randrange(-3, 4))
+                        for _ in range(3)})
+    sym = LaurentPoly(2, {(rng.randrange(3), rng.randrange(3)): Fraction(rng.randrange(-2, 3))
+                          for _ in range(2)})
+    out.append(["vanish", "--op=" + _op(sym if not sym.is_zero else LaurentPoly.one(2), "xy"),
+                "--p=" + _poly(p if not p.is_zero else LaurentPoly.one(2), "xy"), "-M", "4"])
+    return out
+
+
+def requests():
+    series = [["counterexample", which, "-M", str(m)]
+              for which in ("ddv", "dk") for m in range(1, 9)]
+    return [argv + ["--format", "structured"]
+            for argv in README + series + _acceptance_families()]
+
+
+def run(argv):
+    """(exit code, stdout) of one CLI request."""
+    from vanishlab.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def record():
+    entries = []
+    for argv in requests():
+        code, stdout = run(argv)
+        if code not in (0, 1, 2):
+            raise SystemExit(f"invalid request in the corpus: {argv} exited {code}")
+        entries.append({"argv": argv, "exit": code, "stdout": stdout})
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    return entries
+
+
+if __name__ == "__main__":
+    print(f"recorded {len(record())} requests in {CORPUS}")

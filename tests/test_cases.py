@@ -121,6 +121,12 @@ class TestPhiCase:
         assert verdict.bound == 2
         assert verdict.verified == (3, 4, 5, 6, 7, 8)
 
+    def test_non_positive_horizon_rejected(self):
+        # f = 0 gives P = 0, which skips the profile scan that checks the horizon
+        for f in (lp2("y"), LaurentPoly.zero(2)):
+            with pytest.raises(ValueError):
+                phi_case_check(lp1("x^2"), f, lp2("x"), horizon=0)
+
     def test_linear_term_removed_by_coordinate_change(self):
         verdict = phi_case_check(lp1("x + x^2"), lp2("y"), lp2("x*y"), horizon=8)
         assert verdict.confirmed
@@ -217,3 +223,11 @@ class TestCounterexamples:
     def test_dk_precision_guard(self):
         with pytest.raises(ValueError):
             counterexample_dk(13, 12)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_non_positive_horizon_rejected(self, horizon):
+        # an empty scan would report every check passing
+        with pytest.raises(ValueError):
+            counterexample_ddv(horizon, 12)
+        with pytest.raises(ValueError):
+            counterexample_dk(horizon, 12)

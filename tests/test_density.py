@@ -89,6 +89,10 @@ class TestHomogeneousDensity:
         with pytest.raises(ValueError):
             homogeneous_density(lp("1 + x"), (Fraction(1, 2), 0), 4)
 
+    def test_rejects_non_positive_horizon(self):
+        with pytest.raises(ValueError):
+            homogeneous_density(lp("x + y"), (Fraction(1, 2), Fraction(1, 2)), 0)
+
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             homogeneous_density(lp("x*y^-1 + 1", ("x", "y")), (0, 0), 4)

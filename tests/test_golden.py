@@ -1,0 +1,22 @@
+"""Replay the golden corpus: every request's exit code and structured stdout, byte for byte."""
+import json
+
+import pytest
+
+from golden_corpus import CORPUS, run
+
+ENTRIES = json.loads(CORPUS.read_text())
+
+
+def test_corpus_covers_every_family():
+    commands = {tuple(e["argv"][:2]) for e in ENTRIES}
+    assert {("counterexample", "ddv"), ("counterexample", "dk"), ("case", "one-var"),
+            ("case", "phi"), ("case", "monomial"), ("case", "two-monomial")} <= commands
+    assert {e["argv"][0] for e in ENTRIES} >= {"vanish", "polytope", "density", "dk"}
+    assert {e["exit"] for e in ENTRIES} <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"][:-2]) for e in ENTRIES])
+def test_replay(entry, monkeypatch):
+    monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
+    assert run(entry["argv"]) == (entry["exit"], entry["stdout"])

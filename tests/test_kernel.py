@@ -1,0 +1,174 @@
+"""The integer coefficient kernels against the dict-of-Fraction reference oracles."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, truncate
+from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply, apply_monomial
+from vanishlab.poly import LaurentPoly, TruncSeries
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+scalars = st.one_of(st.integers(-5, 5), fractions)
+
+
+def polys(arity, lo=-3, hi=3, max_size=6):
+    expo = st.tuples(*[st.integers(lo, hi)] * arity)
+    return st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                     st.lists(st.tuples(expo, fractions), max_size=max_size))
+
+
+def assert_clean(p):
+    """What __init__ guarantees: int-tuple keys of the arity, nonzero Fraction values."""
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == p.arity and all(type(x) is int for x in e)
+        assert type(c) is Fraction and c != 0
+
+
+def y_series(lo=-3, hi=6):
+    """Two-variable polynomials whose exponent of y (index 1) spans [lo, hi]."""
+    expo = st.tuples(st.integers(-2, 2), st.integers(lo, hi))
+    return st.builds(lambda items: LaurentPoly(2, dict(items)),
+                     st.lists(st.tuples(expo, fractions), max_size=6))
+
+
+class TestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_matches_oracle_term_for_term(self, data, arity):
+        p = data.draw(polys(arity))
+        q = data.draw(polys(arity))
+        prod = p * q
+        assert_clean(prod)
+        # same terms in the same order: downstream generator lists depend on it
+        assert list(prod.terms.items()) == list(fraction_mul(p.terms, q.terms).items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 4), scalars)
+    def test_scalar_operands(self, data, arity, s):
+        p = data.draw(polys(arity))
+        expected = {e: c * s for e, c in p.terms.items() if c * s}
+        for prod in (p * s, s * p):
+            assert_clean(prod)
+            assert prod.terms == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 4))
+    def test_power_matches_repeated_oracle_product(self, data, arity, m):
+        p = data.draw(polys(arity, max_size=4))
+        expected = {(0,) * arity: Fraction(1)}
+        for _ in range(m):
+            expected = fraction_mul(expected, p.terms)
+        pw = p ** m
+        assert_clean(pw)
+        assert pw.terms == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_sum_and_negation_stay_clean(self, data, arity):
+        p = data.draw(polys(arity))
+        q = data.draw(polys(arity))
+        assert_clean(p + q)
+        assert_clean(p - q)
+        assert_clean(-p)
+        assert (p - p).is_zero
+        assert (p + q) - q == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_integer_form_round_trips(self, data, arity):
+        p = data.draw(polys(arity))
+        numerators, d = p.integer_form()
+        assert all(type(n) is int for n in numerators.values())
+        assert all(d % c.denominator == 0 for c in p.terms.values())
+        assert LaurentPoly.from_integer_form(arity, numerators, d) == p
+
+
+class TestSeriesProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(y_series(), y_series(), st.integers(-2, 6), st.integers(-2, 6), st.booleans())
+    def test_claimed_precision_is_provable(self, a_full, b_full, da, db, exact):
+        # a and b are truncations of the full series: whatever lies beyond
+        # their precision must not reach the product's claimed precision
+        a = TruncSeries(a_full, {1: da})
+        b = b_full if exact else TruncSeries(b_full, {1: db})
+        for prod in (a * b, b * a):
+            d = prod.precision[1]
+            assert type(d) is int
+            assert_clean(prod.body)
+            assert prod.body.terms == truncate(fraction_mul(a_full.terms, b_full.terms), {1: d})
+
+    @settings(max_examples=100, deadline=None)
+    @given(y_series(), y_series(), st.integers(-2, 6), st.integers(-2, 6))
+    def test_body_is_truncated_oracle_product(self, a_body, b_body, da, db):
+        a = TruncSeries(a_body, {1: da})
+        b = TruncSeries(b_body, {1: db})
+        prod = a * b
+        assert prod.body.terms == truncate(fraction_mul(a.body.terms, b.body.terms),
+                                           prod.precision)
+
+    def test_zero_body_lowers_precision_with_negative_partner(self):
+        # O(y^4) (precision 3) times y^-2 is O(y^2): trustworthy up to y^1
+        big_o = TruncSeries(LaurentPoly.zero(2), {1: 3})
+        y_inv2 = LaurentPoly.monomial((0, -2))
+        assert (big_o * y_inv2).precision == {1: 1}
+        assert (y_inv2 * big_o).precision == {1: 1}
+        assert (big_o * TruncSeries(y_inv2, {1: 10})).precision == {1: 1}
+        # O(y^4) O(y^3) = O(y^7)
+        assert (big_o * TruncSeries(LaurentPoly.zero(2), {1: 2})).precision == {1: 6}
+
+    def test_exact_operands_keep_integer_precision(self):
+        s = TruncSeries(LaurentPoly.variable(2, 1), {1: 3})
+        x = LaurentPoly.variable(2, 0)
+        for result in (s + x, x + s, s - x, s * x, x * s, s + 2, s - Fraction(1, 2), s * 3):
+            assert all(type(d) is int for d in result.precision.values())
+            assert result.precision == {1: 3}
+            assert "inf" not in result.to_string()
+
+    def test_rejects_other_operands(self):
+        s = TruncSeries(LaurentPoly.variable(2, 1), {1: 3})
+        with pytest.raises(TypeError):
+            s + 0.5
+        with pytest.raises(TypeError):
+            s - "x"
+        with pytest.raises(ValueError):
+            s * TruncSeries(LaurentPoly.variable(2, 1), {0: 3})
+
+
+class TestApply:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_monomial_laurent_mode(self, data, arity):
+        mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
+        beta = data.draw(st.tuples(*[st.integers(-6, 6)] * arity))
+        coeff, expo = apply_monomial(mu, beta, LAURENT)
+        assert type(coeff) is int
+        assert (coeff, expo) == fraction_derivative(mu, beta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_monomial_polynomial_mode(self, data, arity):
+        mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
+        beta = data.draw(st.tuples(*[st.integers(0, 6)] * arity))
+        coeff, expo = apply_monomial(mu, beta, POLYNOMIAL)
+        assert type(coeff) is int
+        assert (coeff, expo) == fraction_derivative(mu, beta)
+        assert (coeff == 0) == any(b < m for m, b in zip(mu, beta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.booleans())
+    def test_apply_matches_oracle(self, data, arity, laurent):
+        symbol = data.draw(polys(arity, lo=0, hi=3, max_size=4))
+        operand = data.draw(polys(arity, lo=-3 if laurent else 0, hi=5))
+        out = apply(DiffOp(symbol), operand, LAURENT if laurent else POLYNOMIAL)
+        assert_clean(out)
+        assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
+
+    def test_polynomial_mode_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            apply(DiffOp.monomial((0, 1)), LaurentPoly.monomial((0, -1)))
+        with pytest.raises(ValueError):
+            apply_monomial((0, 0), (0, -1))
+        # the zero operator never differentiates anything
+        assert apply(DiffOp(LaurentPoly.zero(2)), LaurentPoly.monomial((0, -1))).is_zero

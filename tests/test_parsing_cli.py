@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vanishlab.cli import main
+from vanishlab.cli import build_parser, main
 from vanishlab.parsing import (
     ParseError,
     parse_fraction,
@@ -184,6 +184,34 @@ class TestCli:
         code, out, _ = run(capsys, "vanish", "--op", "dx*dy", "--p", "x^2 + y^2",
                            "--format", "structured")
         assert kv_lines(out)["horizon"] == "3"
+
+    def test_horizon_env_read_on_every_call(self, capsys, monkeypatch):
+        # the parser is built once per process; the environment is not frozen into it
+        assert build_parser() is build_parser()
+        argv = ["vanish", "--op", "dx^2", "--p", "x*y", "--format", "structured"]
+        for value, expected in (("3", "3"), ("5", "5"), ("", "8")):
+            monkeypatch.setenv("VANISHLAB_HORIZON", value)
+            assert kv_lines(run(capsys, *argv)[1])["horizon"] == expected
+        monkeypatch.setenv("VANISHLAB_HORIZON", "5")
+        assert kv_lines(run(capsys, *argv, "-M", "2")[1])["horizon"] == "2"
+
+    def test_horizon_env_invalid_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("VANISHLAB_HORIZON", "abc")
+        code, out, err = run(capsys, "vanish", "--op", "dx", "--p", "x")
+        assert code == 3
+        assert "VANISHLAB_HORIZON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "ddv"],
+        ["counterexample", "dk"],
+        ["density", "--p", "x + y", "--u", "(1/2,1/2)", "--homogeneous"],
+    ])
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_non_positive_horizon_is_usage_error(self, capsys, argv, horizon):
+        code, out, err = run(capsys, *argv, "-M", horizon, "--format", "structured")
+        assert code == 3
+        assert "horizon must be >= 1" in err
+        assert "ok=true" not in out
 
     def test_determinism(self, capsys):
         argv = ["polytope", "--sigma", "(-2,1);(1,-2);(-1,-1)", "--beta", "(2,2)",
