@@ -6,14 +6,14 @@ a structured verdict.  Verdicts are horizon-bounded by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import pairwise
 from math import comb, factorial
 
-from .diffops import DiffOp, apply, vanishing_profile
-from .poly import LaurentPoly, TruncSeries, series_exp
+from .diffops import DiffOp, VanishingProfile, apply, profile_scan, vanishing_profile
+from .poly import LaurentPoly, TruncSeries, powers, series_exp
 from .polytopes import (
-    SeparationCertificate,
     Witness,
     difference_decomposition,
     minkowski_diff,
@@ -26,122 +26,6 @@ CONFIRMED = "confirmed"
 HYPOTHESIS_FAILS = "hypothesis-fails"
 FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals and exponential-polynomial calculus (one variable)
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, value, im=0):
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(Fraction(value), Fraction(im))
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}+{self.im}i)"
-
-
-class ExpPoly:
-    """Finite sum of c(z) * e^{lam*z} with polynomial c over Gaussian rationals.
-
-    Stored as frequency -> {degree: coefficient}; zero coefficients are
-    dropped and frequencies with empty polynomials disappear.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for lam, poly in (terms or {}).items():
-            lam = GaussianRational.of(lam)
-            p = {int(k): GaussianRational.of(v) for k, v in poly.items() if GaussianRational.of(v)}
-            if p:
-                clean[lam] = p
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
-
-    @classmethod
-    def term(cls, lam, coeffs):
-        return cls({lam: dict(coeffs)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ExpPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = {lam: dict(p) for lam, p in self.terms.items()}
-        for lam, p in other.terms.items():
-            tgt = out.setdefault(lam, {})
-            for k, v in p.items():
-                tgt[k] = tgt.get(k, GaussianRational()) + v
-        return ExpPoly(out)
-
-    def scale(self, factor):
-        factor = GaussianRational.of(factor)
-        return ExpPoly({
-            lam: {k: v * factor for k, v in p.items()}
-            for lam, p in self.terms.items()
-        })
-
-    def d(self):
-        """One derivative: c(z)e^{lam z} -> (c'(z) + lam*c(z)) e^{lam z}."""
-        out = {}
-        for lam, p in self.terms.items():
-            np = {}
-            for k, v in p.items():
-                if k >= 1:
-                    np[k - 1] = np.get(k - 1, GaussianRational()) + v * k
-                lv = v * lam
-                np[k] = np.get(k, GaussianRational()) + lv
-            out[lam] = np
-        return ExpPoly(out)
-
-
-def expoly_apply(op_coeffs, e):
-    """Apply L(D) = sum a_k D^k to an exponential polynomial, via Horner."""
-    coeffs = [GaussianRational.of(c) for c in op_coeffs]
-    acc = ExpPoly()
-    for a in reversed(coeffs):
-        acc = acc.d() + e.scale(a)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +273,7 @@ def monomial_case_check(op, p, g, horizon=8):
     profile = vanishing_profile(op, p, g, horizon)
     checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
     anomalies = []
-    f_powers = [f]
-    while len(f_powers) < horizon:
-        f_powers.append(f_powers[-1] * f)
+    f_powers = list(powers(f, horizon))
     for m, f_m in enumerate(f_powers, start=1):
         hol_zero = f_m.holomorphic_part().is_zero
         if hol_zero != profile.entries[m - 1].pp_zero:
@@ -444,9 +326,9 @@ def _combination_support(alpha, beta, m):
     return {tuple(k * a + (m - k) * b for a, b in zip(alpha, beta)) for k in range(m + 1)}
 
 
-def _sigma_criterion(case, op, p, g, horizon, checks, notes, anomalies):
+def _sigma_criterion(case, op, p, g, profile, checks):
     """Shared Poly(P) - Poly(Lambda) machinery for the two-monomial cases."""
-    profile = vanishing_profile(op, p, g, horizon)
+    notes = []
     checks.append(("power-vanishing hypothesis up to horizon",
                    profile.first_pp_failure is None))
     sigma = minkowski_diff(newton_polytope(p), newton_polytope(op.symbol))
@@ -461,8 +343,7 @@ def _sigma_criterion(case, op, p, g, horizon, checks, notes, anomalies):
                          "predicts a hypothesis failure at some m")
         if profile.first_pp_failure is None:
             notes.append("no failure observed up to horizon; it must occur beyond it")
-        return CaseVerdict(case=case, checks=tuple(checks),
-                           anomalies=tuple(anomalies), notes=tuple(notes))
+        return CaseVerdict(case=case, checks=tuple(checks), notes=tuple(notes))
     checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", True))
     bound = 1
     for gamma in g.terms:
@@ -474,7 +355,6 @@ def _sigma_criterion(case, op, p, g, horizon, checks, notes, anomalies):
         bound=Fraction(bound),
         verified=verified,
         residuals=residuals,
-        anomalies=tuple(anomalies),
         notes=tuple(notes),
     )
 
@@ -498,32 +378,28 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
     if not a or not b:
         expo, coeff = (beta, b) if not a else (alpha, a)
         verdict = monomial_case_check(DiffOp.monomial(expo, coeff), p, g, horizon)
-        return CaseVerdict(case="two-monomial", checks=verdict.checks,
-                           bound=verdict.bound, verified=verdict.verified,
-                           residuals=verdict.residuals, anomalies=verdict.anomalies,
-                           notes=verdict.notes + ("degenerate pair routed to the monomial case",))
+        return replace(verdict, case="two-monomial",
+                       notes=verdict.notes + ("degenerate pair routed to the monomial case",))
 
+    _check_horizon(horizon)
     op = DiffOp(LaurentPoly(len(alpha), {alpha: a}) + LaurentPoly(len(beta), {beta: b}))
-    checks = []
-    notes = []
-    anomalies = []
     # the support formula on m <= 5, and degree separation: each individual
     # d^{k alpha + l beta} P^m vanishes whenever Lambda^m P^m does
-    sym_m, p_m = op.symbol, p
+    entries = []
     support_ok = separated = True
-    for m in range(1, horizon + 1):
-        support = _combination_support(alpha, beta, m)
-        if m <= 5 and set(sym_m.terms) != support:
+    for entry, sym_m, p_m in profile_scan(op, p, g, horizon):
+        entries.append(entry)
+        support = _combination_support(alpha, beta, entry.m)
+        if entry.m <= 5 and set(sym_m.terms) != support:
             support_ok = False
-        if apply(DiffOp(sym_m), p_m).is_zero:
+        if entry.pp_zero:
             for mu in support:
                 if not apply(DiffOp.monomial(mu), p_m).is_zero:
                     separated = False
-        if m < horizon:
-            sym_m, p_m = sym_m * op.symbol, p_m * p
-    checks.append(("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok))
-    checks.append(("each d^{k*alpha+l*beta} P^m vanishes individually", separated))
-    return _sigma_criterion("two-monomial", op, p, g, horizon, checks, notes, anomalies)
+    checks = [("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok),
+              ("each d^{k*alpha+l*beta} P^m vanishes individually", separated)]
+    profile = VanishingProfile(horizon=horizon, entries=tuple(entries))
+    return _sigma_criterion("two-monomial", op, p, g, profile, checks)
 
 
 def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
@@ -538,22 +414,21 @@ def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
         raise ValueError("P must have support in N^n")
     if len(p.terms) == 1:
         verdict = monomial_case_check(op, p, g, horizon)
-        return CaseVerdict(case="two-monomial-P", checks=verdict.checks,
-                           bound=verdict.bound, verified=verdict.verified,
-                           residuals=verdict.residuals, anomalies=verdict.anomalies,
-                           notes=verdict.notes + ("single monomial routed to the monomial case",))
+        return replace(verdict, case="two-monomial-P",
+                       notes=verdict.notes + ("single monomial routed to the monomial case",))
     (alpha, _), (beta, _) = p.terms.items()
     if sum(alpha) == sum(beta):
         raise ValueError("|alpha| must differ from |beta|")
-    checks = []
-    notes = []
-    anomalies = []
-    support_ok = all(
-        set((p ** m).terms) == _combination_support(alpha, beta, m)
-        for m in range(1, min(horizon, 5) + 1)
-    )
-    checks.append(("Supp(P^m) = {k*alpha + l*beta}", support_ok))
-    return _sigma_criterion("two-monomial-P", op, p, g, horizon, checks, notes, anomalies)
+    _check_horizon(horizon)
+    entries = []
+    support_ok = True
+    for entry, _, p_m in profile_scan(op, p, g, horizon):
+        entries.append(entry)
+        if entry.m <= 5 and set(p_m.terms) != _combination_support(alpha, beta, entry.m):
+            support_ok = False
+    checks = [("Supp(P^m) = {k*alpha + l*beta}", support_ok)]
+    profile = VanishingProfile(horizon=horizon, entries=tuple(entries))
+    return _sigma_criterion("two-monomial-P", op, p, g, profile, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +465,12 @@ def counterexample_ddv(horizon, precision=12):
     symbol = LaurentPoly(2, {(1, 1): Fraction(1)})
     x = LaurentPoly.variable(2, 0)
     rows = []
-    p_m = p
-    for m in range(1, horizon + 1):
+    for m, (p_m, p_next) in enumerate(pairwise(powers(p, horizon + 1)), start=1):
         op_m = DiffOp(symbol ** m)
         depth = precision - m
-        p_next = p_m * p
         r1 = apply(op_m, p_m)
         r2 = apply(op_m, p_next)
         r3 = apply(op_m, p_m * x)
-        p_m = p_next
         expect2 = LaurentPoly(2, {
             (0, j): Fraction(factorial(m + 1), factorial(j)) for j in range(depth + 1)
         })
@@ -624,8 +496,7 @@ def counterexample_dk(horizon, precision=12):
     f = e * LaurentPoly.monomial((-1, -1)) + LaurentPoly.monomial((0, -1))
     x = LaurentPoly.variable(2, 0)
     rows = []
-    f_m = f
-    for m in range(1, horizon + 1):
+    for m, f_m in enumerate(powers(f, horizon), start=1):
         x_exps = {ex[0] for ex in f_m.body.terms}
         checks = (
             ("constant term of f^m is 0", f_m.constant_term() == 0),
@@ -635,8 +506,6 @@ def counterexample_dk(horizon, precision=12):
              all(-m <= ex <= 0 for ex in x_exps)),
         )
         rows.append((m, checks))
-        if m < horizon:
-            f_m = f_m * f
     return CounterexampleReport("dk", horizon, precision, tuple(rows))
 
 

@@ -12,13 +12,12 @@ import os
 import sys
 
 from . import cases, density
-from .cases import CaseVerdict
+from .cases import CaseVerdict, _point_str
 from .diffops import vanishing_profile
 from .parsing import ParseError, parse_generators, parse_operator, parse_point, parse_poly
 from .polytopes import (
     RationalPolytope,
     SeparationCertificate,
-    Witness,
     contains_point,
     moveaway_bound,
     orthant_meet,
@@ -66,10 +65,6 @@ class Emitter:
     def record(self, key, value):
         if self.fmt == STRUCTURED:
             self.kv(key, value)
-
-
-def _point_str(point):
-    return "(" + ",".join(str(v) for v in point) + ")"
 
 
 def _split_vars(spec):
@@ -252,7 +247,7 @@ def cmd_case(args, out):
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
         g = parse_poly(_read_arg(args.g) if args.g else "1", names)
-        if len(op.symbol.terms) == 2:
+        if len(op.symbol.terms) == 2 and not op.symbol.is_homogeneous():
             (alpha, a), (beta, b) = op.symbol.terms.items()
             verdict = cases.two_monomial_check(a, alpha, b, beta, p, g, horizon)
         else:
@@ -290,12 +285,13 @@ def build_parser():
                                  "constant-coefficient differential operators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, vars_default=None, precision=False):
+    def common(p, vars_default=None, precision=False, horizon=True):
         if vars_default is not None:
             p.add_argument("--vars", default=vars_default,
                            help="comma-separated ordered variable names")
-        p.add_argument("-M", "--horizon", type=int, default=None,
-                       help="horizon (default: VANISHLAB_HORIZON, else 8)")
+        if horizon:
+            p.add_argument("-M", "--horizon", type=int, default=None,
+                           help="horizon (default: VANISHLAB_HORIZON, else 8)")
         if precision:
             p.add_argument("-D", "--precision", type=int, default=12)
         p.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT)
@@ -308,7 +304,7 @@ def build_parser():
     p.set_defaults(func=cmd_vanish)
 
     p = sub.add_parser("polytope", help="orthant queries on a V-rep polytope")
-    common(p)
+    common(p, horizon=False)
     p.add_argument("--sigma", required=True, help="generators, e.g. '(-2,1);(1,-2)'")
     p.add_argument("--beta", help="translation point for the move-away bound")
     p.add_argument("--point", help="membership query point")
@@ -355,7 +351,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = Emitter(args.format)
     try:
-        if args.horizon is None:
+        if "horizon" in args and args.horizon is None:
             args.horizon = _default_horizon()
         return args.func(args, out)
     except (ParseError, ValueError) as exc:

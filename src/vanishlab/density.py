@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .poly import powers
 from .polytopes import contains_point, newton_polytope
 
 FOUND = "found"
@@ -53,13 +54,10 @@ def ray_hits_support(p, u, horizon):
     if contains_point(newton_polytope(p), u) is None:
         raise ValueError("u must lie in the Newton polytope of P")
     hits = []
-    p_m = p
-    for m in range(1, horizon + 1):
+    for m, p_m in enumerate(powers(p, horizon), start=1):
         for lam in sorted(p_m.terms):
             if on_ray(lam, u):
                 hits.append((m, lam))
-        if m < horizon:
-            p_m = p_m * p
     verdict = FOUND if hits else INCONCLUSIVE
     return RaySearchReport(u=u, horizon=horizon, hits=tuple(hits), verdict=verdict)
 
@@ -88,14 +86,11 @@ def homogeneous_density(p, u, horizon):
     if contains_point(newton_polytope(p), u) is None:
         raise ValueError("u must lie in the Newton polytope of P")
     hits = []
-    p_m = p
-    for m in range(1, horizon + 1):
+    for m, p_m in enumerate(powers(p, horizon), start=1):
         mu = tuple(m * v for v in u)
         if all(v.denominator == 1 for v in mu):
             if p_m.coeff(tuple(int(v) for v in mu)) != 0:
                 hits.append(m)
-        if m < horizon:
-            p_m = p_m * p
     return hits
 
 
@@ -119,12 +114,7 @@ def dk_check(f, horizon):
         raise ValueError("f must be nonzero")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    terms = []
-    f_m = f
-    for m in range(1, horizon + 1):
-        terms.append(f_m.constant_term())
-        if m < horizon:
-            f_m = f_m * f
+    terms = [f_m.constant_term() for f_m in powers(f, horizon)]
     first_nonzero = next((m for m, c in enumerate(terms, start=1) if c), None)
     origin = (0,) * f.arity
     zero_in = contains_point(newton_polytope(f), origin) is not None

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from math import perm
 from operator import sub
 
-from .poly import LaurentPoly, TruncSeries
+from .poly import LaurentPoly, TruncSeries, powers
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -165,6 +165,27 @@ class VanishingProfile:
         return start
 
 
+def profile_scan(op, p, g, horizon):
+    """Yield ``(ProfileEntry, L^m, P^m)`` for m = 1..horizon.
+
+    Each power of the symbol and of P is built once, so a caller that needs
+    the powers as well as the profile walks them only once.  No validation:
+    see `vanishing_profile`.
+    """
+    symbol_powers = powers(op.symbol, horizon)
+    for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):
+        op_m = DiffOp(sym_m)
+        pp = apply(op_m, p_m)
+        ppg = apply(op_m, p_m * g)
+        yield ProfileEntry(
+            m=m,
+            pp_zero=pp.is_zero,
+            ppg_zero=ppg.is_zero,
+            pp_residual=None if pp.is_zero else pp,
+            ppg_residual=None if ppg.is_zero else ppg,
+        ), sym_m, p_m
+
+
 def vanishing_profile(op, p, g=None, horizon=8):
     """Scan m = 1..horizon and record both vanishing sequences."""
     if horizon < 1:
@@ -173,21 +194,5 @@ def vanishing_profile(op, p, g=None, horizon=8):
         raise ValueError("P must be nonzero")
     if g is None:
         g = LaurentPoly.one(p.arity)
-    entries = []
-    sym_m = op.symbol
-    p_m = p
-    for m in range(1, horizon + 1):
-        op_m = DiffOp(sym_m)
-        pp = apply(op_m, p_m)
-        ppg = apply(op_m, p_m * g)
-        entries.append(ProfileEntry(
-            m=m,
-            pp_zero=pp.is_zero,
-            ppg_zero=ppg.is_zero,
-            pp_residual=None if pp.is_zero else pp,
-            ppg_residual=None if ppg.is_zero else ppg,
-        ))
-        if m < horizon:
-            sym_m = sym_m * op.symbol
-            p_m = p_m * p
-    return VanishingProfile(horizon=horizon, entries=tuple(entries))
+    entries = tuple(entry for entry, _, _ in profile_scan(op, p, g, horizon))
+    return VanishingProfile(horizon=horizon, entries=entries)

@@ -216,15 +216,15 @@ class LaurentPoly:
         """
         self._check_arity(replacement)
         out = LaurentPoly.zero(self.arity)
-        powers = {0: LaurentPoly.one(self.arity)}
+        replacement_powers = {0: LaurentPoly.one(self.arity)}
         for e, c in self.terms.items():
             k = e[var]
             if k < 0:
                 raise ValueError("cannot substitute into a negative exponent")
-            if k not in powers:
-                powers[k] = replacement ** k
+            if k not in replacement_powers:
+                replacement_powers[k] = replacement ** k
             rest = tuple(0 if i == var else x for i, x in enumerate(e))
-            out = out + LaurentPoly.monomial(rest, c) * powers[k]
+            out = out + LaurentPoly.monomial(rest, c) * replacement_powers[k]
         return out
 
     # ----- comparison / printing -----
@@ -287,7 +287,9 @@ class TruncSeries:
     ``precision[v] = D`` means coefficients with exponent <= D in variable
     ``v`` are trustworthy and everything beyond is unrepresented.  After any
     operation the stored precision is the minimum provable one.  Variables
-    absent from the precision map are exact.
+    absent from the precision map are exact.  Two truncated series multiply
+    only with at most one tracked variable; with more, no precision of the
+    product is provable and the product raises ``ValueError``.
     """
 
     __slots__ = ("body", "precision")
@@ -346,6 +348,11 @@ class TruncSeries:
                 return TruncSeries(body, self.precision)
             # the exact factor is known everywhere: only self limits the product
             prec = {v: d + body.min_exponent(v) for v, d in self.precision.items()}
+        elif len(self.precision) > 1:
+            # a term cut in one variable may carry any exponent in another,
+            # so two cut terms can multiply back into the claimed region
+            raise ValueError("the product of two truncated series is provable "
+                             "only with one tracked variable")
         else:
             # [z^k](A*B) only needs A up to k - low(B) and B up to k - low(A)
             prec = {v: min(d + _lowest(body, precision, v),
@@ -387,6 +394,21 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.to_string()!r})"
+
+
+def powers(x, horizon):
+    """Yield ``x, x^2, ..., x^horizon`` for a LaurentPoly or TruncSeries.
+
+    Each power is one product with ``x``, made only when it is asked for, so
+    nothing is computed past ``x^horizon`` or past where the caller stops.
+    """
+    if horizon < 1:
+        return
+    x_m = x
+    yield x_m
+    for _ in range(horizon - 1):
+        x_m = x_m * x
+        yield x_m
 
 
 def series_exp(s):

@@ -1,15 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from vanishlab.cases import (
     CaseVerdict,
-    ExpPoly,
-    GaussianRational,
     binomial_gap_check,
     counterexample_ddv,
     counterexample_dk,
-    expoly_apply,
     homogeneous_two_monomial_p_check,
     monomial_case_check,
     one_var_check,
@@ -32,37 +27,6 @@ def lp2(src):
 
 def op2(src):
     return parse_operator(src, ["x", "y"])
-
-
-class TestExpPoly:
-    def test_derivative_basis(self):
-        # (D - lam)^{j+1} kills z^j e^{lam z}, but (D - lam)^j does not
-        for lam in (GaussianRational.of(0), GaussianRational.of(1),
-                    GaussianRational(Fraction(1), Fraction(1))):
-            for j in range(5):
-                e = ExpPoly.term(lam, {j: 1})
-                for _ in range(j):
-                    e = expoly_apply([-1 * lam, 1], e)
-                assert not e.is_zero
-                e = expoly_apply([-1 * lam, 1], e)
-                assert e.is_zero
-
-    def test_factored_operator(self):
-        # (D - 1)(D - 2) = D^2 - 3D + 2 annihilates 3e^z + 5e^{2z}
-        e = ExpPoly.term(1, {0: 3}) + ExpPoly.term(2, {0: 5})
-        assert expoly_apply([2, -3, 1], e).is_zero
-        assert not expoly_apply([-1, 1], e).is_zero
-
-    def test_gaussian_arithmetic(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        assert i * i == GaussianRational.of(-1)
-        assert (i + 1) * (i - 1) == GaussianRational.of(-2)
-
-    def test_complex_frequency(self):
-        # (D^2 + 1) = (D - i)(D + i) annihilates e^{iz}
-        i = GaussianRational(Fraction(0), Fraction(1))
-        e = ExpPoly.term(i, {0: 1})
-        assert expoly_apply([1, 0, 1], e).is_zero
 
 
 class TestOneVar:
@@ -195,6 +159,25 @@ class TestTwoMonomial:
         # Lambda = d_x + d_y^2, P = x^2 y: the difference polytope meets the orthant
         verdict = two_monomial_check(1, (1, 0), 1, (0, 2), lp2("x^2*y"), lp2("1"), horizon=6)
         assert verdict.status in ("hypothesis-fails", "inconclusive")
+
+    def test_each_power_built_once(self, monkeypatch):
+        # one walk over Lambda^m and P^m serves the support, separation and
+        # profile checks: 7 + 7 powers and 8 products P^m * g at M = 8
+        products = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        verdict = two_monomial_check(1, (2, 0), 1, (0, 3), lp2("x*y"), lp2("1"), horizon=8)
+        assert verdict.confirmed
+        assert len(products) == 22
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_non_positive_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            two_monomial_check(1, (2, 0), 1, (0, 3), lp2("x*y"), lp2("1"), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            homogeneous_two_monomial_p_check(op2("dx*dy"), lp2("x^2*y + y^2"), lp2("1"),
+                                             horizon=horizon)
 
     def test_mirror_two_monomial_p(self):
         verdict = homogeneous_two_monomial_p_check(op2("dx*dy"), lp2("x^2*y + y^2"),

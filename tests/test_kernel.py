@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, truncate
 from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply, apply_monomial
-from vanishlab.poly import LaurentPoly, TruncSeries
+from vanishlab.poly import LaurentPoly, TruncSeries, powers
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 scalars = st.one_of(st.integers(-5, 5), fractions)
@@ -134,6 +134,65 @@ class TestSeriesProduct:
             s - "x"
         with pytest.raises(ValueError):
             s * TruncSeries(LaurentPoly.variable(2, 1), {0: 3})
+
+    def test_two_tracked_variables_need_an_exact_partner(self):
+        # the truncations below both have body 1, yet the exact product cut at
+        # {x: 1, y: 1} is 1 + x^-7*y^-7: no precision of the product is provable
+        prec = {0: 1, 1: 1}
+        a = TruncSeries(LaurentPoly(2, {(0, 0): 1, (2, -9): 1}), prec)
+        b = TruncSeries(LaurentPoly(2, {(0, 0): 1, (-9, 2): 1}), prec)
+        with pytest.raises(ValueError, match="one tracked variable"):
+            a * b
+        with pytest.raises(ValueError, match="one tracked variable"):
+            b * a
+        x = LaurentPoly.variable(2, 0)
+        for prod in (a * x, x * a):
+            assert prod.precision == {0: 2, 1: 1}
+            assert prod.body == x
+
+
+class TestPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 5))
+    def test_laurent_matches_pow(self, data, arity, horizon):
+        p = data.draw(polys(arity, max_size=4))
+        seq = list(powers(p, horizon))
+        assert len(seq) == horizon
+        for m, p_m in enumerate(seq, start=1):
+            assert p_m == p ** m
+
+    @settings(max_examples=80, deadline=None)
+    @given(y_series(hi=4), st.integers(-2, 4), st.integers(0, 4))
+    def test_series_matches_pow(self, full, d, horizon):
+        s = TruncSeries(full, {1: d})
+        seq = list(powers(s, horizon))
+        assert len(seq) == horizon
+        exact = {(0, 0): Fraction(1)}
+        for m, s_m in enumerate(seq, start=1):
+            exact = fraction_mul(exact, full.terms)
+            # every claimed precision is provable against the untruncated power
+            assert s_m.body.terms == truncate(exact, s_m.precision)
+            # __pow__ starts from 1, so it may claim less than repeated
+            # products, never more, and the bodies agree where both are claimed
+            pw = s ** m
+            assert pw.precision[1] <= s_m.precision[1]
+            assert s_m.truncated(pw.precision) == pw
+            if not s.body.is_zero and s.body.min_exponent(1) >= 0:
+                assert s_m.precision == pw.precision
+
+    def test_one_product_per_power(self, monkeypatch):
+        products = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        p = LaurentPoly(2, {(1, 0): 1, (0, 1): 2})
+        assert list(powers(p, 0)) == []
+        assert not products
+        seq = powers(p, 4)
+        assert next(seq) is p
+        assert not products
+        assert len(list(seq)) == 3
+        assert len(products) == 3
 
 
 class TestApply:

@@ -205,6 +205,8 @@ class TestCli:
         ["counterexample", "ddv"],
         ["counterexample", "dk"],
         ["density", "--p", "x + y", "--u", "(1/2,1/2)", "--homogeneous"],
+        ["case", "two-monomial", "--op", "dx^2 + dy^3", "--p", "x*y"],
+        ["case", "monomial", "--op", "dx^2 + dy^3", "--p", "x*y"],
     ])
     @pytest.mark.parametrize("horizon", ["0", "-2"])
     def test_non_positive_horizon_is_usage_error(self, capsys, argv, horizon):
@@ -212,6 +214,26 @@ class TestCli:
         assert code == 3
         assert "horizon must be >= 1" in err
         assert "ok=true" not in out
+
+    def test_polytope_ignores_horizon_env(self, capsys, monkeypatch):
+        # polytope has no horizon, so neither -M nor VANISHLAB_HORIZON applies
+        monkeypatch.setenv("VANISHLAB_HORIZON", "abc")
+        code, out, _ = run(capsys, "polytope", "--sigma", "(-2,1);(1,-2)",
+                           "--format", "structured")
+        assert code == 0
+        assert kv_lines(out)["kind"] == "certificate"
+        with pytest.raises(SystemExit) as exc:
+            main(["polytope", "--sigma", "(-2,1);(1,-2)", "-M", "3"])
+        assert exc.value.code == 3
+
+    def test_two_monomial_routes_homogeneous_operator_to_mirror_case(self, capsys):
+        code, out, _ = run(capsys, "case", "two-monomial", "--op", "dx^3 + dy^3",
+                           "--p", "x + y^2", "-M", "5", "--format", "structured")
+        assert code == 0
+        kv = kv_lines(out)
+        assert kv["case"] == "two-monomial-P"
+        assert kv["bound"] == "1"
+        assert kv["status"] == "confirmed"
 
     def test_determinism(self, capsys):
         argv = ["polytope", "--sigma", "(-2,1);(1,-2);(-1,-1)", "--beta", "(2,2)",
