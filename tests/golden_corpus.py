@@ -5,7 +5,8 @@ exit code and the exact ``--format structured`` stdout.  ``test_golden.py``
 replays it byte for byte.  The requests are the README examples, the two
 series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
-criterion 8 has no CLI form).  Only valid inputs are recorded.
+criterion 8 has no CLI form), and one request for each checker path that
+prints an orthant witness.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -32,6 +33,12 @@ README = [
     ["case", "monomial", "--op=dx^2", "--p=x*y", "--g=x^3"],
     ["case", "two-monomial", "--op=dx^2 + dy^3", "--p=x*y"],
     ["counterexample", "ddv", "-M", "6", "-D", "12"],
+]
+
+# the monomial and two-monomial checkers' witness notes
+WITNESS = [
+    ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6"],
+    ["case", "monomial", "--op=dx^2 + dy^2", "--p=x*y", "-M", "4"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -156,7 +163,7 @@ def requests():
     series = [["counterexample", which, "-M", str(m)]
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
-            for argv in README + series + _acceptance_families()]
+            for argv in README + series + _acceptance_families() + WITNESS]
 
 
 def run(argv):
