@@ -279,7 +279,8 @@ def monomial_case_check(op, p, g, horizon=8):
         if hol_zero != profile.entries[m - 1].pp_zero:
             anomalies.append(f"holomorphic route disagrees with operator route at m={m}")
 
-    meet = orthant_meet(newton_polytope(f))
+    sigma = newton_polytope(f)
+    meet = orthant_meet(sigma)
     notes = [f"variant: {variant}"]
     if isinstance(meet, Witness):
         checks.append(("Poly(f) disjoint from the nonnegative orthant", False))
@@ -289,7 +290,6 @@ def monomial_case_check(op, p, g, horizon=8):
                            anomalies=tuple(anomalies), notes=tuple(notes))
 
     checks.append(("Poly(f) disjoint from the nonnegative orthant", True))
-    sigma = newton_polytope(f)
     bound = 1
     for gamma in g.terms:
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
@@ -331,12 +331,12 @@ def _sigma_criterion(case, op, p, g, profile, checks):
     notes = []
     checks.append(("power-vanishing hypothesis up to horizon",
                    profile.first_pp_failure is None))
-    sigma = minkowski_diff(newton_polytope(p), newton_polytope(op.symbol))
+    poly_p, poly_lambda = newton_polytope(p), newton_polytope(op.symbol)
+    sigma = minkowski_diff(poly_p, poly_lambda)
     meet = orthant_meet(sigma)
     if isinstance(meet, Witness):
         checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", False))
-        pair = difference_decomposition(newton_polytope(p), newton_polytope(op.symbol),
-                                        meet.point)
+        pair = difference_decomposition(poly_p, poly_lambda, meet.point)
         if pair is not None:
             u, v = pair
             notes.append(f"witness pair u={_point_str(u)} >= v={_point_str(v)} "

@@ -365,13 +365,14 @@ class TruncSeries:
     def __pow__(self, m):
         if m < 0:
             raise ValueError("exponent must be nonnegative")
-        result = TruncSeries(LaurentPoly.one(self.arity), dict(self.precision))
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base if m > 1 else base
-            m >>= 1
+        if m == 0:
+            return TruncSeries(LaurentPoly.one(self.arity), dict(self.precision))
+        # from the operand: a one-series factor costs precision on negative exponents
+        result = self
+        for bit in bin(m)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def truncated(self, precision):

@@ -114,52 +114,42 @@ def contains_point(polytope, point):
     rows = [[g[i] for g in gens] for i in range(polytope.arity)]
     rows.append([Fraction(1)] * k)
     rhs = list(point) + [Fraction(1)]
-    status, x, _ = solve_lp(rows, rhs, [Fraction(0)] * k)
+    status, x, _, _ = solve_lp(rows, rhs, [Fraction(0)] * k)
     if status != OPTIMAL:
         return None
     return tuple(x)
 
 
 def orthant_meet(polytope):
-    """Decide whether the polytope meets R>=0^n, constructively.
+    """Decide with one LP whether the polytope meets R>=0^n, constructively.
 
-    Returns a Witness (a rational point in the intersection) or a
-    SeparationCertificate whose delta is the LP maximum, so the margin is
-    the best possible over normalized nonnegative functionals.
+    Returns a SeparationCertificate whose delta is the LP maximum, or a
+    Witness: the point sum(lambda_j u_j) whose convex weights are the LP's
+    optimal duals of the generator rows, so its smallest coordinate, -delta,
+    is the largest over the polytope.  Either answer is checked first.
     """
     gens = polytope.generators
     n = polytope.arity
     k = len(gens)
     # maximize delta over {c >= 0, sum c = 1, c.u + delta <= 0 for all u}
     # columns: c_1..c_n, delta+, delta-, slack_1..slack_k
-    rows = []
-    rhs = []
-    for j, u in enumerate(gens):
-        rows.append(list(u) + [Fraction(1), Fraction(-1)]
-                    + [Fraction(1 if t == j else 0) for t in range(k)])
-        rhs.append(Fraction(0))
+    rows = [list(u) + [Fraction(1), Fraction(-1)] + [Fraction(int(t == j)) for t in range(k)]
+            for j, u in enumerate(gens)]
     rows.append([Fraction(1)] * n + [Fraction(0)] * (2 + k))
-    rhs.append(Fraction(1))
+    rhs = [Fraction(0)] * k + [Fraction(1)]
     objective = [Fraction(0)] * n + [Fraction(1), Fraction(-1)] + [Fraction(0)] * k
-    status, x, delta = solve_lp(rows, rhs, objective)
-    assert status == OPTIMAL  # the LP is always feasible and bounded
-    if delta > 0:
-        return SeparationCertificate(c=tuple(x[:n]), delta=delta)
-
-    # columns: lambda_1..lambda_k, t_1..t_n with sum(lambda u) - t = 0
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([g[i] for g in gens]
-                    + [Fraction(-1 if t == i else 0) for t in range(n)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)] * n)
-    rhs.append(Fraction(1))
-    status, x, _ = solve_lp(rows, rhs, [Fraction(0)] * (k + n))
-    assert status == OPTIMAL
-    lam = x[:k]
-    point = tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n))
-    return Witness(point=point)
+    status, x, delta, reduced = solve_lp(rows, rhs, objective)
+    if status == OPTIMAL and delta > 0:
+        meet = SeparationCertificate(c=tuple(x[:n]), delta=delta)
+        if meet.verify(polytope):
+            return meet
+    elif status == OPTIMAL:
+        # slack_j's reduced cost is minus the optimal dual of generator row j
+        lam = [-r for r in reduced[n + 2:]]
+        meet = Witness(point=tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n)))
+        if sum(lam) == 1 and all(v >= 0 for v in (*lam, *meet.point)):
+            return meet
+    raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
 
 
 def moveaway_bound(beta, polytope, certificate):
@@ -195,7 +185,7 @@ def difference_decomposition(a, b, w):
     rhs.append(Fraction(1))
     rows.append([Fraction(0)] * ka + [Fraction(1)] * kb)
     rhs.append(Fraction(1))
-    status, x, _ = solve_lp(rows, rhs, [Fraction(0)] * (ka + kb))
+    status, x, _, _ = solve_lp(rows, rhs, [Fraction(0)] * (ka + kb))
     if status != OPTIMAL:
         return None
     u = tuple(sum(l * g[i] for l, g in zip(x[:ka], a.generators)) for i in range(n))

@@ -23,6 +23,10 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
+def _reduced_cost(tableau, basis, cost, j):
+    return cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tableau))
+
+
 def _optimize(tableau, basis, cost):
     """Run Bland-rule simplex to optimality; returns objective or None if unbounded."""
     ncols = len(cost)
@@ -32,8 +36,7 @@ def _optimize(tableau, basis, cost):
         for j in range(ncols):
             if j in in_basis:
                 continue
-            reduced = cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(len(tableau)))
-            if reduced > 0:
+            if _reduced_cost(tableau, basis, cost, j) > 0:
                 enter = j  # Bland: smallest improving index
                 break
         if enter < 0:
@@ -54,7 +57,9 @@ def _optimize(tableau, basis, cost):
 def solve_lp(rows, rhs, objective):
     """Maximize objective.x subject to rows.x = rhs, x >= 0.
 
-    Returns ``(status, x, value)``; x and value are None unless optimal.
+    Returns ``(status, x, value, reduced)``, all but status None unless
+    optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
+    column j is the unit vector of row i, it is minus row i's optimal dual.
     """
     m = len(rows)
     n = len(objective)
@@ -75,7 +80,7 @@ def solve_lp(rows, rhs, objective):
     phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
     value = _optimize(tableau, basis, phase1)
     if value < 0:
-        return INFEASIBLE, None, None
+        return INFEASIBLE, None, None, None
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     redundant = []
@@ -95,8 +100,9 @@ def solve_lp(rows, rhs, objective):
 
     value = _optimize(tableau, basis, objective)
     if value is None:
-        return UNBOUNDED, None, None
+        return UNBOUNDED, None, None, None
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         x[b] = tableau[i][-1]
-    return OPTIMAL, x, value
+    reduced = [_reduced_cost(tableau, basis, objective, j) for j in range(n)]
+    return OPTIMAL, x, value, reduced

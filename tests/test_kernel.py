@@ -172,8 +172,8 @@ class TestPowers:
             exact = fraction_mul(exact, full.terms)
             # every claimed precision is provable against the untruncated power
             assert s_m.body.terms == truncate(exact, s_m.precision)
-            # __pow__ starts from 1, so it may claim less than repeated
-            # products, never more, and the bodies agree where both are claimed
+            # __pow__ squares, so it may claim less than repeated products,
+            # never more, and the bodies agree where both are claimed
             pw = s ** m
             assert pw.precision[1] <= s_m.precision[1]
             assert s_m.truncated(pw.precision) == pw

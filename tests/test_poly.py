@@ -164,6 +164,9 @@ class TestTruncSeries:
         f = TruncSeries(lp("y^-1 + y"), {1: d})
         # pairwise product: precision shifts by the min exponent of the other factor
         assert (f * f).precision[1] == d - 1
+        # powering starts from the operand, not from a one-series
+        assert (f ** 1).precision[1] == d
+        assert (f ** 3).precision[1] == d - 2
         # __pow__ may be more conservative than repeated multiplication,
         # never optimistic, and its body agrees with the exact power up to
         # its own stored precision

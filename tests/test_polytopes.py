@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import vanishlab.polytopes
 from fm_oracle import hull_meets_orthant
 from vanishlab.parsing import parse_poly
+from vanishlab.simplex import UNBOUNDED
 from vanishlab.polytopes import (
     RationalPolytope,
     SeparationCertificate,
@@ -87,6 +89,40 @@ class TestOrthantMeet:
         meet = orthant_meet(RationalPolytope([(0, 0), (-1, -1)]))
         assert isinstance(meet, Witness)
 
+    @pytest.mark.parametrize("gens, kind", [
+        ([(-2, 1), (1, -2)], SeparationCertificate),
+        ([(-1, 2), (2, -1)], Witness),
+    ])
+    def test_one_lp_per_query(self, gens, kind, monkeypatch):
+        solve_lp = vanishlab.polytopes.solve_lp
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp", counting)
+        assert isinstance(orthant_meet(RationalPolytope(gens)), kind)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gens, tamper", [
+        # a certificate whose margin is too large
+        ([(-2, 1), (1, -2)], lambda s, x, v, r: (s, x, v * 2, r)),
+        # witness weights that sum to 2
+        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, x, v, [2 * c for c in r])),
+        ([(-1, 2), (2, -1)], lambda s, x, v, r: (UNBOUNDED, None, None, None)),
+    ], ids=["certificate", "witness", "status"])
+    def test_invalid_answer_raises(self, gens, tamper, monkeypatch):
+        solve_lp = vanishlab.polytopes.solve_lp
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
+                            lambda *args: tamper(*solve_lp(*args)))
+        with pytest.raises(RuntimeError):
+            orthant_meet(RationalPolytope(gens))
+
+    def test_witness_maximizes_smallest_coordinate(self):
+        sigma = RationalPolytope([(-1, -2), (2, 0), (0, 1), (0, 0), (-3, 2)])
+        assert orthant_meet(sigma) == Witness(point=(Fraction(2, 3), Fraction(2, 3)))
+
     def test_tampered_certificate_rejected(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
         meet = orthant_meet(sigma)
@@ -106,6 +142,9 @@ class TestOrthantMeet:
                 assert isinstance(meet, Witness)
                 assert all(v >= 0 for v in meet.point)
                 assert contains_point(sigma, meet.point) is not None
+                # no point of the polytope has a larger smallest coordinate
+                t = min(meet.point) + Fraction(1, 1000)
+                assert not hull_meets_orthant([tuple(v - t for v in g) for g in gens])
             else:
                 assert isinstance(meet, SeparationCertificate)
                 assert meet.verify(sigma)
