@@ -5,7 +5,7 @@ operator application, rational polytopes with LP separation certificates,
 density searches, and one checker per proved case of the conjecture.
 """
 
-from .diffops import DiffOp, VanishingProfile, apply, apply_monomial, apply_power, vanishing_profile
+from .diffops import DiffOp, VanishingProfile, apply, vanishing_profile
 from .poly import LaurentPoly, TruncSeries, series_exp
 from .polytopes import (
     RationalPolytope,
@@ -29,8 +29,6 @@ __all__ = [
     "VanishingProfile",
     "Witness",
     "apply",
-    "apply_monomial",
-    "apply_power",
     "contains_point",
     "difference_decomposition",
     "minkowski_diff",

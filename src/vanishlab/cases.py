@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import pairwise
-from math import comb, factorial
+from math import comb, factorial, floor
 
 from .diffops import DiffOp, VanishingProfile, apply, profile_scan, vanishing_profile
 from .poly import LaurentPoly, TruncSeries, powers, series_exp
@@ -62,20 +62,12 @@ def _check_horizon(horizon):
         raise ValueError("horizon must be >= 1")
 
 
-def _verify_tail(profile, bound, lo=None):
-    """Split profile entries above the bound into verified m's and residuals."""
-    verified = []
-    residuals = {}
-    for entry in profile.entries:
-        if bound is not None and entry.m <= bound:
-            continue
-        if lo is not None and entry.m < lo:
-            continue
-        if entry.ppg_zero:
-            verified.append(entry.m)
-        else:
-            residuals[entry.m] = entry.ppg_residual.to_string()
-    return tuple(verified), residuals
+def _verify_tail(profile, start):
+    """Split the profile entries with m >= start into verified m's and residuals."""
+    tail = [entry for entry in profile.entries if entry.m >= start]
+    verified = tuple(entry.m for entry in tail if entry.ppg_zero)
+    return verified, {entry.m: entry.ppg_residual.to_string()
+                      for entry in tail if not entry.ppg_zero}
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +99,7 @@ def one_var_check(lam, p, g, horizon=8):
     verified, residuals = (), {}
     if deg_ok:
         bound = Fraction(dg if dg is not None else 0, m1 - d)
-        verified, residuals = _verify_tail(profile, bound)
+        verified, residuals = _verify_tail(profile, floor(bound) + 1)
     return CaseVerdict(
         case="one-var",
         checks=tuple(checks),
@@ -131,7 +123,7 @@ def phi_flow(phi, f):
 
     Computed as the finite sum over x^k Phi(d_y)^k f / k!; Phi(d_y) is
     nilpotent on polynomials because its order is at least one.  The
-    defining identity is asserted on every call.
+    defining identity is checked on every call; RuntimeError if it fails.
     """
     if f.arity != 2:
         raise ValueError("f must live in two variables")
@@ -151,8 +143,9 @@ def phi_flow(phi, f):
         if cur.is_zero:
             break
         total = total + LaurentPoly.variable(2, 0, k) * cur * Fraction(1, factorial(k))
-    lam = DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - _phi_operator(phi).symbol)
-    assert apply(lam, total).is_zero
+    lam = DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - phi_op.symbol)
+    if not apply(lam, total).is_zero:
+        raise RuntimeError("the flow does not solve (d_x - Phi(d_y)) P = 0")
     return total
 
 
@@ -197,7 +190,7 @@ def phi_case_check(phi, f, g, horizon=8):
     anomalies = []
     verified, residuals = (), {}
     if bound is not None:
-        verified, residuals = _verify_tail(profile, bound)
+        verified, residuals = _verify_tail(profile, floor(bound) + 1)
     elif profile.first_pp_failure is None:
         anomalies.append("order(Phi) <= deg f predicts a hypothesis failure, "
                          "none observed up to horizon")
@@ -294,7 +287,7 @@ def monomial_case_check(op, p, g, horizon=8):
     for gamma in g.terms:
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
     # verify both routes on the tail, per monomial of g and for g as a whole
-    verified, residuals = _verify_tail(profile, None, lo=bound)
+    verified, residuals = _verify_tail(profile, bound)
     for m, f_m in enumerate(f_powers, start=1):
         if m < bound:
             continue
@@ -348,7 +341,7 @@ def _sigma_criterion(case, op, p, g, profile, checks):
     bound = 1
     for gamma in g.terms:
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
-    verified, residuals = _verify_tail(profile, None, lo=bound)
+    verified, residuals = _verify_tail(profile, bound)
     return CaseVerdict(
         case=case,
         checks=tuple(checks),

@@ -62,12 +62,6 @@ def ray_hits_support(p, u, horizon):
     return RaySearchReport(u=u, horizon=horizon, hits=tuple(hits), verdict=verdict)
 
 
-def repeated_hits(p, u, horizon):
-    """All m <= horizon whose support meets the ray, in increasing order."""
-    report = ray_hits_support(p, u, horizon)
-    return sorted({m for m, _ in report.hits})
-
-
 def homogeneous_density(p, u, horizon):
     """Hits for homogeneous P: exactly the m with m*u in Supp(P^m).
 

@@ -66,23 +66,6 @@ def _falling(mu, beta):
     return coeff
 
 
-def apply_monomial(mu, beta, mode=POLYNOMIAL):
-    """Differentiate a single monomial: d^mu applied to z^beta.
-
-    Returns ``(coefficient, exponent)`` with an integer coefficient.  In
-    polynomial mode beta must lie in N^n and the result is zero unless
-    beta >= mu componentwise; in Laurent mode the falling-factorial rule is
-    used, which is the correct extension to negative exponents.
-    """
-    mu = tuple(mu)
-    beta = tuple(beta)
-    if any(m < 0 for m in mu):
-        raise ValueError("derivative multi-index must be in N^n")
-    if mode == POLYNOMIAL and any(b < 0 for b in beta):
-        raise ValueError("polynomial mode requires exponents in N^n")
-    return _falling(mu, beta), tuple(map(sub, beta, mu))
-
-
 def _apply_to_poly(op, poly, mode):
     if mode == POLYNOMIAL and op.symbol.terms and any(b < 0 for e in poly.terms for b in e):
         raise ValueError("polynomial mode requires exponents in N^n")
@@ -103,6 +86,8 @@ def _apply_to_poly(op, poly, mode):
 def apply(op, operand, mode=POLYNOMIAL):
     """Apply an operator to a LaurentPoly or TruncSeries, exactly.
 
+    Polynomial mode requires operand exponents in N^n; Laurent mode uses the
+    falling-factorial rule, the extension of d^mu z^beta to negative beta.
     On a series, the output precision in each tracked variable drops by the
     largest derivative order the symbol takes in that variable.
     """
@@ -115,13 +100,6 @@ def apply(op, operand, mode=POLYNOMIAL):
             drop[v] = d - max(orders, default=0)
         return TruncSeries(_apply_to_poly(op, operand.body, mode), drop)
     return _apply_to_poly(op, operand, mode)
-
-
-def apply_power(op, m, operand, mode=POLYNOMIAL):
-    """Apply op^m, computed once as a symbol power."""
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    return apply(op ** m, operand, mode)
 
 
 @dataclass(frozen=True)

@@ -198,16 +198,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, m):
-        if m < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = LaurentPoly.one(self.arity)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base if m > 1 else base
-            m >>= 1
-        return result
+        return _power(self, m) if m else LaurentPoly.one(self.arity)
 
     def substitute(self, var, replacement):
         """Substitute a polynomial for one variable.
@@ -215,16 +206,15 @@ class LaurentPoly:
         Requires every exponent of ``var`` in ``self`` to be nonnegative.
         """
         self._check_arity(replacement)
+        exponents = [e[var] for e in self.terms]
+        if any(k < 0 for k in exponents):
+            raise ValueError("cannot substitute into a negative exponent")
+        replacement_powers = [LaurentPoly.one(self.arity),
+                              *powers(replacement, max(exponents, default=0))]
         out = LaurentPoly.zero(self.arity)
-        replacement_powers = {0: LaurentPoly.one(self.arity)}
         for e, c in self.terms.items():
-            k = e[var]
-            if k < 0:
-                raise ValueError("cannot substitute into a negative exponent")
-            if k not in replacement_powers:
-                replacement_powers[k] = replacement ** k
             rest = tuple(0 if i == var else x for i, x in enumerate(e))
-            out = out + LaurentPoly.monomial(rest, c) * replacement_powers[k]
+            out = out + LaurentPoly.monomial(rest, c) * replacement_powers[e[var]]
         return out
 
     # ----- comparison / printing -----
@@ -363,17 +353,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, m):
-        if m < 0:
-            raise ValueError("exponent must be nonnegative")
-        if m == 0:
-            return TruncSeries(LaurentPoly.one(self.arity), dict(self.precision))
-        # from the operand: a one-series factor costs precision on negative exponents
-        result = self
-        for bit in bin(m)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power(self, m) if m else TruncSeries(LaurentPoly.one(self.arity), self.precision)
 
     def truncated(self, precision):
         return TruncSeries(self.body, precision)
@@ -412,21 +392,33 @@ def powers(x, horizon):
         yield x_m
 
 
-def series_exp(s):
-    """Exponential of a truncated series with zero constant term.
+def _power(x, m):
+    """``x ** m`` for m != 0: the last element of ``powers(x, m)``.
 
-    Every term must have nonnegative exponents in the tracked variables and
-    a strictly positive exponent in at least one of them, which makes the
-    sum over s^k/k! finite at the declared precision.
+    This is the only power algorithm, one product with ``x`` per step, so
+    ``x ** m`` and ``powers`` agree in body and in claimed precision.
     """
-    if s.constant_term() != 0:
-        raise ValueError("series_exp requires a zero constant term")
-    tracked = list(s.precision)
-    for e in s.body.terms:
-        if any(e[v] < 0 for v in tracked):
-            raise ValueError("series_exp requires nonnegative exponents in tracked variables")
-        if not any(e[v] > 0 for v in tracked):
-            raise ValueError("series_exp requires positive order in a tracked variable")
+    if m < 0:
+        raise ValueError("exponent must be nonnegative")
+    for x_m in powers(x, m):
+        pass
+    return x_m
+
+
+def series_exp(s):
+    """Exponential of a truncated series in one tracked variable.
+
+    Every term must have a strictly positive exponent in the tracked
+    variable (so the constant term is zero), which makes the sum over
+    s^k/k! finite at the declared precision.  With two or more tracked
+    variables no precision of the products is provable (see `TruncSeries`),
+    so ``ValueError`` is raised.
+    """
+    if len(s.precision) != 1:
+        raise ValueError("series_exp requires exactly one tracked variable")
+    (v,) = s.precision
+    if any(e[v] < 1 for e in s.body.terms):
+        raise ValueError("series_exp requires a positive exponent in the tracked variable")
     target = dict(s.precision)
     result = TruncSeries(LaurentPoly.one(s.arity), target)
     power = TruncSeries(LaurentPoly.one(s.arity), target)

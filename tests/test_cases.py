@@ -73,6 +73,19 @@ class TestPhiCase:
         from vanishlab.diffops import apply
         assert apply(DiffOp(lam), p).is_zero
 
+    def test_flow_identity_failure_raises(self, monkeypatch):
+        # the identity check must survive python -O, so it cannot be an assert
+        from vanishlab import cases
+        apply = cases.apply
+
+        def broken(op, x):
+            # nonzero only for d_x - Phi(d_y), so the flow's own sum still ends
+            return apply(op, x) + 1 if op.symbol.coeff((1, 0)) else apply(op, x)
+
+        monkeypatch.setattr(cases, "apply", broken)
+        with pytest.raises(RuntimeError):
+            phi_flow(lp1("x^2"), lp2("y^3"))
+
     def test_confirmed(self):
         verdict = phi_case_check(lp1("x^2"), lp2("y"), lp2("x^2*y"), horizon=8)
         assert verdict.confirmed

@@ -12,7 +12,6 @@ from vanishlab.density import (
     homogeneous_density,
     on_ray,
     ray_hits_support,
-    repeated_hits,
 )
 from vanishlab.parsing import parse_poly
 from vanishlab.poly import LaurentPoly
@@ -42,7 +41,7 @@ class TestRayHits:
         u = (Fraction(1, 2), Fraction(1, 2))
         report = ray_hits_support(lp("x + y"), u, 6)
         assert report.verdict == FOUND
-        assert repeated_hits(lp("x + y"), u, 6) == [2, 4, 6]
+        assert [m for m, _ in report.hits] == [2, 4, 6]
         assert report.first_hit == 2
         # every reported hit really lies on the ray and in the support
         p_m = lp("x + y")
@@ -57,7 +56,9 @@ class TestRayHits:
 
     def test_one_plus_x(self):
         u = (Fraction(1, 2), Fraction(0))
-        assert repeated_hits(lp("1 + x"), u, 3) == [1, 2, 3]
+        # every point of Supp((1 + x)^m) lies on the ray, the origin included
+        hits = ray_hits_support(lp("1 + x"), u, 3).hits
+        assert hits == tuple((m, (k, 0)) for m in (1, 2, 3) for k in range(m + 1))
 
     def test_requires_u_in_polytope(self):
         with pytest.raises(ValueError):
@@ -100,7 +101,8 @@ class TestHomogeneousDensity:
     def test_agrees_with_ray_search_on_hit_set(self):
         u = (Fraction(1, 2), Fraction(1, 2))
         p = lp("x + y")
-        assert homogeneous_density(p, u, 6) == repeated_hits(p, u, 6)
+        hit_ms = sorted({m for m, _ in ray_hits_support(p, u, 6).hits})
+        assert homogeneous_density(p, u, 6) == hit_ms
 
 
 class TestDkCheck:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, truncate
-from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply, apply_monomial
+from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -172,13 +172,8 @@ class TestPowers:
             exact = fraction_mul(exact, full.terms)
             # every claimed precision is provable against the untruncated power
             assert s_m.body.terms == truncate(exact, s_m.precision)
-            # __pow__ squares, so it may claim less than repeated products,
-            # never more, and the bodies agree where both are claimed
-            pw = s ** m
-            assert pw.precision[1] <= s_m.precision[1]
-            assert s_m.truncated(pw.precision) == pw
-            if not s.body.is_zero and s.body.min_exponent(1) >= 0:
-                assert s_m.precision == pw.precision
+            # ** m is the last element of powers: same body, same precision
+            assert s ** m == list(powers(s, m))[-1] == s_m
 
     def test_one_product_per_power(self, monkeypatch):
         products = []
@@ -194,6 +189,37 @@ class TestPowers:
         assert len(list(seq)) == 3
         assert len(products) == 3
 
+    def test_pow_makes_m_minus_one_products(self, monkeypatch):
+        products = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        p = LaurentPoly(2, {(1, 0): 1, (0, 1): 2})
+        s = TruncSeries(p, {1: 4})
+        for m in range(7):
+            products.clear()
+            p ** m
+            assert len(products) == max(m - 1, 0)
+            products.clear()
+            s ** m
+            assert len(products) == max(m - 1, 0)
+        assert p ** 0 == LaurentPoly.one(2)
+        assert s ** 0 == TruncSeries(LaurentPoly.one(2), {1: 4})
+        for x in (p, s):
+            with pytest.raises(ValueError):
+                x ** -1
+
+
+def monomial_derivative(mu, beta, mode):
+    """d^mu z^beta through apply, as (coefficient, exponent) like the oracle."""
+    out = apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta), mode)
+    assert_clean(out)
+    assert len(out.terms) <= 1
+    if out.is_zero:
+        return 0, tuple(b - m for b, m in zip(beta, mu))
+    (expo, coeff), = out.terms.items()
+    return coeff, expo
+
 
 class TestApply:
     @settings(max_examples=150, deadline=None)
@@ -201,25 +227,25 @@ class TestApply:
     def test_monomial_laurent_mode(self, data, arity):
         mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
         beta = data.draw(st.tuples(*[st.integers(-6, 6)] * arity))
-        coeff, expo = apply_monomial(mu, beta, LAURENT)
-        assert type(coeff) is int
-        assert (coeff, expo) == fraction_derivative(mu, beta)
+        assert monomial_derivative(mu, beta, LAURENT) == fraction_derivative(mu, beta)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 4))
     def test_monomial_polynomial_mode(self, data, arity):
         mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
         beta = data.draw(st.tuples(*[st.integers(0, 6)] * arity))
-        coeff, expo = apply_monomial(mu, beta, POLYNOMIAL)
-        assert type(coeff) is int
+        coeff, expo = monomial_derivative(mu, beta, POLYNOMIAL)
         assert (coeff, expo) == fraction_derivative(mu, beta)
         assert (coeff == 0) == any(b < m for m, b in zip(mu, beta))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 4), st.booleans())
     def test_apply_matches_oracle(self, data, arity, laurent):
-        symbol = data.draw(polys(arity, lo=0, hi=3, max_size=4))
-        operand = data.draw(polys(arity, lo=-3 if laurent else 0, hi=5))
+        # symbol exponents 0..5 against operand exponents -6..6 (Laurent) or
+        # 0..6 (polynomial): derivatives that outrun the exponent and the
+        # falling factorials of negative exponents both come up
+        symbol = data.draw(polys(arity, lo=0, hi=5, max_size=4))
+        operand = data.draw(polys(arity, lo=-6 if laurent else 0, hi=6))
         out = apply(DiffOp(symbol), operand, LAURENT if laurent else POLYNOMIAL)
         assert_clean(out)
         assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
@@ -228,6 +254,6 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(DiffOp.monomial((0, 1)), LaurentPoly.monomial((0, -1)))
         with pytest.raises(ValueError):
-            apply_monomial((0, 0), (0, -1))
+            apply(DiffOp.monomial((0, 0)), LaurentPoly.monomial((0, -1)))
         # the zero operator never differentiates anything
         assert apply(DiffOp(LaurentPoly.zero(2)), LaurentPoly.monomial((0, -1))).is_zero

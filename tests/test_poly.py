@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanishlab.poly import LaurentPoly, TruncSeries, series_exp
+from vanishlab.poly import LaurentPoly, TruncSeries, powers, series_exp
 from vanishlab.polytopes import contains_point, newton_polytope, scale_translate
 
 
@@ -140,6 +140,12 @@ class TestTruncSeries:
         with pytest.raises(ValueError):
             series_exp(TruncSeries(LaurentPoly.one(2) + Y, {1: 4}))
 
+    def test_series_exp_tracks_one_variable(self):
+        with pytest.raises(ValueError):
+            series_exp(TruncSeries(X + Y, {0: 3, 1: 3}))
+        with pytest.raises(ValueError):
+            series_exp(TruncSeries(Y, {}))
+
     def test_mul_precision_nonnegative_orders(self):
         # with all tracked exponents >= 0, precision-D inputs give a
         # precision-D product whose coefficients match the exact product
@@ -167,14 +173,10 @@ class TestTruncSeries:
         # powering starts from the operand, not from a one-series
         assert (f ** 1).precision[1] == d
         assert (f ** 3).precision[1] == d - 2
-        # __pow__ may be more conservative than repeated multiplication,
-        # never optimistic, and its body agrees with the exact power up to
-        # its own stored precision
-        for m in (2, 3):
+        # ** m is the last element of powers, body and precision, and its
+        # body agrees with the exact power up to the claimed precision
+        for m in range(1, 5):
             pw = f ** m
-            rep = f
-            for _ in range(m - 1):
-                rep = rep * f
-            assert pw.precision[1] <= rep.precision[1]
+            assert pw == list(powers(f, m))[-1]
             exact = lp("y^-1 + y") ** m
             assert pw.body == TruncSeries(exact, pw.precision).body
