@@ -440,7 +440,7 @@ class CounterexampleReport:
 
 
 def _exp_series(precision):
-    y = TruncSeries(LaurentPoly.variable(2, 1), {1: precision})
+    y = TruncSeries(LaurentPoly.variable(2, 1), 1, precision)
     return series_exp(y)
 
 

@@ -88,17 +88,15 @@ def apply(op, operand, mode=POLYNOMIAL):
 
     Polynomial mode requires operand exponents in N^n; Laurent mode uses the
     falling-factorial rule, the extension of d^mu z^beta to negative beta.
-    On a series, the output precision in each tracked variable drops by the
-    largest derivative order the symbol takes in that variable.
+    On a series, the output degree drops by the largest derivative order the
+    symbol takes in the truncated variable.
     """
     if op.arity != operand.arity:
         raise ValueError("arity mismatch between operator and operand")
     if isinstance(operand, TruncSeries):
-        drop = {}
-        for v, d in operand.precision.items():
-            orders = [mu[v] for mu in op.symbol.terms]
-            drop[v] = d - max(orders, default=0)
-        return TruncSeries(_apply_to_poly(op, operand.body, mode), drop)
+        v = operand.var
+        degree = operand.degree - max((mu[v] for mu in op.symbol.terms), default=0)
+        return TruncSeries(_apply_to_poly(op, operand.body, mode), v, degree)
     return _apply_to_poly(op, operand, mode)
 
 
@@ -125,10 +123,6 @@ class VanishingProfile:
     @property
     def first_pp_failure(self):
         return next((e.m for e in self.entries if not e.pp_zero), None)
-
-    @property
-    def first_ppg_failure(self):
-        return next((e.m for e in self.entries if not e.ppg_zero), None)
 
     @property
     def ppg_zero_from(self):

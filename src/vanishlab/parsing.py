@@ -140,8 +140,11 @@ def parse_operator(src, varnames):
 
 def parse_fraction(src):
     src = src.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", src):
+    match = re.fullmatch(r"-?\d+(?:/(\d+))?", src)
+    if not match:
         raise ValueError(f"not an exact fraction: {src!r}")
+    if match[1] and int(match[1]) == 0:
+        raise ValueError(f"zero denominator in {src!r}")
     return Fraction(src)
 
 

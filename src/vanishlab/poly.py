@@ -1,9 +1,10 @@
-"""Exact sparse Laurent polynomials and truncated power series over Q.
+"""Exact sparse Laurent polynomials over Q, and series truncated in one variable.
 
 All coefficients are `fractions.Fraction`; nothing in this module ever
-touches floating point.  Products run on integers: each operand is written
-as integer numerators over the lcm of its denominators, the numerators are
-multiplied pair by pair, and one `Fraction` is built per output term.
+touches floating point, and a float coefficient raises ``TypeError``.
+Products run on integers: each operand is written as integer numerators
+over the lcm of its denominators, the numerators are multiplied pair by
+pair, and one `Fraction` is built per output term.
 Values are immutable after construction and every operation returns a
 fresh object, so sharing across threads is safe.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add
+from numbers import Rational
+from operator import add, index
 
 
 def grlex_key(expo):
@@ -39,7 +41,9 @@ class LaurentPoly:
             raise ValueError("arity must be >= 1")
         clean = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(index, expo))
+            if not isinstance(coeff, Rational):
+                raise TypeError(f"coefficient {coeff!r} is not an exact rational")
             if len(expo) != arity:
                 raise ValueError(f"exponent {expo} has arity {len(expo)}, expected {arity}")
             c = clean.get(expo, Fraction(0)) + Fraction(coeff)
@@ -83,7 +87,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, arity, value):
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def one(cls, arity):
@@ -91,13 +95,13 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, expo, coeff=1):
-        expo = tuple(int(e) for e in expo)
-        return cls(len(expo), {expo: Fraction(coeff)})
+        expo = tuple(expo)
+        return cls(len(expo), {expo: coeff})
 
     @classmethod
     def variable(cls, arity, index, power=1):
         expo = tuple(power if i == index else 0 for i in range(arity))
-        return cls(arity, {expo: Fraction(1)})
+        return cls(arity, {expo: 1})
 
     # ----- queries -----
 
@@ -129,12 +133,6 @@ class LaurentPoly:
         if self.is_zero:
             return None
         return min(e[var] for e in self.terms)
-
-    def total_degree(self):
-        """Generalized total degree (deg z_i^{-1} = -1); None for zero."""
-        if self.is_zero:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -263,35 +261,28 @@ class LaurentPoly:
         return f"LaurentPoly({self.arity}, {self.to_string()!r})"
 
 
-def _lowest(body, precision, v):
-    """A lower bound on the exponent of v in the series (body, precision)
-    stands for: a zero body only says that nothing up to the precision is there."""
-    if body.is_zero:
-        return precision[v] + 1
-    return body.min_exponent(v)
-
-
 class TruncSeries:
-    """A Laurent polynomial with per-variable truncation degrees.
+    """A Laurent polynomial truncated in one variable.
 
-    ``precision[v] = D`` means coefficients with exponent <= D in variable
-    ``v`` are trustworthy and everything beyond is unrepresented.  After any
-    operation the stored precision is the minimum provable one.  Variables
-    absent from the precision map are exact.  Two truncated series multiply
-    only with at most one tracked variable; with more, no precision of the
-    product is provable and the product raises ``ValueError``.
+    ``TruncSeries(body, var, degree)`` stands for a series whose
+    coefficients with exponent <= ``degree`` in variable ``var`` are those
+    of ``body``; everything beyond is unrepresented.  The other variables
+    are exact.  After any operation the stored degree is the minimum
+    provable one.  Two series combine only when they truncate the same
+    variable.
     """
 
-    __slots__ = ("body", "precision")
+    __slots__ = ("body", "var", "degree")
 
-    def __init__(self, body, precision):
-        precision = dict(precision)
-        bounds = tuple(precision.items())
-        kept = {e: c for e, c in body.terms.items() if all(e[v] <= d for v, d in bounds)}
+    def __init__(self, body, var, degree):
+        if not isinstance(var, int) or var not in range(body.arity):
+            raise ValueError(f"tracked variable {var!r} is not an index below arity {body.arity}")
+        kept = {e: c for e, c in body.terms.items() if e[var] <= degree}
         if len(kept) < len(body.terms):
             body = LaurentPoly._trusted(body.arity, kept)
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "degree", degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -300,14 +291,20 @@ class TruncSeries:
     def arity(self):
         return self.body.arity
 
+    def _lowest(self):
+        """A lower bound on the exponent of var in the series this stands for:
+        a zero body only says that nothing up to the degree is there."""
+        if self.body.is_zero:
+            return self.degree + 1
+        return self.body.min_exponent(self.var)
+
     def _operand(self, other):
-        """``(body, precision)`` of the other operand over the same tracked
-        variables; the precision is None for an exact operand (a polynomial
-        or a scalar), which is known in every degree."""
+        """``(body, degree)`` of the other operand; the degree is None for an
+        exact operand (a polynomial or a scalar), which is known in every degree."""
         if isinstance(other, TruncSeries):
-            if set(other.precision) != set(self.precision):
-                raise ValueError("mismatched tracked variables")
-            return other.body, other.precision
+            if other.var != self.var:
+                raise ValueError("series truncated in different variables do not combine")
+            return other.body, other.degree
         if isinstance(other, LaurentPoly):
             return other, None
         if isinstance(other, (int, Fraction)):
@@ -315,48 +312,37 @@ class TruncSeries:
         raise TypeError(f"cannot combine TruncSeries with {type(other).__name__}")
 
     def __add__(self, other):
-        body, precision = self._operand(other)
-        if precision is None:
-            precision = self.precision
-        else:
-            precision = {v: min(d, precision[v]) for v, d in self.precision.items()}
-        return TruncSeries(self.body + body, precision)
+        body, degree = self._operand(other)
+        degree = self.degree if degree is None else min(self.degree, degree)
+        return TruncSeries(self.body + body, self.var, degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(-self.body, self.precision)
+        return TruncSeries(-self.body, self.var, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        body, precision = self._operand(other)
-        if precision is None:
+        body, degree = self._operand(other)
+        if degree is None:
             if body.is_zero:
-                # exactly zero; the own precision is a sound (if modest) claim
-                return TruncSeries(body, self.precision)
+                # exactly zero; the own degree is a sound (if modest) claim
+                return TruncSeries(body, self.var, self.degree)
             # the exact factor is known everywhere: only self limits the product
-            prec = {v: d + body.min_exponent(v) for v, d in self.precision.items()}
-        elif len(self.precision) > 1:
-            # a term cut in one variable may carry any exponent in another,
-            # so two cut terms can multiply back into the claimed region
-            raise ValueError("the product of two truncated series is provable "
-                             "only with one tracked variable")
+            degree = self.degree + body.min_exponent(self.var)
         else:
             # [z^k](A*B) only needs A up to k - low(B) and B up to k - low(A)
-            prec = {v: min(d + _lowest(body, precision, v),
-                           precision[v] + _lowest(self.body, self.precision, v))
-                    for v, d in self.precision.items()}
-        return TruncSeries(self.body * body, prec)
+            degree = min(self.degree + other._lowest(), degree + self._lowest())
+        return TruncSeries(self.body * body, self.var, degree)
 
     __rmul__ = __mul__
 
     def __pow__(self, m):
-        return _power(self, m) if m else TruncSeries(LaurentPoly.one(self.arity), self.precision)
-
-    def truncated(self, precision):
-        return TruncSeries(self.body, precision)
+        if m:
+            return _power(self, m)
+        return TruncSeries(LaurentPoly.one(self.arity), self.var, self.degree)
 
     def constant_term(self):
         return self.body.constant_term()
@@ -364,14 +350,14 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.body == other.body and self.precision == other.precision
+        return (self.body, self.var, self.degree) == (other.body, other.var, other.degree)
 
     def __hash__(self):
-        return hash((self.body, frozenset(self.precision.items())))
+        return hash((self.body, self.var, self.degree))
 
     def to_string(self, names=None):
-        bounds = ", ".join(f"{v}<={d}" for v, d in sorted(self.precision.items()))
-        return f"{self.body.to_string(names)}  (mod {bounds})"
+        names = names or _default_names(self.arity)
+        return f"{self.body.to_string(names)}  (mod {names[self.var]}<={self.degree})"
 
     def __repr__(self):
         return f"TruncSeries({self.to_string()!r})"
@@ -406,26 +392,20 @@ def _power(x, m):
 
 
 def series_exp(s):
-    """Exponential of a truncated series in one tracked variable.
+    """Exponential of a truncated series.
 
-    Every term must have a strictly positive exponent in the tracked
+    Every term must have a strictly positive exponent in the truncated
     variable (so the constant term is zero), which makes the sum over
-    s^k/k! finite at the declared precision.  With two or more tracked
-    variables no precision of the products is provable (see `TruncSeries`),
-    so ``ValueError`` is raised.
+    s^k/k! finite at the series' degree.
     """
-    if len(s.precision) != 1:
-        raise ValueError("series_exp requires exactly one tracked variable")
-    (v,) = s.precision
-    if any(e[v] < 1 for e in s.body.terms):
+    if any(e[s.var] < 1 for e in s.body.terms):
         raise ValueError("series_exp requires a positive exponent in the tracked variable")
-    target = dict(s.precision)
-    result = TruncSeries(LaurentPoly.one(s.arity), target)
-    power = TruncSeries(LaurentPoly.one(s.arity), target)
+    result = power = TruncSeries(LaurentPoly.one(s.arity), s.var, s.degree)
     k = 0
     while True:
         k += 1
-        power = (power * s).truncated(target)
+        # s^k is known past the degree; keeping it at the degree ends the sum
+        power = TruncSeries((power * s).body, s.var, s.degree)
         if power.body.is_zero:
             return result
         result = result + power * Fraction(1, factorial(k))

@@ -160,6 +160,9 @@ def moveaway_bound(beta, polytope, certificate):
     """
     if not certificate.verify(polytope):
         raise ValueError("invalid separation certificate for this polytope")
+    if len(beta) != polytope.arity:
+        raise ValueError(f"beta has {len(beta)} coordinates, the polytope lives in "
+                         f"dimension {polytope.arity}")
     beta = tuple(Fraction(v) for v in beta)
     cb = sum(a * b for a, b in zip(certificate.c, beta))
     return max(1, (cb / certificate.delta).__floor__() + 1)

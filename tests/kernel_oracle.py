@@ -39,6 +39,6 @@ def fraction_apply(symbol, operand):
     return {e: c for e, c in out.items() if c}
 
 
-def truncate(terms, precision):
-    """The terms whose exponents stay within every tracked variable's precision."""
-    return {e: c for e, c in terms.items() if all(e[v] <= d for v, d in precision.items())}
+def truncate(terms, var, degree):
+    """The terms whose exponent of variable ``var`` is at most ``degree``."""
+    return {e: c for e, c in terms.items() if e[var] <= degree}

@@ -61,9 +61,9 @@ class TestApply:
         assert r == lp("8")
 
     def test_series_precision_drop(self):
-        s = TruncSeries(lp("1 + y + y^2 + y^3"), {1: 3})
+        s = TruncSeries(lp("1 + y + y^2 + y^3"), 1, 3)
         r = apply(op("dy^2"), s)
-        assert r.precision[1] == 1
+        assert (r.var, r.degree) == (1, 1)
         assert r.body == lp("2 + 6*y")
 
 
@@ -126,7 +126,7 @@ class TestOperatorAlgebra:
             mu = (rng.randrange(3), rng.randrange(3))
             r = apply(DiffOp.monomial(mu), p)
             if not r.is_zero:
-                assert r.total_degree() <= p.total_degree() - sum(mu)
+                assert max(map(sum, r.terms)) <= max(map(sum, p.terms)) - sum(mu)
 
 
 class TestProfile:
@@ -140,7 +140,7 @@ class TestProfile:
     def test_clean_profile(self):
         profile = vanishing_profile(op("dx^2"), lp("x*y"), lp("y^3"), horizon=5)
         assert profile.first_pp_failure is None
-        assert profile.first_ppg_failure is None
+        assert all(e.ppg_zero for e in profile.entries)
         assert profile.ppg_zero_from == 1
 
     def test_ppg_zero_from_is_a_tail(self):

@@ -91,64 +91,68 @@ class TestSeriesProduct:
     def test_claimed_precision_is_provable(self, a_full, b_full, da, db, exact):
         # a and b are truncations of the full series: whatever lies beyond
         # their precision must not reach the product's claimed precision
-        a = TruncSeries(a_full, {1: da})
-        b = b_full if exact else TruncSeries(b_full, {1: db})
+        a = TruncSeries(a_full, 1, da)
+        b = b_full if exact else TruncSeries(b_full, 1, db)
         for prod in (a * b, b * a):
-            d = prod.precision[1]
-            assert type(d) is int
+            assert prod.var == 1
+            assert type(prod.degree) is int
             assert_clean(prod.body)
-            assert prod.body.terms == truncate(fraction_mul(a_full.terms, b_full.terms), {1: d})
+            assert prod.body.terms == truncate(fraction_mul(a_full.terms, b_full.terms),
+                                               1, prod.degree)
 
     @settings(max_examples=100, deadline=None)
     @given(y_series(), y_series(), st.integers(-2, 6), st.integers(-2, 6))
     def test_body_is_truncated_oracle_product(self, a_body, b_body, da, db):
-        a = TruncSeries(a_body, {1: da})
-        b = TruncSeries(b_body, {1: db})
+        a = TruncSeries(a_body, 1, da)
+        b = TruncSeries(b_body, 1, db)
         prod = a * b
         assert prod.body.terms == truncate(fraction_mul(a.body.terms, b.body.terms),
-                                           prod.precision)
+                                           1, prod.degree)
 
     def test_zero_body_lowers_precision_with_negative_partner(self):
         # O(y^4) (precision 3) times y^-2 is O(y^2): trustworthy up to y^1
-        big_o = TruncSeries(LaurentPoly.zero(2), {1: 3})
+        big_o = TruncSeries(LaurentPoly.zero(2), 1, 3)
         y_inv2 = LaurentPoly.monomial((0, -2))
-        assert (big_o * y_inv2).precision == {1: 1}
-        assert (y_inv2 * big_o).precision == {1: 1}
-        assert (big_o * TruncSeries(y_inv2, {1: 10})).precision == {1: 1}
+        assert (big_o * y_inv2).degree == 1
+        assert (y_inv2 * big_o).degree == 1
+        assert (big_o * TruncSeries(y_inv2, 1, 10)).degree == 1
         # O(y^4) O(y^3) = O(y^7)
-        assert (big_o * TruncSeries(LaurentPoly.zero(2), {1: 2})).precision == {1: 6}
+        assert (big_o * TruncSeries(LaurentPoly.zero(2), 1, 2)).degree == 6
 
     def test_exact_operands_keep_integer_precision(self):
-        s = TruncSeries(LaurentPoly.variable(2, 1), {1: 3})
+        s = TruncSeries(LaurentPoly.variable(2, 1), 1, 3)
         x = LaurentPoly.variable(2, 0)
         for result in (s + x, x + s, s - x, s * x, x * s, s + 2, s - Fraction(1, 2), s * 3):
-            assert all(type(d) is int for d in result.precision.values())
-            assert result.precision == {1: 3}
-            assert "inf" not in result.to_string()
+            assert type(result.degree) is int
+            assert (result.var, result.degree) == (1, 3)
+            assert result.to_string().endswith("  (mod y<=3)")
+        assert s.to_string(["a", "b"]) == "b  (mod b<=3)"
 
     def test_rejects_other_operands(self):
-        s = TruncSeries(LaurentPoly.variable(2, 1), {1: 3})
+        s = TruncSeries(LaurentPoly.variable(2, 1), 1, 3)
         with pytest.raises(TypeError):
             s + 0.5
         with pytest.raises(TypeError):
             s - "x"
         with pytest.raises(ValueError):
-            s * TruncSeries(LaurentPoly.variable(2, 1), {0: 3})
+            s * TruncSeries(LaurentPoly.variable(2, 1), 0, 3)
 
     def test_two_tracked_variables_need_an_exact_partner(self):
-        # the truncations below both have body 1, yet the exact product cut at
-        # {x: 1, y: 1} is 1 + x^-7*y^-7: no precision of the product is provable
-        prec = {0: 1, 1: 1}
-        a = TruncSeries(LaurentPoly(2, {(0, 0): 1, (2, -9): 1}), prec)
-        b = TruncSeries(LaurentPoly(2, {(0, 0): 1, (-9, 2): 1}), prec)
-        with pytest.raises(ValueError, match="one tracked variable"):
+        # a cut in x and b cut in y both keep only 1, yet the exact product
+        # a*b has the term x^-7*y^-7: no degree of the product is provable
+        a = TruncSeries(LaurentPoly(2, {(0, 0): 1, (2, -9): 1}), 0, 1)
+        b = TruncSeries(LaurentPoly(2, {(0, 0): 1, (-9, 2): 1}), 1, 1)
+        assert a.body == b.body == LaurentPoly.one(2)
+        with pytest.raises(ValueError, match="different variables"):
             a * b
-        with pytest.raises(ValueError, match="one tracked variable"):
+        with pytest.raises(ValueError, match="different variables"):
             b * a
-        x = LaurentPoly.variable(2, 0)
-        for prod in (a * x, x * a):
-            assert prod.precision == {0: 2, 1: 1}
-            assert prod.body == x
+
+    def test_tracked_variable_is_an_index_below_the_arity(self):
+        y = LaurentPoly.variable(2, 1)
+        for var in (-1, 2, 1.0, None):
+            with pytest.raises(ValueError):
+                TruncSeries(y, var, 3)
 
 
 class TestPowers:
@@ -164,15 +168,15 @@ class TestPowers:
     @settings(max_examples=80, deadline=None)
     @given(y_series(hi=4), st.integers(-2, 4), st.integers(0, 4))
     def test_series_matches_pow(self, full, d, horizon):
-        s = TruncSeries(full, {1: d})
+        s = TruncSeries(full, 1, d)
         seq = list(powers(s, horizon))
         assert len(seq) == horizon
         exact = {(0, 0): Fraction(1)}
         for m, s_m in enumerate(seq, start=1):
             exact = fraction_mul(exact, full.terms)
             # every claimed precision is provable against the untruncated power
-            assert s_m.body.terms == truncate(exact, s_m.precision)
-            # ** m is the last element of powers: same body, same precision
+            assert s_m.body.terms == truncate(exact, 1, s_m.degree)
+            # ** m is the last element of powers: same body, same degree
             assert s ** m == list(powers(s, m))[-1] == s_m
 
     def test_one_product_per_power(self, monkeypatch):
@@ -195,7 +199,7 @@ class TestPowers:
         monkeypatch.setattr(LaurentPoly, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
         p = LaurentPoly(2, {(1, 0): 1, (0, 1): 2})
-        s = TruncSeries(p, {1: 4})
+        s = TruncSeries(p, 1, 4)
         for m in range(7):
             products.clear()
             p ** m
@@ -204,7 +208,7 @@ class TestPowers:
             s ** m
             assert len(products) == max(m - 1, 0)
         assert p ** 0 == LaurentPoly.one(2)
-        assert s ** 0 == TruncSeries(LaurentPoly.one(2), {1: 4})
+        assert s ** 0 == TruncSeries(LaurentPoly.one(2), 1, 4)
         for x in (p, s):
             with pytest.raises(ValueError):
                 x ** -1

@@ -5,13 +5,27 @@ from pathlib import Path
 import vanishlab
 
 
+def library_nodes():
+    """``(file name, node)`` for every AST node of every library module."""
+    paths = sorted(Path(vanishlab.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_library_has_no_assert():
     # python -O strips assert statements: a check the library relies on
     # must raise an exception instead
-    paths = sorted(Path(vanishlab.__file__).parent.glob("*.py"))
-    assert paths
-    asserts = [f"{path.name}:{node.lineno}"
-               for path in paths
-               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    asserts = [f"{name}:{node.lineno}" for name, node in library_nodes()
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_library_has_no_float():
+    # every number is an int or a Fraction: no float literal, no float() call,
+    # no float sentinel such as float("inf")
+    floats = [f"{name}:{node.lineno}" for name, node in library_nodes()
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)
+              or isinstance(node, ast.Name) and node.id == "float"]
+    assert floats == []

@@ -35,6 +35,8 @@ class TestParsing:
         assert parse_fraction("-7/3") == Fraction(-7, 3)
         with pytest.raises(ValueError):
             parse_fraction("0.5")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("-3/00")
 
     def test_error_positions(self):
         src = "x + $"
@@ -173,6 +175,25 @@ class TestCli:
         code, out, err = run(capsys, "vanish", "--op", "dx$", "--p", "x")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["polytope", "--sigma", "(1/0,1)"],
+        ["polytope", "--sigma", "(-2,1);(1,-2)", "--point", "(1/0,1)"],
+        ["polytope", "--sigma", "(-2,1);(1,-2)", "--beta", "(1/0,1)"],
+        ["density", "--p", "x + y", "--u", "(1/0,1)"],
+    ])
+    def test_zero_denominator_in_a_point_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert code == 3
+        assert "zero denominator" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", ["(3)", "(3,3,100)"])
+    def test_beta_of_another_dimension_is_usage_error(self, capsys, beta):
+        code, out, err = run(capsys, "polytope", "--sigma", "(-2,1);(1,-2)",
+                             "--beta", beta, "--format", "structured")
+        assert code == 3
+        assert "moveaway_N" not in out
+        assert "coordinates" in err and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -162,6 +162,13 @@ class TestMoveAway:
         cert = orthant_meet(sigma)
         assert moveaway_bound((0, 0), sigma, cert) == 1
 
+    @pytest.mark.parametrize("beta", [(3,), (3, 3, 100)])
+    def test_rejects_beta_of_another_dimension(self, beta):
+        sigma = RationalPolytope([(-2, 1), (1, -2)])
+        cert = orthant_meet(sigma)
+        with pytest.raises(ValueError, match="coordinates"):
+            moveaway_bound(beta, sigma, cert)
+
     def test_bound_is_sound(self):
         # beyond N the translated-scaled polytope must miss the orthant
         sigma = RationalPolytope([(-2, 1), (1, -2)])
