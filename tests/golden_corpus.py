@@ -5,8 +5,10 @@ exit code and the exact ``--format structured`` stdout.  ``test_golden.py``
 replays it byte for byte.  The requests are the README examples, the two
 series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
-criterion 8 has no CLI form), and one request for each checker path that
-prints an orthant witness.  Only valid inputs are recorded.
+criterion 8 has no CLI form), one request for each checker path that
+prints an orthant witness, and a few polytope queries with several optimal
+answers, which pin the one the orthant LP prints.  Only valid inputs are
+recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -39,6 +41,17 @@ README = [
 WITNESS = [
     ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6"],
     ["case", "monomial", "--op=dx^2 + dy^2", "--p=x*y", "-M", "4"],
+]
+
+# polytope queries whose orthant LP has tied optima: a witness, and a
+# certificate c with its move-away bound
+TIES = [
+    ["polytope", "--sigma=(-1,0);(-1,1);(0,0);(0,1)", "--beta=(3,3)"],
+    ["polytope", "--sigma=(-1,1,0);(0,0,-1);(0,0,1);(1,1,0);(2,0,-1);(2,0,1)",
+     "--beta=(0,1,1)"],
+    ["polytope", "--sigma=(-3,0,-1);(-3,0,1);(-2,-1,-1);(-2,0,-3);(-2,0,-1);(-1,-1,-3);"
+     "(-1,-1,-1);(0,-2,-3)", "--beta=(3,0,1)"],
+    ["polytope", "--sigma=(-1,-2,-2);(0,-2,-3);(1,-2,-3)", "--beta=(0,0,2)"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -163,7 +176,7 @@ def requests():
     series = [["counterexample", which, "-M", str(m)]
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
-            for argv in README + series + _acceptance_families() + WITNESS]
+            for argv in README + series + _acceptance_families() + WITNESS + TIES]
 
 
 def run(argv):
