@@ -275,8 +275,11 @@ class TruncSeries:
     __slots__ = ("body", "var", "degree")
 
     def __init__(self, body, var, degree):
-        if not isinstance(var, int) or var not in range(body.arity):
+        # type(...) is int: a bool is not an index or a degree
+        if type(var) is not int or var not in range(body.arity):
             raise ValueError(f"tracked variable {var!r} is not an index below arity {body.arity}")
+        if type(degree) is not int:
+            raise ValueError(f"truncation degree {degree!r} is not an integer")
         kept = {e: c for e, c in body.terms.items() if e[var] <= degree}
         if len(kept) < len(body.terms):
             body = LaurentPoly._trusted(body.arity, kept)

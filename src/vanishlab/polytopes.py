@@ -123,29 +123,31 @@ def contains_point(polytope, point):
 def orthant_meet(polytope):
     """Decide with one LP whether the polytope meets R>=0^n, constructively.
 
-    Returns a SeparationCertificate whose delta is the LP maximum, or a
-    Witness: the point sum(lambda_j u_j) whose convex weights are the LP's
-    optimal duals of the generator rows, so its smallest coordinate, -delta,
-    is the largest over the polytope.  Either answer is checked first.
+    The LP finds the point sum(lambda_j u_j) of the polytope whose smallest
+    coordinate t is largest; it has n + 1 rows however many generators
+    there are.  If t >= 0 that point is returned as a Witness, with the
+    primal lambda as its convex weights.  Otherwise the reduced costs of
+    the surplus columns give the SeparationCertificate c, and delta = -t
+    is its largest margin.  Either answer is checked first.
     """
     gens = polytope.generators
     n = polytope.arity
     k = len(gens)
-    # maximize delta over {c >= 0, sum c = 1, c.u + delta <= 0 for all u}
-    # columns: c_1..c_n, delta+, delta-, slack_1..slack_k
-    rows = [list(u) + [Fraction(1), Fraction(-1)] + [Fraction(int(t == j)) for t in range(k)]
-            for j, u in enumerate(gens)]
-    rows.append([Fraction(1)] * n + [Fraction(0)] * (2 + k))
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    objective = [Fraction(0)] * n + [Fraction(1), Fraction(-1)] + [Fraction(0)] * k
-    status, x, delta, reduced = solve_lp(rows, rhs, objective)
-    if status == OPTIMAL and delta > 0:
-        meet = SeparationCertificate(c=tuple(x[:n]), delta=delta)
+    # maximize t over {lambda >= 0, sum lambda = 1, sum lambda_j u_j - t*1 - s = 0, s >= 0}
+    # columns: lambda_1..lambda_k, t+, t-, s_1..s_n
+    rows = [[g[i] for g in gens] + [Fraction(-1), Fraction(1)]
+            + [Fraction(-int(r == i)) for r in range(n)] for i in range(n)]
+    rows.append([Fraction(1)] * k + [Fraction(0)] * (2 + n))
+    rhs = [Fraction(0)] * n + [Fraction(1)]
+    objective = [Fraction(0)] * k + [Fraction(1), Fraction(-1)] + [Fraction(0)] * n
+    status, x, t, reduced = solve_lp(rows, rhs, objective)
+    if status == OPTIMAL and t < 0:
+        # s_i's reduced cost is coordinate row i's optimal dual y_i <= 0, and c = -y
+        meet = SeparationCertificate(c=tuple(-r for r in reduced[k + 2:]), delta=-t)
         if meet.verify(polytope):
             return meet
     elif status == OPTIMAL:
-        # slack_j's reduced cost is minus the optimal dual of generator row j
-        lam = [-r for r in reduced[n + 2:]]
+        lam = x[:k]
         meet = Witness(point=tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n)))
         if sum(lam) == 1 and all(v >= 0 for v in (*lam, *meet.point)):
             return meet

@@ -169,6 +169,16 @@ class TestTruncSeries:
         with pytest.raises(ValueError):
             series_exp(TruncSeries(X + Y, 1, 3))
 
+    def test_degree_is_an_integer(self):
+        y = LaurentPoly.variable(2, 1)
+        for degree in (2.5, True, Fraction(3), "3", None):
+            with pytest.raises(ValueError, match="degree"):
+                TruncSeries(y, 1, degree)
+        # a bool is not a variable index either
+        with pytest.raises(ValueError, match="variable"):
+            TruncSeries(y, True, 3)
+        assert TruncSeries(y, 1, -2).body.is_zero
+
     def test_mul_precision_nonnegative_orders(self):
         # with all tracked exponents >= 0, precision-D inputs give a
         # precision-D product whose coefficients match the exact product

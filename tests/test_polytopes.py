@@ -92,6 +92,9 @@ class TestOrthantMeet:
     @pytest.mark.parametrize("gens, kind", [
         ([(-2, 1), (1, -2)], SeparationCertificate),
         ([(-1, 2), (2, -1)], Witness),
+        # more generators than rows: they only add columns
+        ([(-2, 1), (1, -2), (-1, -1), (0, -3), (-3, 0)], SeparationCertificate),
+        ([(-1, 2), (2, -1), (-3, -3), (1, 1), (0, 5)], Witness),
     ])
     def test_one_lp_per_query(self, gens, kind, monkeypatch):
         solve_lp = vanishlab.polytopes.solve_lp
@@ -104,12 +107,14 @@ class TestOrthantMeet:
         monkeypatch.setattr(vanishlab.polytopes, "solve_lp", counting)
         assert isinstance(orthant_meet(RationalPolytope(gens)), kind)
         assert len(calls) == 1
+        rows, _, _ = calls[0]
+        assert len(rows) == len(gens[0]) + 1
 
     @pytest.mark.parametrize("gens, tamper", [
         # a certificate whose margin is too large
         ([(-2, 1), (1, -2)], lambda s, x, v, r: (s, x, v * 2, r)),
         # witness weights that sum to 2
-        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, x, v, [2 * c for c in r])),
+        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, [2 * c for c in x], v, r)),
         ([(-1, 2), (2, -1)], lambda s, x, v, r: (UNBOUNDED, None, None, None)),
     ], ids=["certificate", "witness", "status"])
     def test_invalid_answer_raises(self, gens, tamper, monkeypatch):
@@ -148,6 +153,9 @@ class TestOrthantMeet:
             else:
                 assert isinstance(meet, SeparationCertificate)
                 assert meet.verify(sigma)
+                # no functional has a larger margin: the generators shifted by
+                # delta reach the orthant
+                assert hull_meets_orthant([tuple(v + meet.delta for v in g) for g in gens])
 
 
 class TestMoveAway:
