@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .simplex import OPTIMAL, solve_lp
+from .simplex import OPTIMAL, exact, solve_lp
 
 
 class RationalPolytope:
@@ -22,7 +22,7 @@ class RationalPolytope:
     __slots__ = ("arity", "generators")
 
     def __init__(self, generators):
-        gens = tuple(tuple(Fraction(v) for v in g) for g in generators)
+        gens = tuple(tuple(Fraction(exact(v)) for v in g) for g in generators)
         if not gens:
             raise ValueError("a polytope needs at least one generator")
         arity = len(gens[0])
@@ -93,9 +93,8 @@ def minkowski_diff(a, b):
 
 
 def scale_translate(polytope, m=1, beta=None):
-    if beta is None:
-        beta = (Fraction(0),) * polytope.arity
-    m = Fraction(m)
+    beta = (0,) * polytope.arity if beta is None else beta
+    m, beta = Fraction(exact(m)), [Fraction(exact(v)) for v in beta]
     gens = [tuple(bb + m * v for bb, v in zip(beta, g)) for g in polytope.generators]
     return RationalPolytope(gens)
 
@@ -106,7 +105,7 @@ def contains_point(polytope, point):
     The coefficients come from the first basic feasible solution under
     Bland ordering, so they are deterministic but not canonical.
     """
-    point = tuple(Fraction(v) for v in point)
+    point = tuple(Fraction(exact(v)) for v in point)
     if len(point) != polytope.arity:
         raise ValueError("arity mismatch")
     gens = polytope.generators
@@ -155,17 +154,19 @@ def orthant_meet(polytope):
 
 
 def moveaway_bound(beta, polytope, certificate):
-    """Smallest certified N with (beta + m*polytope) disjoint from R>=0^n for m >= N.
+    """The N this certificate gives, with (beta + m*polytope) disjoint from R>=0^n for m >= N.
 
     If x were in the intersection then 0 <= c.x <= c.beta - m*delta, which
-    forces m <= (c.beta)/delta; everything beyond is excluded.
+    forces m <= (c.beta)/delta; everything beyond is excluded.  N is not the
+    smallest over all certificates: when the orthant LP has tied optima,
+    another c with the same delta may give a smaller N.
     """
     if not certificate.verify(polytope):
         raise ValueError("invalid separation certificate for this polytope")
     if len(beta) != polytope.arity:
         raise ValueError(f"beta has {len(beta)} coordinates, the polytope lives in "
                          f"dimension {polytope.arity}")
-    beta = tuple(Fraction(v) for v in beta)
+    beta = tuple(Fraction(exact(v)) for v in beta)
     cb = sum(a * b for a, b in zip(certificate.c, beta))
     return max(1, (cb / certificate.delta).__floor__() + 1)
 
@@ -178,7 +179,7 @@ def difference_decomposition(a, b, w):
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    w = tuple(Fraction(v) for v in w)
+    w = tuple(Fraction(exact(v)) for v in w)
     n = a.arity
     ka, kb = len(a.generators), len(b.generators)
     rows = []

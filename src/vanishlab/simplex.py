@@ -1,57 +1,82 @@
 """Exact rational simplex solver (two phases, Bland's anti-cycling rule).
 
-Solves maximize c.x subject to Ax = b, x >= 0, entirely in Fraction
-arithmetic.  Problem sizes here are tiny (tens of variables), so the
-tableau is recomputed column by column without any factorization tricks.
+Solves maximize c.x subject to Ax = b, x >= 0 on an integer tableau: each
+row is integers over a positive integer denominator, kept in lowest terms,
+and the objective is one more row (reduced costs, then minus the value)
+that every pivot updates like the others.  The entering column is a sign
+test on that row and the ratio test compares by cross-multiplication, so
+no Fraction is built between the conversion on entry and the one on exit.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col]:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
-    basis[row] = col
+def exact(v):
+    """v itself if it is an exact rational; TypeError otherwise, for a float too."""
+    if not isinstance(v, Rational):
+        raise TypeError(f"{v!r} is not an exact rational")
+    return v
 
 
-def _reduced_cost(tableau, basis, cost, j):
-    return cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tableau))
+def _integer_row(values):
+    """(integers, positive denominator) of a list of exact rationals."""
+    den = lcm(*(exact(v).denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _optimize(tableau, basis, cost):
-    """Run Bland-rule simplex to optimality; returns objective or None if unbounded."""
-    ncols = len(cost)
+def _lowest(row, den):
+    g = gcd(den, *row) if den > 0 else -gcd(den, *row)
+    return (row, den) if g == 1 else ([v // g for v in row], den // g)
+
+
+def _eliminate(row, den, prow, col):
+    """row - (row[col] / prow[col]) * prow; prow's own denominator cancels."""
+    p, f = prow[col], row[col]
+    return _lowest([p * a - f * b for a, b in zip(row, prow)], den * p)
+
+
+def _pivot(tableau, basis, r, col):
+    prow = tableau[r][0]
+    for i, (row, den) in enumerate(tableau):
+        if i != r and row[col]:
+            tableau[i] = _eliminate(row, den, prow, col)
+    tableau[r] = _lowest(prow, prow[col])
+    basis[r] = col
+
+
+def _optimize(tableau, basis):
+    """Bland-rule simplex on a tableau whose last row is the objective; False if unbounded."""
     while True:
-        in_basis = set(basis)
-        enter = -1
-        for j in range(ncols):
-            if j in in_basis:
-                continue
-            if _reduced_cost(tableau, basis, cost, j) > 0:
-                enter = j  # Bland: smallest improving index
-                break
+        enter = next((j for j, v in enumerate(tableau[-1][0][:-1]) if v > 0), -1)
         if enter < 0:
-            return sum(cost[basis[i]] * tableau[i][-1] for i in range(len(tableau)))
+            return True
         leave = -1
-        best = None
-        for i in range(len(tableau)):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i in range(len(basis)):
+            row = tableau[i][0]
+            a, b = row[enter], row[-1]
+            # b / a < best_b / best_a, or a tie broken by the smaller basic index
+            if a > 0 and (leave < 0 or b * best_a < best_b * a
+                          or b * best_a == best_b * a and basis[i] < basis[leave]):
+                leave, best_a, best_b = i, a, b
         if leave < 0:
-            return None
+            return False
         _pivot(tableau, basis, leave, enter)
+
+
+def _objective_row(cost, tableau, basis):
+    """cost's reduced costs and minus its value at the basis, as an integer row."""
+    row, den = _integer_row(cost)
+    for i, b in enumerate(basis):
+        if row[b]:
+            row, den = _eliminate(row, den, tableau[i][0], b)
+    return row, den
 
 
 def solve_lp(rows, rhs, objective):
@@ -60,49 +85,38 @@ def solve_lp(rows, rhs, objective):
     Returns ``(status, x, value, reduced)``, all but status None unless
     optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
     column j is the unit vector of row i, it is minus row i's optimal dual.
+    A number that is not an exact rational raises ``TypeError``.
     """
-    m = len(rows)
-    n = len(objective)
-    rows = [[Fraction(v) for v in r] for r in rows]
-    rhs = [Fraction(v) for v in rhs]
-    objective = [Fraction(v) for v in objective]
+    m, n = len(rows), len(objective)
+    tableau = []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    tableau = [
-        rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
+        row, den = _integer_row([*rows[i], rhs[i]])
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[n:n] = [den if j == i else 0 for j in range(m)]
+        tableau.append((row, den))
     basis = [n + i for i in range(m)]
 
-    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    value = _optimize(tableau, basis, phase1)
-    if value < 0:
+    tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis))
+    _optimize(tableau, basis)
+    if tableau.pop()[0][-1] > 0:
         return INFEASIBLE, None, None, None
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    redundant = []
+    # Drive leftover artificials out of the basis; a row that keeps one is redundant.
     for i in range(m):
         if basis[i] >= n:
-            for j in range(n):
-                if tableau[i][j]:
-                    _pivot(tableau, basis, i, j)
-                    break
-            else:
-                redundant.append(i)
-    for i in reversed(redundant):
-        del tableau[i]
-        del basis[i]
-    for r in tableau:
-        del r[n:-1]
+            j = next((j for j in range(n) if tableau[i][0][j]), -1)
+            if j >= 0:
+                _pivot(tableau, basis, i, j)
+    keep = [i for i in range(m) if basis[i] < n]
+    basis = [basis[i] for i in keep]
+    tableau = [(tableau[i][0][:n] + tableau[i][0][-1:], tableau[i][1]) for i in keep]
 
-    value = _optimize(tableau, basis, objective)
-    if value is None:
+    tableau.append(_objective_row([*objective, 0], tableau, basis))
+    if not _optimize(tableau, basis):
         return UNBOUNDED, None, None, None
+    obj, oden = tableau.pop()
     x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        x[b] = tableau[i][-1]
-    reduced = [_reduced_cost(tableau, basis, objective, j) for j in range(n)]
-    return OPTIMAL, x, value, reduced
+    for (row, den), b in zip(tableau, basis):
+        x[b] = Fraction(row[-1], den)
+    return OPTIMAL, x, Fraction(-obj[-1], oden), [Fraction(v, oden) for v in obj[:-1]]

@@ -1,0 +1,109 @@
+"""Reference simplex in `Fraction` arithmetic, independent of the library.
+
+This is the two-phase Bland-rule solver that `vanishlab.simplex` replaced
+with an integer tableau: it rebuilds `Fraction` rows on every pivot and
+recomputes each reduced cost from scratch.  It shares no code with the
+library, so the tests can require that `vanishlab.simplex.solve_lp` returns
+exactly the same ``(status, x, value, reduced)`` on every LP.
+"""
+
+from fractions import Fraction
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+def _pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row and r[col]:
+            f = r[col]
+            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
+    basis[row] = col
+
+
+def _reduced_cost(tableau, basis, cost, j):
+    return cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tableau))
+
+
+def _optimize(tableau, basis, cost):
+    """Run Bland-rule simplex to optimality; returns objective or None if unbounded."""
+    ncols = len(cost)
+    while True:
+        in_basis = set(basis)
+        enter = -1
+        for j in range(ncols):
+            if j in in_basis:
+                continue
+            if _reduced_cost(tableau, basis, cost, j) > 0:
+                enter = j  # Bland: smallest improving index
+                break
+        if enter < 0:
+            return sum(cost[basis[i]] * tableau[i][-1] for i in range(len(tableau)))
+        leave = -1
+        best = None
+        for i in range(len(tableau)):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return None
+        _pivot(tableau, basis, leave, enter)
+
+
+def solve_lp(rows, rhs, objective):
+    """Maximize objective.x subject to rows.x = rhs, x >= 0.
+
+    Returns ``(status, x, value, reduced)``, all but status None unless
+    optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
+    column j is the unit vector of row i, it is minus row i's optimal dual.
+    """
+    m = len(rows)
+    n = len(objective)
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rhs = [Fraction(v) for v in rhs]
+    objective = [Fraction(v) for v in objective]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+
+    tableau = [
+        rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+
+    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    value = _optimize(tableau, basis, phase1)
+    if value < 0:
+        return INFEASIBLE, None, None, None
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    redundant = []
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if tableau[i][j]:
+                    _pivot(tableau, basis, i, j)
+                    break
+            else:
+                redundant.append(i)
+    for i in reversed(redundant):
+        del tableau[i]
+        del basis[i]
+    for r in tableau:
+        del r[n:-1]
+
+    value = _optimize(tableau, basis, objective)
+    if value is None:
+        return UNBOUNDED, None, None, None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        x[b] = tableau[i][-1]
+    reduced = [_reduced_cost(tableau, basis, objective, j) for j in range(n)]
+    return OPTIMAL, x, value, reduced

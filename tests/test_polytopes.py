@@ -229,3 +229,36 @@ class TestDifferenceDecomposition:
             assert contains_point(a, u) is not None
             assert contains_point(b, v) is not None
             assert tuple(x - y for x, y in zip(u, v)) == w
+
+
+class TestNoFloats:
+    # every geometry entry point takes exact rationals only; a float used to
+    # be stored as its binary expansion, 0.1 as 3602879701896397/2**55
+    SIGMA = RationalPolytope([(-2, 1), (1, -2)])
+
+    def test_polytope_generators(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            RationalPolytope([(0.1, 1), (-1, -1)])
+        assert RationalPolytope([(F(1) / 10, 1), (-1, -1)]).generators[0] == (F(1) / 10, 1)
+
+    def test_contains_point(self):
+        tri = RationalPolytope([(0, 0), (2, 0), (0, 2)])
+        with pytest.raises(TypeError, match="exact rational"):
+            contains_point(tri, (0.5, 0.5))
+
+    @pytest.mark.parametrize("m, beta", [(0.3, (0, 0)), (2, (0.5, 1)), (Fraction(3, 10), (1, 0.0))])
+    def test_scale_translate(self, m, beta):
+        with pytest.raises(TypeError, match="exact rational"):
+            scale_translate(self.SIGMA, m, beta)
+
+    def test_moveaway_bound(self):
+        cert = orthant_meet(self.SIGMA)
+        with pytest.raises(TypeError, match="exact rational"):
+            moveaway_bound((3, 3.0), self.SIGMA, cert)
+        assert moveaway_bound((3, F(3)), self.SIGMA, cert) == 7
+
+    def test_difference_decomposition(self):
+        a = RationalPolytope([(2, 0), (0, 2)])
+        b = RationalPolytope([(1, 1)])
+        with pytest.raises(TypeError, match="exact rational"):
+            difference_decomposition(a, b, (0.0, 0))

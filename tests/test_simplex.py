@@ -1,5 +1,13 @@
+import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vanishlab.polytopes
+from golden_corpus import CORPUS, run
+from simplex_oracle import solve_lp as oracle_solve_lp
 from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -53,3 +61,103 @@ def test_exact_fractions_survive():
     y = [-r for r in reduced[2:]]
     assert y == [Fraction(1, 4), Fraction(1, 4)]
     assert sum(a * b for a, b in zip(y, rhs)) == value
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against the Fraction oracle: same pivots, same answer
+
+NUMBERS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+SCALES = st.sampled_from([1, -1, 2, Fraction(-1, 3), Fraction(5, 2)])
+
+
+@st.composite
+def lps(draw):
+    """Small LPs with mixed denominators and negative right-hand sides whose
+    rows may repeat an earlier row, scaled, or be all zero; zero rows and
+    zero columns both occur.  Half have every right-hand side zero, as the
+    orthant LP's coordinate rows do: phase 1 then ends with artificials
+    basic at level zero, which must be driven out."""
+    n = draw(st.integers(0, 5))
+    homogeneous = draw(st.booleans())
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["new", "new", "copy", "zero"]))
+        if kind == "copy" and rows:
+            i, k = draw(st.integers(0, len(rows) - 1)), draw(SCALES)
+            rows.append([k * v for v in rows[i]])
+            rhs.append(k * rhs[i])
+        elif kind == "zero":
+            rows.append([0] * n)
+            rhs.append(0 if homogeneous else draw(st.sampled_from([0, 0, 1])))
+        else:
+            rows.append(draw(st.lists(NUMBERS, min_size=n, max_size=n)))
+            rhs.append(0 if homogeneous else draw(NUMBERS))
+    return rows, rhs, draw(st.lists(NUMBERS, min_size=n, max_size=n))
+
+
+def assert_matches_oracle(rows, rhs, objective):
+    got = solve_lp(rows, rhs, objective)
+    assert got == oracle_solve_lp(rows, rhs, objective)
+    return got
+
+
+@settings(max_examples=600, deadline=None)
+@given(lps())
+def test_matches_oracle(lp):
+    assert_matches_oracle(*lp)
+
+
+# each example pins one shape; the oracle and the library must agree on all
+@pytest.mark.parametrize("rows, rhs, objective, status", [
+    # no rows at all: unbounded, or optimal at x = 0
+    ([], [], [F(1), F(0)], UNBOUNDED),
+    ([], [], [F(0), F(-1)], OPTIMAL),
+    # every row all zero: phase 1 drops each one as redundant
+    ([[0, 0], [0, 0], [0, 0]], [0, 0, 0], [F(-1), F(-2)], OPTIMAL),
+    ([[0, 0], [0, 0]], [0, 0], [F(0), F(1)], UNBOUNDED),
+    ([[0, 0]], [Fraction(1, 2)], [F(1), F(1)], INFEASIBLE),
+    # duplicated and scaled rows with mixed denominators and negative right-hand sides
+    ([[Fraction(1, 2), Fraction(-1, 3), 1], [-1, Fraction(2, 3), -2], [Fraction(3, 2), -1, 3]],
+     [Fraction(-1, 5), Fraction(2, 5), Fraction(-3, 5)], [Fraction(1, 3), -1, -1], OPTIMAL),
+    ([[Fraction(1, 2), Fraction(-1, 3), 1], [-1, Fraction(2, 3), -2]],
+     [Fraction(-1, 5), Fraction(2, 5)], [1, Fraction(-1, 2), -1], UNBOUNDED),
+    # a ratio-test tie in phase 1 and a degenerate vertex in phase 2
+    ([[1, 1, 1, 0], [1, 0, 0, 1], [1, 2, 0, 0]], [1, 1, 1], [2, 1, 0, 0], OPTIMAL),
+    ([[1, -1, 0], [0, 1, -1]], [0, 0], [0, 0, 1], UNBOUNDED),
+    # phase 1 pivots nothing: the drive-out step picks the basis phase 2 starts from
+    ([[-2, 1, -2, 1], [2, -1, 2, -1]], [0, 0], [2, -2, 0, -2], OPTIMAL),
+    ([[1, 1], [1, -1]], [-1, 0], [1, 0], INFEASIBLE),
+])
+def test_shapes_match_oracle(rows, rhs, objective, status):
+    assert assert_matches_oracle(rows, rhs, objective)[0] == status
+
+
+def test_rejects_floats():
+    with pytest.raises(TypeError):
+        solve_lp([[0.5, 1]], [Fraction(1, 4)], [1, 0])
+    with pytest.raises(TypeError):
+        solve_lp([[Fraction(1, 2), 1]], [0.25], [1, 0])
+    with pytest.raises(TypeError):
+        solve_lp([[Fraction(1, 2), 1]], [Fraction(1, 4)], [1.0, 0])
+
+
+def test_golden_corpus_lps_match_oracle(monkeypatch):
+    # the LPs the CLI really sends: replay the golden corpus through cli.main
+    # with the polytope layer's solve_lp recording every call
+    monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
+    seen = []
+
+    def recording(rows, rhs, objective):
+        args = ([list(r) for r in rows], list(rhs), list(objective))
+        result = solve_lp(rows, rhs, objective)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
+    entries = json.loads(CORPUS.read_text())
+    for entry in entries:
+        assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+    # every polytope request solves at least its orthant LP
+    assert len(seen) >= sum(e["argv"][0] == "polytope" for e in entries) > 0
+    for args, result in seen:
+        assert result == oracle_solve_lp(*args)
