@@ -21,7 +21,7 @@ class DiffOp:
     __slots__ = ("symbol",)
 
     def __init__(self, symbol):
-        for e in symbol.terms:
+        for e in symbol.nums:
             if any(x < 0 for x in e):
                 raise ValueError("operator symbol must have nonnegative exponents")
         object.__setattr__(self, "symbol", symbol)
@@ -67,20 +67,19 @@ def _falling(mu, beta):
 
 
 def _apply_to_poly(op, poly, mode):
-    if mode == POLYNOMIAL and op.symbol.terms and any(b < 0 for e in poly.terms for b in e):
+    symbol = op.symbol
+    if mode == POLYNOMIAL and symbol.nums and any(b < 0 for e in poly.nums for b in e):
         raise ValueError("polynomial mode requires exponents in N^n")
-    ops, da = op.symbol.integer_form()
-    operand, db = poly.integer_form()
-    right = list(operand.items())
+    right = list(poly.nums.items())
     out = {}
     get = out.get
-    for mu, c in ops.items():
+    for mu, c in symbol.nums.items():
         for beta, b in right:
             coeff = _falling(mu, beta)
             if coeff:
                 expo = tuple(map(sub, beta, mu))
                 out[expo] = get(expo, 0) + c * b * coeff
-    return LaurentPoly.from_integer_form(poly.arity, out, da * db)
+    return LaurentPoly._from_integers(poly.arity, out, symbol.den * poly.den)
 
 
 def apply(op, operand, mode=POLYNOMIAL):
@@ -95,7 +94,7 @@ def apply(op, operand, mode=POLYNOMIAL):
         raise ValueError("arity mismatch between operator and operand")
     if isinstance(operand, TruncSeries):
         v = operand.var
-        degree = operand.degree - max((mu[v] for mu in op.symbol.terms), default=0)
+        degree = operand.degree - max((mu[v] for mu in op.symbol.nums), default=0)
         return TruncSeries(_apply_to_poly(op, operand.body, mode), v, degree)
     return _apply_to_poly(op, operand, mode)
 

@@ -138,14 +138,22 @@ def parse_operator(src, varnames):
     return DiffOp(symbol)
 
 
+_FRACTION = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
 def parse_fraction(src):
+    """``int`` or ``int/int`` with a positive denominator, whitespace around allowed."""
     src = src.strip()
-    match = re.fullmatch(r"-?\d+(?:/(\d+))?", src)
+    match = _FRACTION.fullmatch(src)
     if not match:
         raise ValueError(f"not an exact fraction: {src!r}")
-    if match[1] and int(match[1]) == 0:
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if not den:
         raise ValueError(f"zero denominator in {src!r}")
-    return Fraction(src)
+    return Fraction(int(num), den)
 
 
 def parse_point(src):

@@ -1,17 +1,22 @@
 """Exact sparse Laurent polynomials over Q, and series truncated in one variable.
 
-All coefficients are `fractions.Fraction`; nothing in this module ever
-touches floating point, and a float coefficient raises ``TypeError``.
-Products run on integers: each operand is written as integer numerators
-over the lcm of its denominators, the numerators are multiplied pair by
-pair, and one `Fraction` is built per output term.
+A polynomial stores integer numerators over one positive denominator, in
+lowest terms, and every operation works on those integers: a product
+multiplies numerators pair by pair and reduces once with one ``gcd``.
+Coefficients are read as `fractions.Fraction` through the ``terms`` view;
+nothing in this module ever touches floating point, and a float
+coefficient raises ``TypeError``.  A series product multiplies only the
+pairs that land within its provable degree.
 Values are immutable after construction and every operation returns a
 fresh object, so sharing across threads is safe.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import repeat
+from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, index
 
@@ -27,14 +32,43 @@ def _default_names(arity):
     return tuple(f"z{i + 1}" for i in range(arity))
 
 
+class _Terms(Mapping):
+    """Read-only exponent -> `Fraction` view of a polynomial's integer storage.
+
+    Iterating or sizing it reads the stored keys; each `Fraction` is built
+    only when its coefficient is read.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, expo):
+        return Fraction(self._nums[expo], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class LaurentPoly:
     """A finite map from integer exponent vectors to nonzero rationals.
 
-    The stored key set is exactly the support; two polynomials are equal
-    iff their term maps are equal.  Exponents may be negative.
+    Stored as integer numerators ``nums`` (exponent tuple -> int) over one
+    positive denominator ``den``, in lowest terms: no numerator is zero and
+    ``gcd(den, *nums.values()) == 1``.  Equal polynomials therefore have
+    equal storage.  ``terms`` is the exponent -> `Fraction` view of it.
+    Exponents may be negative.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "nums", "den")
 
     def __init__(self, arity, terms=None):
         if arity < 1:
@@ -46,35 +80,42 @@ class LaurentPoly:
                 raise TypeError(f"coefficient {coeff!r} is not an exact rational")
             if len(expo) != arity:
                 raise ValueError(f"exponent {expo} has arity {len(expo)}, expected {arity}")
-            c = clean.get(expo, Fraction(0)) + Fraction(coeff)
+            c = Fraction(coeff)
+            if expo in clean:
+                c += clean[expo]
             clean[expo] = c
+        clean = {e: c for e, c in clean.items() if c}
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*[c.denominator for c in clean.values()])
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        object.__setattr__(self, "nums",
+                           {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _trusted(cls, arity, terms):
-        """Wrap a term map that is already clean: int-tuple keys of the right
-        arity, nonzero `Fraction` values.  Skips ``__init__``'s re-normalisation."""
+    def _from_integers(cls, arity, nums, den):
+        """The polynomial ``nums[e] / den``, zeros dropped, in lowest terms.
+
+        ``nums`` must be a fresh dict of int-tuple keys of the arity and int
+        values, and ``den`` a positive int; neither is checked.
+        """
+        if 0 in nums.values():
+            nums = {e: n for e, n in nums.items() if n}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
         poly = object.__new__(cls)
         object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "nums", nums)
+        object.__setattr__(poly, "den", den)
         return poly
 
-    def integer_form(self):
-        """``(numerators, d)``: ``terms[e] == numerators[e] / d`` with ``d`` the
-        lcm of the coefficient denominators."""
-        terms = self.terms
-        d = lcm(*[c.denominator for c in terms.values()])
-        if d == 1:
-            return {e: c.numerator for e, c in terms.items()}, 1
-        return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
-
-    @classmethod
-    def from_integer_form(cls, arity, numerators, d):
-        """The polynomial with coefficients ``numerators[e] / d``; zeros are dropped."""
-        if d == 1:
-            return cls._trusted(arity, {e: Fraction(n) for e, n in numerators.items() if n})
-        return cls._trusted(arity, {e: Fraction(n, d) for e, n in numerators.items() if n})
+    @property
+    def terms(self):
+        """Exponent -> `Fraction` coefficient, a read-only view."""
+        return _Terms(self.nums, self.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -107,39 +148,40 @@ class LaurentPoly:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def support(self):
-        return set(self.terms)
+        return set(self.nums)
 
     def coeff(self, expo):
-        return self.terms.get(tuple(expo), Fraction(0))
+        n = self.nums.get(tuple(expo), 0)
+        return Fraction(n, self.den) if n else Fraction(0)
 
     def constant_term(self):
         return self.coeff((0,) * self.arity)
 
     def holomorphic_part(self):
         """Sub-sum over exponent vectors lying in N^n."""
-        kept = {e: c for e, c in self.terms.items() if all(x >= 0 for x in e)}
-        return LaurentPoly(self.arity, kept)
+        kept = {e: n for e, n in self.nums.items() if all(x >= 0 for x in e)}
+        return LaurentPoly._from_integers(self.arity, kept, self.den)
 
     def degree_in(self, var):
         """Largest exponent of the given variable; None for the zero polynomial."""
         if self.is_zero:
             return None
-        return max(e[var] for e in self.terms)
+        return max(e[var] for e in self.nums)
 
     def min_exponent(self, var):
         if self.is_zero:
             return None
-        return min(e[var] for e in self.terms)
+        return min(e[var] for e in self.nums)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.nums}
         return len(degs) <= 1
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self.nums) == 1
 
     # ----- arithmetic -----
 
@@ -153,19 +195,19 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e, 0) + c
-            if total:
-                out[e] = total
-            else:
-                del out[e]
-        return LaurentPoly._trusted(self.arity, out)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {e: n * sa for e, n in self.nums.items()}
+        get = out.get
+        for e, n in other.nums.items():
+            out[e] = get(e, 0) + n * sb
+        return LaurentPoly._from_integers(self.arity, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_integers(self.arity, {e: -n for e, n in self.nums.items()},
+                                          self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -Fraction(other))
@@ -175,23 +217,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return LaurentPoly._trusted(self.arity, {})
-            return LaurentPoly._trusted(self.arity, {e: c * other for e, c in self.terms.items()})
+            num, den = other.numerator, other.denominator
+            return LaurentPoly._from_integers(
+                self.arity, {e: n * num for e, n in self.nums.items()}, self.den * den)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_arity(other)
-        na, da = self.integer_form()
-        nb, db = other.integer_form()
-        right = list(nb.items())
-        out = {}
-        get = out.get
-        for e1, c1 in na.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly.from_integer_form(self.arity, out, da * db)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -222,14 +253,15 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.arity, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity, self.den, self.nums) == (other.arity, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.nums.items())))
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (deterministic)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key, reverse=True)]
+        nums, den = self.nums, self.den
+        return [(e, Fraction(nums[e], den)) for e in sorted(nums, key=grlex_key, reverse=True)]
 
     def to_string(self, names=None):
         if self.is_zero:
@@ -280,9 +312,9 @@ class TruncSeries:
             raise ValueError(f"tracked variable {var!r} is not an index below arity {body.arity}")
         if type(degree) is not int:
             raise ValueError(f"truncation degree {degree!r} is not an integer")
-        kept = {e: c for e, c in body.terms.items() if e[var] <= degree}
-        if len(kept) < len(body.terms):
-            body = LaurentPoly._trusted(body.arity, kept)
+        kept = {e: n for e, n in body.nums.items() if e[var] <= degree}
+        if len(kept) < len(body.nums):
+            body = LaurentPoly._from_integers(body.arity, kept, body.den)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "degree", degree)
@@ -338,7 +370,7 @@ class TruncSeries:
         else:
             # [z^k](A*B) only needs A up to k - low(B) and B up to k - low(A)
             degree = min(self.degree + other._lowest(), degree + self._lowest())
-        return TruncSeries(self.body * body, self.var, degree)
+        return TruncSeries(_product(self.body, body, (self.var, degree)), self.var, degree)
 
     __rmul__ = __mul__
 
@@ -364,6 +396,35 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.to_string()!r})"
+
+
+def _product(a, b, cut=None):
+    """``a * b`` for two polynomials: integer numerators multiplied pair by
+    pair over the product of the denominators, then reduced once.
+
+    With ``cut = (var, degree)`` only the pairs whose product has exponent
+    at most ``degree`` in variable ``var`` are multiplied: the right
+    operand is sorted by that exponent and each left term takes the prefix
+    that a bisection finds, so the pair loop tests nothing.  Without a cut
+    the terms come out in the order each exponent is first reached.
+    """
+    a._check_arity(b)
+    right = list(b.nums.items())
+    if cut is None:
+        rows = zip(a.nums.items(), repeat(right))
+    else:
+        var, degree = cut
+        right.sort(key=lambda term: term[0][var])
+        exps = [e[var] for e, _ in right]
+        rows = [(term, right[:bisect_right(exps, degree - term[0][var])])
+                for term in a.nums.items()]
+    out = {}
+    get = out.get
+    for (e1, c1), partners in rows:
+        for e2, c2 in partners:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return LaurentPoly._from_integers(a.arity, out, a.den * b.den)
 
 
 def powers(x, horizon):
@@ -401,7 +462,7 @@ def series_exp(s):
     variable (so the constant term is zero), which makes the sum over
     s^k/k! finite at the series' degree.
     """
-    if any(e[s.var] < 1 for e in s.body.terms):
+    if any(e[s.var] < 1 for e in s.body.nums):
         raise ValueError("series_exp requires a positive exponent in the tracked variable")
     result = power = TruncSeries(LaurentPoly.one(s.arity), s.var, s.degree)
     k = 0

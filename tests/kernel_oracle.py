@@ -1,10 +1,13 @@
 """Reference coefficient kernels on dicts of `Fraction`, independent of the library.
 
 These are the straightforward dict-of-`Fraction` product and the
-`Fraction` falling-factorial derivative that the integer kernels in
-`vanishlab.poly` and `vanishlab.diffops` replace.  They share no code
-with the library and take plain ``{exponent tuple: coefficient}`` dicts,
-so the tests can cross-check the fast paths against them.
+`Fraction` falling-factorial derivative.  The library instead stores each
+polynomial as integer numerators over one denominator, multiplies and
+differentiates those integers, and cuts a series product inside its pair
+loop.  These kernels share no code with it: they take any
+``{exponent tuple: coefficient}`` mapping (a plain dict or a polynomial's
+``terms`` view), multiply every pair and truncate afterwards, so the tests
+can cross-check the fast paths against them.
 """
 from fractions import Fraction
 

@@ -1,11 +1,13 @@
 """The integer coefficient kernels against the dict-of-Fraction reference oracles."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, truncate
+from vanishlab import poly
 from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
 
@@ -79,10 +81,71 @@ class TestProduct:
     @given(st.data(), st.integers(1, 4))
     def test_integer_form_round_trips(self, data, arity):
         p = data.draw(polys(arity))
-        numerators, d = p.integer_form()
-        assert all(type(n) is int for n in numerators.values())
-        assert all(d % c.denominator == 0 for c in p.terms.values())
-        assert LaurentPoly.from_integer_form(arity, numerators, d) == p
+        assert all(type(n) is int for n in p.nums.values())
+        assert all(p.den % c.denominator == 0 for c in p.terms.values())
+        q = LaurentPoly(arity, p.terms)
+        assert q == p
+        assert (q.nums, q.den) == (p.nums, p.den)
+
+
+def assert_canonical(p):
+    """Integer storage in lowest terms."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+
+
+def assert_agrees_with_view(p, q):
+    """Equality and hash of the storage agree with equality of the `Fraction` views."""
+    assert (p == q) == (dict(p.terms) == dict(q.terms))
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+class TestCanonicalStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), scalars)
+    def test_every_result_is_canonical(self, data, arity, s):
+        p = data.draw(polys(arity))
+        q = data.draw(polys(arity))
+        symbol = data.draw(polys(arity, lo=0, hi=3, max_size=3))
+        var = data.draw(st.integers(0, arity - 1))
+        degree = data.draw(st.integers(-3, 3))
+        results = [p, p * q, q * p, p + q, q + p, p - q, -p, p * s, s * p, p + s,
+                   apply(DiffOp(symbol), p, LAURENT),
+                   TruncSeries(p, var, degree).body,
+                   (TruncSeries(p, var, degree) * q).body,
+                   (TruncSeries(p, var, degree) * TruncSeries(q, var, degree)).body]
+        for r in results:
+            assert_canonical(r)
+            # the same value built from its Fraction view has the same storage
+            again = LaurentPoly(arity, dict(r.terms))
+            assert (again.nums, again.den) == (r.nums, r.den)
+            assert hash(again) == hash(r)
+        for r in results:
+            for other in results:
+                assert_agrees_with_view(r, other)
+
+    def test_truncation_drops_the_denominator_it_carried(self):
+        x_half = LaurentPoly(2, {(1, 0): Fraction(1, 2)})
+        cut = TruncSeries(x_half + LaurentPoly(2, {(0, 5): Fraction(1, 3)}), 1, 1)
+        assert cut == TruncSeries(x_half, 1, 1)
+        assert hash(cut) == hash(TruncSeries(x_half, 1, 1))
+        assert (cut.body.nums, cut.body.den) == ({(1, 0): 1}, 2)
+
+    def test_zero_has_denominator_one(self):
+        half = LaurentPoly(1, {(1,): Fraction(1, 2)})
+        for zero in (half - half, half * 0, LaurentPoly.zero(1),
+                     TruncSeries(half, 0, 0).body):
+            assert (zero.nums, zero.den) == ({}, 1)
+            assert zero == LaurentPoly.zero(1) and hash(zero) == hash(LaurentPoly.zero(1))
+
+    def test_terms_view_is_read_only(self):
+        p = LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, 1): 3})
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = Fraction(1)
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+        assert (p.nums, p.den) == ({(1, 0): 1, (0, 1): 6}, 2)
 
 
 class TestSeriesProduct:
@@ -108,6 +171,14 @@ class TestSeriesProduct:
         prod = a * b
         assert prod.body.terms == truncate(fraction_mul(a.body.terms, b.body.terms),
                                            1, prod.degree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(y_series(), y_series(), st.integers(-4, 8))
+    def test_cut_kernel_multiplies_only_pairs_inside_the_cut(self, a, b, degree):
+        # the kernel itself returns the truncated product, before any TruncSeries cut
+        cut = poly._product(a, b, (1, degree))
+        assert_canonical(cut)
+        assert cut.terms == truncate(fraction_mul(a.terms, b.terms), 1, degree)
 
     def test_zero_body_lowers_precision_with_negative_partner(self):
         # O(y^4) (precision 3) times y^-2 is O(y^2): trustworthy up to y^1
@@ -194,10 +265,11 @@ class TestPowers:
         assert len(products) == 3
 
     def test_pow_makes_m_minus_one_products(self, monkeypatch):
+        # count the one product kernel, which both classes call
         products = []
-        mul = LaurentPoly.__mul__
-        monkeypatch.setattr(LaurentPoly, "__mul__",
-                            lambda a, b: products.append(1) or mul(a, b))
+        kernel = poly._product
+        monkeypatch.setattr(poly, "_product",
+                            lambda *args: products.append(1) or kernel(*args))
         p = LaurentPoly(2, {(1, 0): 1, (0, 1): 2})
         s = TruncSeries(p, 1, 4)
         for m in range(7):

@@ -38,6 +38,24 @@ class TestParsing:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_fraction("-3/00")
 
+    @pytest.mark.parametrize("src, value", [
+        ("007", Fraction(7)), ("-0", Fraction(0)), (" 2/4 ", Fraction(1, 2)),
+        ("-7/3", Fraction(-7, 3)), ("12/1", Fraction(12)),
+    ])
+    def test_fraction_accepts(self, src, value):
+        got = parse_fraction(src)
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("src, message", [
+        ("3/0", "zero denominator"), ("1/-2", "not an exact fraction"),
+        ("1.5", "not an exact fraction"), ("", "not an exact fraction"),
+        ("1/", "not an exact fraction"), ("/2", "not an exact fraction"),
+        ("+1", "not an exact fraction"), ("1 /2", "not an exact fraction"),
+    ])
+    def test_fraction_rejects(self, src, message):
+        with pytest.raises(ValueError, match=message):
+            parse_fraction(src)
+
     def test_error_positions(self):
         src = "x + $"
         with pytest.raises(ParseError) as exc:
