@@ -6,9 +6,9 @@ replays it byte for byte.  The requests are the README examples, the two
 series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
 criterion 8 has no CLI form), one request for each checker path that
-prints an orthant witness, and a few polytope queries with several optimal
-answers, which pin the one the orthant LP prints.  Only valid inputs are
-recorded.
+prints an orthant witness, a few polytope queries with several optimal
+answers, which pin the one the orthant LP prints, and polytope queries whose
+generators have mixed denominators.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -52,6 +52,19 @@ TIES = [
     ["polytope", "--sigma=(-3,0,-1);(-3,0,1);(-2,-1,-1);(-2,0,-3);(-2,0,-1);(-1,-1,-3);"
      "(-1,-1,-1);(0,-2,-3)", "--beta=(3,0,1)"],
     ["polytope", "--sigma=(-1,-2,-2);(0,-2,-3);(1,-2,-3)", "--beta=(0,0,2)"],
+]
+
+# polytope queries with generators over mixed denominators (1/2, 2/3, -5/4):
+# a tied witness with a point inside, a certificate that every c in the
+# simplex ties on, a point outside with a move-away bound, and a point
+# inside with one
+FRACTIONAL = [
+    ["polytope", "--sigma=(1,2/3);(2,2/3);(-5/4,0)", "--point=(3/2,2/3)", "--beta=(1,1)"],
+    ["polytope", "--sigma=(-1/2,-1/2);(-5/4,-2/3)", "--beta=(2/3,5/4)"],
+    ["polytope", "--sigma=(-1/2,2/3,-5/4);(1/2,-5/4,-2/3);(-5/4,-1/2,2/3)", "--point=(1,1,1)",
+     "--beta=(1/2,2/3,5/4)"],
+    ["polytope", "--sigma=(1/2,-5/4);(-5/4,2/3);(-2/3,-1/2)", "--point=(-1/2,-1/3)",
+     "--beta=(5/4,1/2)"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -176,7 +189,8 @@ def requests():
     series = [["counterexample", which, "-M", str(m)]
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
-            for argv in README + series + _acceptance_families() + WITNESS + TIES]
+            for argv in README + series + _acceptance_families() + WITNESS + TIES
+            + FRACTIONAL]
 
 
 def run(argv):
