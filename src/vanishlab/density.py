@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .poly import powers
 from .polytopes import contains_point, newton_polytope
+from .simplex import exact
 
 FOUND = "found"
 INCONCLUSIVE = "inconclusive"
@@ -23,10 +24,11 @@ def on_ray(point, direction):
     """Exact test for point = k*direction with rational k >= 0.
 
     For the zero direction the ray degenerates to the origin.  Uses
-    cross-multiplication only; no floating-point slopes.
+    cross-multiplication only; no floating-point slopes, and a float
+    coordinate raises ``TypeError``.
     """
-    direction = tuple(Fraction(v) for v in direction)
-    point = tuple(Fraction(v) for v in point)
+    direction = tuple(Fraction(exact(v)) for v in direction)
+    point = tuple(Fraction(exact(v)) for v in point)
     pivot = next((i for i, v in enumerate(direction) if v), None)
     if pivot is None:
         return all(v == 0 for v in point)
@@ -50,7 +52,7 @@ def ray_hits_support(p, u, horizon):
     """Scan Supp(P^m) for lattice points on the ray through u, m = 1..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    u = tuple(Fraction(v) for v in u)
+    u = tuple(Fraction(exact(v)) for v in u)
     if contains_point(newton_polytope(p), u) is None:
         raise ValueError("u must lie in the Newton polytope of P")
     hits = []
@@ -76,7 +78,7 @@ def homogeneous_density(p, u, horizon):
     d = degrees.pop()
     if d == 0:
         raise ValueError("degree must be nonzero")
-    u = tuple(Fraction(v) for v in u)
+    u = tuple(Fraction(exact(v)) for v in u)
     if contains_point(newton_polytope(p), u) is None:
         raise ValueError("u must lie in the Newton polytope of P")
     hits = []

@@ -319,6 +319,20 @@ class TruncSeries:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "degree", degree)
 
+    @classmethod
+    def _from_cut(cls, body, var, degree):
+        """The series ``body`` at ``degree`` in ``var``, trusted as given.
+
+        ``body`` must hold no term past ``degree`` in ``var`` (a cut
+        product), ``var`` an index below its arity and ``degree`` an int;
+        none of this is checked.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "body", body)
+        object.__setattr__(series, "var", var)
+        object.__setattr__(series, "degree", degree)
+        return series
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
@@ -364,13 +378,14 @@ class TruncSeries:
         if degree is None:
             if body.is_zero:
                 # exactly zero; the own degree is a sound (if modest) claim
-                return TruncSeries(body, self.var, self.degree)
+                return TruncSeries._from_cut(body, self.var, self.degree)
             # the exact factor is known everywhere: only self limits the product
             degree = self.degree + body.min_exponent(self.var)
         else:
             # [z^k](A*B) only needs A up to k - low(B) and B up to k - low(A)
             degree = min(self.degree + other._lowest(), degree + self._lowest())
-        return TruncSeries(_product(self.body, body, (self.var, degree)), self.var, degree)
+        return TruncSeries._from_cut(_product(self.body, body, (self.var, degree)), self.var,
+                                     degree)
 
     __rmul__ = __mul__
 

@@ -3,11 +3,20 @@
 Every query here (membership, orthant disjointness, move-away bounds) is
 expressed as a small rational LP over the generator list; no convex hull
 or H-representation is ever computed.
+
+A polytope converts its generators once, to integer numerators over one
+positive common denominator.  The LPs are built from those integers and
+reach the simplex as integer rows over their own denominators, and a
+separation certificate is verified by cross-multiplying integers, so no
+`Fraction` is built on the way in.  Answers (weights, points, c and delta)
+come back as `Fraction`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .simplex import OPTIMAL, exact, solve_lp
 
@@ -16,20 +25,27 @@ class RationalPolytope:
     """Convex hull of a finite generator set in Q^n.
 
     The generator list may contain redundant (non-vertex) points; equality
-    is semantic, via mutual membership of generators.
+    is semantic, via mutual membership of generators.  ``generators`` holds
+    them as `Fraction`s; ``nums`` holds the same points as integer
+    numerators over the one positive denominator ``den``.
     """
 
-    __slots__ = ("arity", "generators")
+    __slots__ = ("arity", "generators", "nums", "den")
 
     def __init__(self, generators):
-        gens = tuple(tuple(Fraction(exact(v)) for v in g) for g in generators)
+        gens = tuple(tuple(v if type(v) is Fraction else Fraction(exact(v)) for v in g)
+                     for g in generators)
         if not gens:
             raise ValueError("a polytope needs at least one generator")
         arity = len(gens[0])
         if any(len(g) != arity for g in gens):
             raise ValueError("generators must share one arity")
+        den = lcm(*(v.denominator for g in gens for v in g))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "nums", tuple(
+            tuple(v.numerator * (den // v.denominator) for v in g) for g in gens))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolytope is immutable")
@@ -66,14 +82,22 @@ class SeparationCertificate:
     delta: Fraction
 
     def verify(self, polytope):
+        """Check the certificate on the polytope's generators, in integers.
+
+        With c = cn / l over the lcm l of its denominators, delta = p / q
+        and the generators nums / den, c.u <= -delta is
+        q * (cn . nums) <= -p * l * den.
+        """
         if len(self.c) != polytope.arity:
             return False
-        if any(v < 0 for v in self.c) or sum(self.c) != 1 or self.delta <= 0:
+        c, delta = [exact(v) for v in self.c], exact(self.delta)
+        l = lcm(*(v.denominator for v in c))
+        cn = [v.numerator * (l // v.denominator) for v in c]
+        p, q = delta.numerator, delta.denominator
+        if any(v < 0 for v in cn) or sum(cn) != l or p <= 0:
             return False
-        return all(
-            sum(a * b for a, b in zip(self.c, g)) <= -self.delta
-            for g in polytope.generators
-        )
+        bound = -p * l * polytope.den
+        return all(q * sum(map(mul, cn, g)) <= bound for g in polytope.nums)
 
 
 def newton_polytope(poly):
@@ -99,21 +123,38 @@ def scale_translate(polytope, m=1, beta=None):
     return RationalPolytope(gens)
 
 
+def _combination(weights, polytope):
+    """The point sum(w_j u_j) for rational weights on the generators u_j,
+    summed in integers with one `Fraction` per coordinate."""
+    terms = [(w.numerator, w.denominator, g) for w, g in zip(weights, polytope.nums) if w]
+    den = lcm(*(b for _, b, _ in terms))
+    terms = [(a * (den // b), g) for a, b, g in terms]
+    den *= polytope.den
+    return tuple(Fraction(sum(a * g[i] for a, g in terms), den) for i in range(polytope.arity))
+
+
 def contains_point(polytope, point):
     """Exact membership test; returns convex coefficients or None.
 
     The coefficients come from the first basic feasible solution under
     Bland ordering, so they are deterministic but not canonical.
     """
-    point = tuple(Fraction(exact(v)) for v in point)
+    point = [exact(v) for v in point]
     if len(point) != polytope.arity:
         raise ValueError("arity mismatch")
-    gens = polytope.generators
-    k = len(gens)
-    rows = [[g[i] for g in gens] for i in range(polytope.arity)]
-    rows.append([Fraction(1)] * k)
-    rhs = list(point) + [Fraction(1)]
-    status, x, _, _ = solve_lp(rows, rhs, [Fraction(0)] * k)
+    nums, den = polytope.nums, polytope.den
+    k = len(nums)
+    # coordinate row i is (nums[.][i] / den) . lambda = point[i], over den * point[i]'s denominator
+    rows, rhs, dens = [], [], []
+    for i, v in enumerate(point):
+        d = v.denominator
+        rows.append([g[i] * d for g in nums])
+        rhs.append(v.numerator * den)
+        dens.append(den * d)
+    rows.append([1] * k)
+    rhs.append(1)
+    dens.append(1)
+    status, x, _, _ = solve_lp(rows, rhs, [0] * k, dens)
     if status != OPTIMAL:
         return None
     return tuple(x)
@@ -129,17 +170,16 @@ def orthant_meet(polytope):
     the surplus columns give the SeparationCertificate c, and delta = -t
     is its largest margin.  Either answer is checked first.
     """
-    gens = polytope.generators
+    nums, den = polytope.nums, polytope.den
     n = polytope.arity
-    k = len(gens)
+    k = len(nums)
     # maximize t over {lambda >= 0, sum lambda = 1, sum lambda_j u_j - t*1 - s = 0, s >= 0}
-    # columns: lambda_1..lambda_k, t+, t-, s_1..s_n
-    rows = [[g[i] for g in gens] + [Fraction(-1), Fraction(1)]
-            + [Fraction(-int(r == i)) for r in range(n)] for i in range(n)]
-    rows.append([Fraction(1)] * k + [Fraction(0)] * (2 + n))
-    rhs = [Fraction(0)] * n + [Fraction(1)]
-    objective = [Fraction(0)] * k + [Fraction(1), Fraction(-1)] + [Fraction(0)] * n
-    status, x, t, reduced = solve_lp(rows, rhs, objective)
+    # columns: lambda_1..lambda_k, t+, t-, s_1..s_n; coordinate rows are over den
+    rows = [[g[i] for g in nums] + [-den, den] + [-den if r == i else 0 for r in range(n)]
+            for i in range(n)]
+    rows.append([1] * k + [0] * (2 + n))
+    objective = [0] * k + [1, -1] + [0] * n
+    status, x, t, reduced = solve_lp(rows, [0] * n + [1], objective, [den] * n + [1])
     if status == OPTIMAL and t < 0:
         # s_i's reduced cost is coordinate row i's optimal dual y_i <= 0, and c = -y
         meet = SeparationCertificate(c=tuple(-r for r in reduced[k + 2:]), delta=-t)
@@ -147,7 +187,7 @@ def orthant_meet(polytope):
             return meet
     elif status == OPTIMAL:
         lam = x[:k]
-        meet = Witness(point=tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n)))
+        meet = Witness(point=_combination(lam, polytope))
         if sum(lam) == 1 and all(v >= 0 for v in (*lam, *meet.point)):
             return meet
     raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
@@ -179,21 +219,22 @@ def difference_decomposition(a, b, w):
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    w = tuple(Fraction(exact(v)) for v in w)
-    n = a.arity
-    ka, kb = len(a.generators), len(b.generators)
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([g[i] for g in a.generators] + [-g[i] for g in b.generators])
-        rhs.append(w[i])
-    rows.append([Fraction(1)] * ka + [Fraction(0)] * kb)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * ka + [Fraction(1)] * kb)
-    rhs.append(Fraction(1))
-    status, x, _, _ = solve_lp(rows, rhs, [Fraction(0)] * (ka + kb))
+    w = [exact(v) for v in w]
+    ka, kb = len(a.nums), len(b.nums)
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    # coordinate row i is (a.nums, -b.nums)[.][i] / den = w[i], over den * w[i]'s denominator
+    rows, rhs, dens = [], [], []
+    for i, v in enumerate(w):
+        fa, fb = sa * v.denominator, -sb * v.denominator
+        rows.append([g[i] * fa for g in a.nums] + [g[i] * fb for g in b.nums])
+        rhs.append(v.numerator * den)
+        dens.append(den * v.denominator)
+    rows.append([1] * ka + [0] * kb)
+    rows.append([0] * ka + [1] * kb)
+    rhs += [1, 1]
+    dens += [1, 1]
+    status, x, _, _ = solve_lp(rows, rhs, [0] * (ka + kb), dens)
     if status != OPTIMAL:
         return None
-    u = tuple(sum(l * g[i] for l, g in zip(x[:ka], a.generators)) for i in range(n))
-    v = tuple(sum(l * g[i] for l, g in zip(x[ka:], b.generators)) for i in range(n))
-    return u, v
+    return _combination(x[:ka], a), _combination(x[ka:], b)

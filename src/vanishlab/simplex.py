@@ -6,6 +6,8 @@ and the objective is one more row (reduced costs, then minus the value)
 that every pivot updates like the others.  The entering column is a sign
 test on that row and the ratio test compares by cross-multiplication, so
 no Fraction is built between the conversion on entry and the one on exit.
+A caller that holds integer numerators hands them over with each row's
+denominator, and they enter the tableau as they are.
 """
 from __future__ import annotations
 
@@ -20,15 +22,19 @@ UNBOUNDED = "unbounded"
 
 def exact(v):
     """v itself if it is an exact rational; TypeError otherwise, for a float too."""
-    if not isinstance(v, Rational):
+    # an int or a Fraction is answered without the slower ABC check
+    if type(v) is not int and type(v) is not Fraction and not isinstance(v, Rational):
         raise TypeError(f"{v!r} is not an exact rational")
     return v
 
 
-def _integer_row(values):
-    """(integers, positive denominator) of a list of exact rationals."""
-    den = lcm(*(exact(v).denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _integer_row(values, den=1):
+    """(integers, positive denominator) in lowest terms of a fresh list of
+    exact rationals that are each over den."""
+    if not all(type(v) is int for v in values):
+        scale = lcm(*(exact(v).denominator for v in values))
+        values, den = [v.numerator * (scale // v.denominator) for v in values], den * scale
+    return _lowest(values, den)
 
 
 def _lowest(row, den):
@@ -79,18 +85,27 @@ def _objective_row(cost, tableau, basis):
     return row, den
 
 
-def solve_lp(rows, rhs, objective):
+def solve_lp(rows, rhs, objective, dens=None):
     """Maximize objective.x subject to rows.x = rhs, x >= 0.
 
+    With ``dens``, constraint i is ``(rows[i] / dens[i]).x = rhs[i] / dens[i]``
+    for a positive int ``dens[i]``, so a caller that holds integer
+    numerators passes them as they are.  The row keeps that denominator in
+    the tableau: multiplying it through would change the phase-1 objective,
+    and with it the pivots Bland's rule makes.
     Returns ``(status, x, value, reduced)``, all but status None unless
     optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
     column j is the unit vector of row i, it is minus row i's optimal dual.
     A number that is not an exact rational raises ``TypeError``.
     """
     m, n = len(rows), len(objective)
+    if dens is None:
+        dens = [1] * m
+    elif any(type(d) is not int or d < 1 for d in dens) or len(dens) != m:
+        raise TypeError(f"row denominators {dens!r} are not {m} positive ints")
     tableau = []
     for i in range(m):
-        row, den = _integer_row([*rows[i], rhs[i]])
+        row, den = _integer_row([*rows[i], rhs[i]], dens[i])
         if row[-1] < 0:
             row = [-v for v in row]
         row[n:n] = [den if j == i else 0 for j in range(m)]

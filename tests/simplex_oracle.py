@@ -107,3 +107,12 @@ def solve_lp(rows, rhs, objective):
         x[b] = tableau[i][-1]
     reduced = [_reduced_cost(tableau, basis, objective, j) for j in range(n)]
     return OPTIMAL, x, value, reduced
+
+
+def rational_lp(rows, rhs, objective, dens=None):
+    """The LP that ``solve_lp``'s arguments stand for, as `Fraction` rows:
+    with ``dens``, row i and ``rhs[i]`` are divided by ``dens[i]``."""
+    dens = [1] * len(rows) if dens is None else dens
+    return ([[Fraction(v) / d for v in r] for r, d in zip(rows, dens)],
+            [Fraction(b) / d for b, d in zip(rhs, dens)],
+            [Fraction(v) for v in objective])

@@ -145,3 +145,22 @@ class TestDkCheck:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dk_check(LaurentPoly.zero(2), 4)
+
+
+class TestNoFloats:
+    # Fraction(0.5) is exactly 1/2, so a float point used to slip through
+    # as its binary expansion; each entry point now raises as the
+    # polytope layer does
+    def test_on_ray(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            on_ray((0.5, 0.5), (1, 1))
+        with pytest.raises(TypeError, match="exact rational"):
+            on_ray((1, 1), (1, 1.0))
+
+    def test_ray_hits_support(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            ray_hits_support(lp("x^2 + y^2"), (0.5, 1.5), 3)
+
+    def test_homogeneous_density(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            homogeneous_density(lp("x^2 + y^2"), (0.5, 1.5), 3)

@@ -180,6 +180,26 @@ class TestSeriesProduct:
         assert_canonical(cut)
         assert cut.terms == truncate(fraction_mul(a.terms, b.terms), 1, degree)
 
+    @settings(max_examples=50, deadline=None)
+    @given(y_series(), y_series(), st.integers(-2, 6), st.integers(-2, 6), st.booleans())
+    def test_product_is_not_cut_again(self, a_body, b_body, da, db, exact):
+        # the cut kernel leaves nothing past the degree, so the product is
+        # built without the public constructor's cut, and equals its result
+        a = TruncSeries(a_body, 1, da)
+        b = b_body if exact else TruncSeries(b_body, 1, db)
+        init = TruncSeries.__init__
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TruncSeries, "__init__", counting)
+            prod = a * b
+        assert calls == []
+        assert prod == TruncSeries(prod.body, prod.var, prod.degree)
+
     def test_zero_body_lowers_precision_with_negative_partner(self):
         # O(y^4) (precision 3) times y^-2 is O(y^2): trustworthy up to y^1
         big_o = TruncSeries(LaurentPoly.zero(2), 1, 3)

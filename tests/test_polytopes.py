@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vanishlab.polytopes
 from fm_oracle import hull_meets_orthant
+from simplex_oracle import rational_lp, solve_lp as oracle_solve_lp
 from vanishlab.parsing import parse_poly
 from vanishlab.simplex import UNBOUNDED
 from vanishlab.polytopes import (
@@ -107,7 +110,7 @@ class TestOrthantMeet:
         monkeypatch.setattr(vanishlab.polytopes, "solve_lp", counting)
         assert isinstance(orthant_meet(RationalPolytope(gens)), kind)
         assert len(calls) == 1
-        rows, _, _ = calls[0]
+        rows = calls[0][0]
         assert len(rows) == len(gens[0]) + 1
 
     @pytest.mark.parametrize("gens, tamper", [
@@ -262,3 +265,178 @@ class TestNoFloats:
         b = RationalPolytope([(1, 1)])
         with pytest.raises(TypeError, match="exact rational"):
             difference_decomposition(a, b, (0.0, 0))
+
+
+# ---------------------------------------------------------------------------
+# The integer rows the polytope layer sends against the Fraction rows it sent
+# before: rationally the same LP, so the oracle gives the same answer
+
+COORDS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def generator_lists(draw, n=None):
+    n = draw(st.integers(1, 5)) if n is None else n
+    return draw(st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=12))
+
+
+def fraction_orthant_lp(gens):
+    n, k = len(gens[0]), len(gens)
+    rows = [[F(g[i]) for g in gens] + [F(-1), F(1)] + [F(-int(r == i)) for r in range(n)]
+            for i in range(n)]
+    rows.append([F(1)] * k + [F(0)] * (2 + n))
+    return rows, [F(0)] * n + [F(1)], [F(0)] * k + [F(1), F(-1)] + [F(0)] * n
+
+
+def fraction_membership_lp(gens, point):
+    k = len(gens)
+    rows = [[F(g[i]) for g in gens] for i in range(len(point))] + [[F(1)] * k]
+    return rows, [F(v) for v in point] + [F(1)], [F(0)] * k
+
+
+def fraction_difference_lp(ga, gb, w):
+    ka, kb = len(ga), len(gb)
+    rows = [[F(g[i]) for g in ga] + [-F(g[i]) for g in gb] for i in range(len(w))]
+    rows += [[F(1)] * ka + [F(0)] * kb, [F(0)] * ka + [F(1)] * kb]
+    return rows, [F(v) for v in w] + [F(1), F(1)], [F(0)] * (ka + kb)
+
+
+def sent_lps(monkeypatch):
+    """Record, as Fraction LPs, every LP the polytope layer hands solve_lp,
+    with the result solve_lp returned for it."""
+    solve_lp = vanishlab.polytopes.solve_lp
+    sent = []
+
+    def recording(rows, rhs, objective, dens=None):
+        result = solve_lp(rows, rhs, objective, dens)
+        sent.append((rational_lp(rows, rhs, objective, dens), result))
+        return result
+
+    monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
+    return sent
+
+
+def assert_sent(sent, expected):
+    (lp, result), = sent
+    assert lp == expected
+    assert result == oracle_solve_lp(*expected)
+    sent.clear()
+
+
+class TestIntegerRows:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists())
+    def test_orthant_meet(self, gens):
+        with pytest.MonkeyPatch.context() as mp:
+            sent = sent_lps(mp)
+            meet = orthant_meet(RationalPolytope(gens))
+        assert_sent(sent, fraction_orthant_lp(gens))
+        assert isinstance(meet, (Witness, SeparationCertificate))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_contains_point(self, data):
+        gens = data.draw(generator_lists())
+        n = len(gens[0])
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        if sum(weights) and data.draw(st.booleans()):
+            # a convex combination: inside
+            point = tuple(sum(F(w) * g[i] for w, g in zip(weights, gens)) / sum(weights)
+                          for i in range(n))
+        else:
+            point = data.draw(st.tuples(*[COORDS] * n))
+        with pytest.MonkeyPatch.context() as mp:
+            sent = sent_lps(mp)
+            coeffs = contains_point(RationalPolytope(gens), point)
+        assert_sent(sent, fraction_membership_lp(gens, point))
+        if coeffs is not None:
+            assert tuple(sum(c * F(g[i]) for c, g in zip(coeffs, gens))
+                         for i in range(n)) == tuple(map(F, point))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_difference_decomposition(self, data):
+        n = data.draw(st.integers(1, 5))
+        ga, gb = data.draw(generator_lists(n)), data.draw(generator_lists(n))
+        if data.draw(st.booleans()):
+            w = tuple(F(u) - F(v) for u, v in zip(data.draw(st.sampled_from(ga)),
+                                                  data.draw(st.sampled_from(gb))))
+        else:
+            w = data.draw(st.tuples(*[COORDS] * n))
+        with pytest.MonkeyPatch.context() as mp:
+            sent = sent_lps(mp)
+            pair = difference_decomposition(RationalPolytope(ga), RationalPolytope(gb), w)
+        assert_sent(sent, fraction_difference_lp(ga, gb, w))
+        if pair is not None:
+            assert tuple(u - v for u, v in zip(*pair)) == tuple(map(F, w))
+            assert contains_point(RationalPolytope(ga), pair[0]) is not None
+            assert contains_point(RationalPolytope(gb), pair[1]) is not None
+
+    def test_storage(self):
+        sigma = RationalPolytope([(Fraction(1, 2), -1), (Fraction(-5, 4), Fraction(2, 3))])
+        assert sigma.generators == ((Fraction(1, 2), F(-1)), (Fraction(-5, 4), Fraction(2, 3)))
+        assert (sigma.nums, sigma.den) == (((6, -12), (-15, 8)), 12)
+        assert (RationalPolytope([(2, 0)]).nums, RationalPolytope([(2, 0)]).den) == (((2, 0),), 1)
+
+
+# ---------------------------------------------------------------------------
+# The integer certificate check against the Fraction one it replaced
+
+def fraction_verify(cert, gens):
+    c, delta = [F(v) for v in cert.c], F(cert.delta)
+    if len(c) != len(gens[0]):
+        return False
+    if any(v < 0 for v in c) or sum(c) != 1 or delta <= 0:
+        return False
+    return all(sum(a * F(b) for a, b in zip(c, g)) <= -delta for g in gens)
+
+
+def tampered(cert):
+    """Certificates that must all fail: a margin raised by 1/10**6, a
+    negative entry with the sum kept at 1, a sum of 2, and wrong lengths."""
+    c, delta = list(cert.c), cert.delta
+    out = [SeparationCertificate(tuple(c), delta + Fraction(1, 10**6)),
+           SeparationCertificate(tuple(2 * v for v in c), delta),
+           SeparationCertificate(tuple(c) + (F(0),), delta),
+           SeparationCertificate(tuple(c[:-1]), delta)]
+    if len(c) > 1:
+        out.append(SeparationCertificate((F(-1), c[1] + c[0] + 1, *c[2:]), delta))
+    return out
+
+
+class TestIntegerVerify:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists())
+    def test_lp_certificates_and_tampered_ones(self, gens):
+        sigma = RationalPolytope(gens)
+        meet = orthant_meet(sigma)
+        if isinstance(meet, Witness):
+            return
+        assert meet.verify(sigma) and fraction_verify(meet, gens)
+        for bad in tampered(meet):
+            assert not bad.verify(sigma)
+            assert not fraction_verify(bad, gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_certificates(self, data):
+        gens = data.draw(generator_lists())
+        n = len(gens[0])
+        raw = data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+        c = tuple(Fraction(v, sum(raw)) for v in raw) if sum(raw) else tuple(map(F, raw))
+        delta = data.draw(st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=6)))
+        cert = SeparationCertificate(c, delta)
+        assert cert.verify(RationalPolytope(gens)) == fraction_verify(cert, gens)
+
+    def test_integer_entries(self):
+        sigma = RationalPolytope([(-1, Fraction(-1, 2)), (Fraction(-3, 2), 5)])
+        assert SeparationCertificate((1, 0), 1).verify(sigma)
+        assert not SeparationCertificate((1, 0), Fraction(11, 10)).verify(sigma)
+        assert not SeparationCertificate((0, 1), Fraction(1, 2)).verify(sigma)
+
+    def test_rejects_floats(self):
+        sigma = RationalPolytope([(-2, 1), (1, -2)])
+        with pytest.raises(TypeError, match="exact rational"):
+            SeparationCertificate((0.5, Fraction(1, 2)), Fraction(1, 2)).verify(sigma)
+        with pytest.raises(TypeError, match="exact rational"):
+            SeparationCertificate((Fraction(1, 2), Fraction(1, 2)), 0.5).verify(sigma)

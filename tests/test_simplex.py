@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vanishlab.polytopes
 from golden_corpus import CORPUS, run
-from simplex_oracle import solve_lp as oracle_solve_lp
+from simplex_oracle import rational_lp, solve_lp as oracle_solve_lp
 from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -107,6 +107,23 @@ def test_matches_oracle(lp):
     assert_matches_oracle(*lp)
 
 
+@settings(max_examples=300, deadline=None)
+@given(lps(), st.data())
+def test_row_denominators_match_oracle(lp, data):
+    # rows handed over as they are with a denominator each: the same LP as
+    # the rows divided out, so the same pivots and the same answer
+    rows, rhs, objective = lp
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+    assert solve_lp(rows, rhs, objective, dens) == oracle_solve_lp(
+        *rational_lp(rows, rhs, objective, dens))
+
+
+@pytest.mark.parametrize("dens", [[2.0], [0], [-1], [Fraction(1, 2)], [True], [1, 1]])
+def test_rejects_bad_row_denominators(dens):
+    with pytest.raises(TypeError, match="positive ints"):
+        solve_lp([[1, 1]], [1], [1, 0], dens)
+
+
 # each example pins one shape; the oracle and the library must agree on all
 @pytest.mark.parametrize("rows, rhs, objective, status", [
     # no rows at all: unbounded, or optimal at x = 0
@@ -147,9 +164,9 @@ def test_golden_corpus_lps_match_oracle(monkeypatch):
     monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
     seen = []
 
-    def recording(rows, rhs, objective):
-        args = ([list(r) for r in rows], list(rhs), list(objective))
-        result = solve_lp(rows, rhs, objective)
+    def recording(rows, rhs, objective, dens=None):
+        args = rational_lp(rows, rhs, objective, dens)
+        result = solve_lp(rows, rhs, objective, dens)
         seen.append((args, result))
         return result
 
