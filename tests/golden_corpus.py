@@ -7,8 +7,10 @@ series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
 criterion 8 has no CLI form), one request for each checker path that
 prints an orthant witness, a few polytope queries with several optimal
-answers, which pin the one the orthant LP prints, and polytope queries whose
-generators have mixed denominators.  Only valid inputs are recorded.
+answers, which pin the one the orthant LP prints, polytope queries whose
+generators have mixed denominators, and requests that pin the printing and
+parsing of coefficients and the operator kernel at a larger horizon.  Only
+valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -65,6 +67,17 @@ FRACTIONAL = [
      "--beta=(1/2,2/3,5/4)"],
     ["polytope", "--sigma=(1/2,-5/4);(-5/4,2/3);(-2/3,-1/2)", "--point=(-1/2,-1/3)",
      "--beta=(5/4,1/2)"],
+]
+
+# residuals with fractional, negative and leading-minus coefficients; a P
+# whose monomials repeat and cancel; a three-variable profile at M=10; a ray
+# through a fractional point that the support meets at m=2 and m=4
+PRINTING = [
+    ["vanish", "--op=1/2*dx^2 - 3/4*dy", "--p=2/3*x^3 - x*y^2 + 5/2*y", "-M", "3"],
+    ["vanish", "--op=dx^2 + dy", "--p=x*y + 2*x*y - 3*x*y + y^2 + x", "-M", "3"],
+    ["vanish", "--vars=x,y,z", "--op=dx^2*dy + dy^3 + dx*dz^2", "--p=x*y + y*z + x*z + x^2",
+     "-M", "10"],
+    ["density", "--p=x^2 + 3*x*y^2 + y", "--u=(3/2,1)", "-M", "5"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -190,7 +203,7 @@ def requests():
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
-            + FRACTIONAL]
+            + FRACTIONAL + PRINTING]
 
 
 def run(argv):

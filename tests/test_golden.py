@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from golden_corpus import CORPUS, run
+from golden_corpus import CORPUS, requests, run
 
 ENTRIES = json.loads(CORPUS.read_text())
 
@@ -14,6 +14,12 @@ def test_corpus_covers_every_family():
             ("case", "phi"), ("case", "monomial"), ("case", "two-monomial")} <= commands
     assert {e["argv"][0] for e in ENTRIES} >= {"vanish", "polytope", "density", "dk"}
     assert {e["exit"] for e in ENTRIES} <= {0, 1, 2}
+
+
+def test_corpus_matches_request_list():
+    # a request added without regenerating, or a printing change in the argv
+    # the acceptance families build through to_string, shows up here
+    assert [e["argv"] for e in ENTRIES] == requests()
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"][:-2]) for e in ENTRIES])
