@@ -110,13 +110,23 @@ def cmd_vanish(args, out):
     return 2
 
 
+def _query_point(src, name, arity):
+    point = parse_point(src)
+    if len(point) != arity:
+        raise ValueError(f"{name} has {len(point)} coordinates, the polytope lives in "
+                         f"dimension {arity}")
+    return point
+
+
 def cmd_polytope(args, out):
     gens = parse_generators(args.sigma)
     sigma = RationalPolytope(gens)
+    # every input is read and checked before the first line is printed
+    w = None if args.point is None else _query_point(args.point, "point", sigma.arity)
+    beta = None if args.beta is None else _query_point(args.beta, "beta", sigma.arity)
     out.record("subcommand", "polytope")
     status = 0
-    if args.point is not None:
-        w = parse_point(args.point)
+    if w is not None:
         coeffs = contains_point(sigma, w)
         inside = coeffs is not None
         out.record("point", _point_str(w))
@@ -131,8 +141,7 @@ def cmd_polytope(args, out):
         out.record("c", _point_str(meet.c))
         out.record("delta", meet.delta)
         out.text(f"certificate: c={_point_str(meet.c)}, delta={meet.delta}")
-        if args.beta is not None:
-            beta = parse_point(args.beta)
+        if beta is not None:
             n = moveaway_bound(beta, sigma, meet)
             out.record("beta", _point_str(beta))
             out.record("moveaway_N", n)
@@ -141,7 +150,7 @@ def cmd_polytope(args, out):
         out.record("kind", "witness")
         out.record("witness", _point_str(meet.point))
         out.text(f"witness in the orthant: {_point_str(meet.point)}")
-        if args.beta is not None:
+        if beta is not None:
             out.record("moveaway_N", "undefined")
             out.text("no move-away bound: the polytope meets the orthant")
             status = 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .poly import powers
 from .polytopes import contains_point, newton_polytope
@@ -20,6 +21,33 @@ CONSISTENT = "consistent"
 PREDICTS_NONZERO = "predicts-nonzero"
 
 
+def _integers(values):
+    """Integers proportional to exact rationals, by one positive factor."""
+    values = [exact(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _ray(direction):
+    """The test "lam = k*direction for a rational k >= 0" on integer vectors lam.
+
+    The direction is scaled once to integers v.  With j the first index
+    where v_j != 0, lam is on the ray iff lam_i*v_j == lam_j*v_i for every i
+    and lam_j*v_j >= 0; for v = 0 the ray is the origin.
+    """
+    v = _integers(direction)
+    j = next((i for i, x in enumerate(v) if x), None)
+    if j is None:
+        return lambda lam: not any(lam)
+    vj = v[j]
+
+    def test(lam):
+        lj = lam[j]
+        return lj * vj >= 0 and all(a * vj == lj * b for a, b in zip(lam, v))
+
+    return test
+
+
 def on_ray(point, direction):
     """Exact test for point = k*direction with rational k >= 0.
 
@@ -27,13 +55,7 @@ def on_ray(point, direction):
     cross-multiplication only; no floating-point slopes, and a float
     coordinate raises ``TypeError``.
     """
-    direction = tuple(Fraction(exact(v)) for v in direction)
-    point = tuple(Fraction(exact(v)) for v in point)
-    pivot = next((i for i, v in enumerate(direction) if v), None)
-    if pivot is None:
-        return all(v == 0 for v in point)
-    k = point[pivot] / direction[pivot]
-    return k >= 0 and all(p == k * d for p, d in zip(point, direction))
+    return _ray(direction)(_integers(point))
 
 
 @dataclass(frozen=True)
@@ -55,10 +77,11 @@ def ray_hits_support(p, u, horizon):
     u = tuple(Fraction(exact(v)) for v in u)
     if contains_point(newton_polytope(p), u) is None:
         raise ValueError("u must lie in the Newton polytope of P")
+    hit = _ray(u)
     hits = []
     for m, p_m in enumerate(powers(p, horizon), start=1):
-        for lam in sorted(p_m.terms):
-            if on_ray(lam, u):
+        for lam in sorted(p_m.nums):
+            if hit(lam):
                 hits.append((m, lam))
     verdict = FOUND if hits else INCONCLUSIVE
     return RaySearchReport(u=u, horizon=horizon, hits=tuple(hits), verdict=verdict)

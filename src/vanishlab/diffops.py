@@ -68,13 +68,27 @@ def _falling(mu, beta):
 
 def _apply_to_poly(op, poly, mode):
     symbol = op.symbol
-    if mode == POLYNOMIAL and symbol.nums and any(b < 0 for e in poly.nums for b in e):
-        raise ValueError("polynomial mode requires exponents in N^n")
     right = list(poly.nums.items())
+    if mode == POLYNOMIAL:
+        if symbol.nums and any(b < 0 for e in poly.nums for b in e):
+            raise ValueError("polynomial mode requires exponents in N^n")
+        # d^mu z^beta vanishes unless beta >= mu, so unless |beta| >= |mu|:
+        # each mu visits only those operand terms, filtered once per |mu| in
+        # the operand's order, which keeps the output's insertion order
+        degrees = [sum(beta) for beta, _ in right]
+        live = {}
+        rows = []
+        for mu, c in symbol.nums.items():
+            d = sum(mu)
+            if d not in live:
+                live[d] = [term for term, deg in zip(right, degrees) if deg >= d]
+            rows.append((mu, c, live[d]))
+    else:
+        rows = [(mu, c, right) for mu, c in symbol.nums.items()]
     out = {}
     get = out.get
-    for mu, c in symbol.nums.items():
-        for beta, b in right:
+    for mu, c, partners in rows:
+        for beta, b in partners:
             coeff = _falling(mu, beta)
             if coeff:
                 expo = tuple(map(sub, beta, mu))

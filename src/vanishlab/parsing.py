@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .diffops import DiffOp
 from .poly import LaurentPoly
@@ -66,38 +67,49 @@ class _Parser:
         return value
 
     def parse(self):
-        arity = len(self.vars)
-        total = LaurentPoly.zero(arity)
+        if not self.vars:
+            raise ValueError("arity must be >= 1")
         sign = 1
         kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             sign = -1 if value == "-" else 1
             self.next()
+        terms = []
         while True:
-            total = total + self.term(sign)
+            terms.append(self.term(sign))
             kind, value, pos = self.next()
             if kind == "end":
-                return total
+                break
             if kind != "op" or value not in "+-":
                 raise ParseError("expected '+' or '-' between terms", pos)
             sign = -1 if value == "-" else 1
+        # one sum of integer numerators over a common denominator; a monomial
+        # whose sum cancels leaves the dict, so one that comes back is placed
+        # last, as in a term-by-term sum
+        den = lcm(*(d for _, _, d in terms))
+        nums = {}
+        for expo, n, d in terms:
+            n = nums.get(expo, 0) + n * (den // d)
+            if n:
+                nums[expo] = n
+            else:
+                nums.pop(expo, None)
+        return LaurentPoly._from_integers(len(self.vars), nums, den)
 
     def term(self, sign):
-        arity = len(self.vars)
-        coeff = Fraction(sign)
-        expo = [0] * arity
+        """One term as ``(exponent, numerator, denominator)``, positive denominator."""
+        expo = [0] * len(self.vars)
+        num, den = sign, 1
         while True:
             kind, value, pos = self.next()
             if kind == "int":
-                num = value
+                num *= value
                 if self.peek()[0] == "op" and self.peek()[1] == "/":
                     self.next()
-                    den = self.expect_int("a denominator")
-                    if den == 0:
+                    d = self.expect_int("a denominator")
+                    if d == 0:
                         raise ParseError("zero denominator", pos)
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
+                    den *= d
             elif kind == "name":
                 if value not in self.vars:
                     raise ParseError(f"unknown variable {value!r}", pos)
@@ -112,7 +124,7 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.next()
                 continue
-            return LaurentPoly(arity, {tuple(expo): coeff})
+            return tuple(expo), num, den
 
     def exponent(self):
         kind, value, pos = self.peek()

@@ -258,32 +258,34 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.arity, self.den, frozenset(self.nums.items())))
 
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (deterministic)."""
-        nums, den = self.nums, self.den
-        return [(e, Fraction(nums[e], den)) for e in sorted(nums, key=grlex_key, reverse=True)]
-
     def to_string(self, names=None):
+        """Terms in descending graded-lex order.  A coefficient prints as
+        ``n`` or ``n/d`` in lowest terms, as `str` of a `Fraction` does, and a
+        unit magnitude before a monomial is dropped."""
         if self.is_zero:
             return "0"
         names = names or _default_names(self.arity)
+        nums, den = self.nums, self.den
         pieces = []
-        for expo, c in self.sorted_terms():
+        for expo in sorted(nums, key=grlex_key, reverse=True):
+            n = nums[expo]
             mono = "*".join(
                 names[i] if e == 1 else f"{names[i]}^{e}"
                 for i, e in enumerate(expo) if e
             )
-            mag = abs(c)
+            a = abs(n)
+            g = gcd(a, den)
+            mag = str(a // g) if g == den else f"{a // g}/{den // g}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif a == den:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
+                pieces.append(body if n > 0 else "-" + body)
             else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+                pieces.append(("+ " if n > 0 else "- ") + body)
         return " ".join(pieces)
 
     def __str__(self):

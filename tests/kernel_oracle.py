@@ -1,15 +1,19 @@
 """Reference coefficient kernels on dicts of `Fraction`, independent of the library.
 
-These are the straightforward dict-of-`Fraction` product and the
-`Fraction` falling-factorial derivative.  The library instead stores each
-polynomial as integer numerators over one denominator, multiplies and
-differentiates those integers, and cuts a series product inside its pair
-loop.  These kernels share no code with it: they take any
-``{exponent tuple: coefficient}`` mapping (a plain dict or a polynomial's
-``terms`` view), multiply every pair and truncate afterwards, so the tests
-can cross-check the fast paths against them.
+These are the straightforward dict-of-`Fraction` product, the `Fraction`
+falling-factorial derivative, printing from `Fraction` coefficients and
+the ray test by one `Fraction` division.  The library instead stores each
+polynomial as integer numerators over one denominator, multiplies,
+differentiates and prints those integers, cuts a series product inside its
+pair loop, visits only the live pairs of an operator application and tests
+a ray by integer cross-multiplication.  These kernels share no code with
+it: they take any ``{exponent tuple: coefficient}`` mapping (a plain dict
+or a polynomial's ``terms`` view), multiply and differentiate every pair
+and truncate afterwards, so the tests can cross-check the fast paths
+against them.
 """
 from fractions import Fraction
+from numbers import Rational
 
 
 def fraction_mul(a, b):
@@ -45,3 +49,44 @@ def fraction_apply(symbol, operand):
 def truncate(terms, var, degree):
     """The terms whose exponent of variable ``var`` is at most ``degree``."""
     return {e: c for e, c in terms.items() if e[var] <= degree}
+
+
+def fraction_to_string(terms, names=None):
+    """A term map printed in descending graded-lex order, each coefficient
+    through `str` of its `Fraction`, a unit magnitude dropped before a monomial."""
+    if not terms:
+        return "0"
+    arity = len(next(iter(terms)))
+    if names is None:
+        names = ("x", "y", "z")[:arity] if arity <= 3 else [f"z{i + 1}" for i in range(arity)]
+    pieces = []
+    for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = Fraction(terms[expo])
+        mono = "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                        for i, e in enumerate(expo) if e)
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(pieces)
+
+
+def fraction_on_ray(point, direction):
+    """point = k*direction for a rational k >= 0, by one Fraction division;
+    the zero direction's ray is the origin, and a float raises TypeError."""
+    if any(not isinstance(v, Rational) for v in (*point, *direction)):
+        raise TypeError("not an exact rational")
+    direction = [Fraction(v) for v in direction]
+    point = [Fraction(v) for v in point]
+    pivot = next((i for i, v in enumerate(direction) if v), None)
+    if pivot is None:
+        return all(v == 0 for v in point)
+    k = point[pivot] / direction[pivot]
+    return k >= 0 and all(p == k * d for p, d in zip(point, direction))

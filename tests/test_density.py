@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_oracle import fraction_on_ray
 from vanishlab.density import (
     CONSISTENT,
     FOUND,
@@ -34,6 +37,34 @@ class TestOnRay:
 
     def test_origin_on_every_ray(self):
         assert on_ray((0, 0), (5, -3))
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_matches_oracle(self, data, arity):
+        # directions with zero entries (the zero direction included), points
+        # that are nonnegative or negative multiples of them, and points off
+        # the ray; coordinates are ints or Fractions
+        value = st.one_of(st.integers(-4, 4),
+                          st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+        direction = data.draw(st.one_of(st.just([0] * arity),
+                                        st.lists(value, min_size=arity, max_size=arity)))
+        k = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+        point = data.draw(st.one_of(
+            st.just([k * v for v in direction]),
+            st.just([int(v) if v.denominator == 1 else v for v in (k * v for v in direction)]),
+            st.lists(value, min_size=arity, max_size=arity),
+        ))
+        assert on_ray(point, direction) == fraction_on_ray(point, direction)
+
+    @pytest.mark.parametrize("point, direction", [
+        ((0.5, 0.5), (1, 1)), ((1, 1), (1, 1.0)), ((0.0, 0), (0, 0)), ((1, 2), (0.0, 0.0)),
+    ])
+    def test_float_raises_like_oracle(self, point, direction):
+        with pytest.raises(TypeError):
+            fraction_on_ray(point, direction)
+        with pytest.raises(TypeError):
+            on_ray(point, direction)
 
 
 class TestRayHits:

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, truncate
+from kernel_oracle import (
+    fraction_apply,
+    fraction_derivative,
+    fraction_mul,
+    fraction_to_string,
+    truncate,
+)
 from vanishlab import poly
 from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply
+from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -346,6 +353,35 @@ class TestApply:
         assert_clean(out)
         assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.booleans())
+    def test_apply_matches_oracle_larger(self, data, arity, laurent):
+        # up to 6 symbol terms of total degree up to 8, against operands of
+        # total degree from below to above the symbol's: in polynomial mode
+        # most pairs are dead and skipped, the rest must come out as the
+        # oracle's, in its order
+        expo = st.lists(st.integers(0, arity - 1), max_size=8).map(
+            lambda vs: tuple(vs.count(i) for i in range(arity)))
+        symbol = data.draw(st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                                     st.lists(st.tuples(expo, fractions), max_size=6)))
+        operand = data.draw(polys(arity, lo=-4 if laurent else 0, hi=9, max_size=10))
+        out = apply(DiffOp(symbol), operand, LAURENT if laurent else POLYNOMIAL)
+        assert_clean(out)
+        assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
+
+    def test_large_horizon_profile_matches_oracle(self):
+        # the three-variable profile of the golden corpus, to m = 12: L^m has
+        # 91 terms and P^m 169 there, and only pairs with beta >= mu are live
+        names = ["x", "y", "z"]
+        op = parse_operator("dx^2*dy + dy^3 + dx*dz^2", names)
+        p = parse_poly("x*y + y*z + x*z + x^2", names)
+        for m in range(1, 13):
+            op_m, p_m = op ** m, p ** m
+            out = apply(op_m, p_m)
+            assert_clean(out)
+            assert list(out.terms.items()) == list(
+                fraction_apply(op_m.symbol.terms, p_m.terms).items())
+
     def test_polynomial_mode_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             apply(DiffOp.monomial((0, 1)), LaurentPoly.monomial((0, -1)))
@@ -353,3 +389,40 @@ class TestApply:
             apply(DiffOp.monomial((0, 0)), LaurentPoly.monomial((0, -1)))
         # the zero operator never differentiates anything
         assert apply(DiffOp(LaurentPoly.zero(2)), LaurentPoly.monomial((0, -1))).is_zero
+
+
+# unit and 1/d magnitudes of both signs, beside general mixed denominators
+printed_coeffs = st.one_of(
+    fractions,
+    st.sampled_from([1, -1]),
+    st.builds(lambda d, s: Fraction(s, d), st.integers(1, 12), st.sampled_from([1, -1])),
+)
+NAMES = ["a", "b1", "u_v", "dx", "T", "x_0"]
+
+
+class TestPrinting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.booleans())
+    def test_to_string_matches_oracle(self, data, arity, custom):
+        # exponents -3..3 give constants and Laurent terms; arity 4 and 5
+        # print with the default names z1, z2, ...
+        expo = st.tuples(*[st.integers(-3, 3)] * arity)
+        p = data.draw(st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                                st.lists(st.tuples(expo, printed_coeffs), max_size=7)))
+        names = data.draw(st.permutations(NAMES))[:arity] if custom else None
+        text = p.to_string(names)
+        assert text == fraction_to_string(p.terms, names)
+        default = ["x", "y", "z"][:arity] if arity <= 3 else [f"z{i + 1}" for i in range(arity)]
+        assert parse_poly(text, names or default) == p
+
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({(0, 0): 1}, "1"),
+        ({(0, 0): Fraction(-1, 3)}, "-1/3"),
+        ({(1, 0): -1, (0, 0): Fraction(4, 2)}, "-x + 2"),
+        ({(2, -1): Fraction(-7, 4), (0, 1): Fraction(1, 6), (-1, 0): -1},
+         "-7/4*x^2*y^-1 + 1/6*y - x^-1"),
+    ])
+    def test_to_string_pinned(self, terms, text):
+        p = LaurentPoly(2, terms)
+        assert p.to_string() == text == fraction_to_string(p.terms)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanishlab.cli import build_parser, main
 from vanishlab.parsing import (
@@ -68,6 +70,73 @@ class TestParsing:
             parse_poly("x^", ["x"])
         with pytest.raises(ParseError):
             parse_poly("1/0", ["x"])
+
+    # (source, message, position) as the term-by-term parser reported them
+    @pytest.mark.parametrize("src, message, position", [
+        ("", "expected a coefficient or a variable", 0),
+        ("   ", "expected a coefficient or a variable", 3),
+        ("x +", "expected a coefficient or a variable", 3),
+        ("+", "expected a coefficient or a variable", 1),
+        ("x + + y", "expected a coefficient or a variable", 4),
+        ("x y", "expected '+' or '-' between terms", 2),
+        ("2 3", "expected '+' or '-' between terms", 2),
+        ("x^", "expected an integer exponent", 2),
+        ("x^y", "expected an integer exponent", 2),
+        ("x^-", "expected an integer exponent", 3),
+        ("x^1/2", "expected '+' or '-' between terms", 3),
+        ("1/0*x", "zero denominator", 0),
+        ("3 + 4/0", "zero denominator", 4),
+        ("1/", "expected a denominator", 2),
+        ("1/x", "expected a denominator", 2),
+        ("x/2", "expected '+' or '-' between terms", 1),
+        ("x + $", "unexpected character '$'", 3),
+        ("x + q", "unknown variable 'q'", 4),
+        ("2**x", "expected a coefficient or a variable", 2),
+        ("x*", "expected a coefficient or a variable", 2),
+        ("*x", "expected a coefficient or a variable", 0),
+        ("x - - y", "expected a coefficient or a variable", 4),
+        ("(x)", "unexpected character '('", 0),
+        ("x + 1.5", "unexpected character '.'", 5),
+        ("-", "expected a coefficient or a variable", 1),
+        ("x*-y", "expected a coefficient or a variable", 2),
+        ("dx", "unknown variable 'dx'", 0),
+        ("x + y^-q", "expected an integer exponent", 7),
+    ])
+    def test_malformed_inputs(self, src, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, ["x", "y"])
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_term_list_is_the_sum_of_its_terms(self, data):
+        # monomials from a small pool, so terms repeat, and each drawn term
+        # may be followed by its negation, so sums cancel; a term is a
+        # product of int, int/int and x^k / y^k factors in any order
+        factor = st.one_of(
+            st.integers(0, 9).map(str),
+            st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9)),
+            st.sampled_from(["x", "y", "x^2", "y^-1", "x^0", "x^-2*y"]),
+        )
+        term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+        items = data.draw(st.lists(st.tuples(st.sampled_from("+-"), term, st.booleans()),
+                                   min_size=1, max_size=8))
+        names = ["x", "y"]
+        signed = []
+        for sign, text, cancel in items:
+            signed.append((sign, text))
+            if cancel:
+                signed.append(("-" if sign == "+" else "+", text))
+        src = " ".join(f"{sign} {text}" for sign, text in signed)
+        total = LaurentPoly.zero(2)
+        for sign, text in signed:
+            one = parse_poly(text, names)
+            total = total + one if sign == "+" else total - one
+        parsed = parse_poly(src, names)
+        assert parsed == total
+        # with the key order a term-by-term sum gives
+        assert list(parsed.nums.items()) == list(total.nums.items())
 
     def test_roundtrip_is_identity(self):
         rng = random.Random(42)
@@ -212,6 +281,20 @@ class TestCli:
         assert code == 3
         assert "moveaway_N" not in out
         assert "coordinates" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma", ["(1,2)", "(-2,1);(1,-2)"], ids=["witness", "certificate"])
+    @pytest.mark.parametrize("query", [
+        ["--beta", "abc"], ["--beta", "(1,2,3)"], ["--beta", "(3)"],
+        ["--point", "(1,2,3)"], ["--point", "abc"], ["--point", "(0,0)", "--beta", "(1/0,1)"],
+    ], ids=["beta-text", "beta-3d", "beta-1d", "point-3d", "point-text", "beta-zero-den"])
+    def test_bad_query_point_prints_nothing(self, capsys, sigma, query):
+        # --point and --beta are read and checked before any output, on
+        # either answer of the orthant query
+        code, out, err = run(capsys, "polytope", "--sigma", sigma, *query,
+                             "--format", "structured")
+        assert code == 3
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
