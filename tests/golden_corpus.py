@@ -10,7 +10,8 @@ prints an orthant witness, a few polytope queries with several optimal
 answers, which pin the one the orthant LP prints, polytope queries whose
 generators have mixed denominators, requests that pin the printing and
 parsing of coefficients and the operator kernel at a larger horizon, and
-the series counterexamples at their precision edges and at M=10/D=20.  Only
+the series counterexamples at their precision edges and at M=10/D=20, and
+polytope queries on the edges of the orthant LP's start basis.  Only
 valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
@@ -79,6 +80,19 @@ PRINTING = [
     ["vanish", "--vars=x,y,z", "--op=dx^2*dy + dy^3 + dx*dz^2", "--p=x*y + y*z + x*z + x^2",
      "-M", "10"],
     ["density", "--p=x^2 + 3*x*y^2 + y", "--u=(3/2,1)", "-M", "5"],
+]
+
+# polytope queries on the edges of the orthant LP's start basis (the
+# generator whose smallest coordinate is largest): one generator in one
+# dimension, a tie on the smallest coordinate, a degenerate start with
+# t = 0, a tie on the best generator with a duplicate, and a start vertex
+# that phase 2 must leave
+START_EDGES = [
+    ["polytope", "--sigma=(-2)", "--beta=(3)"],
+    ["polytope", "--sigma=(1,1,1)"],
+    ["polytope", "--sigma=(0,2);(-1,-1)", "--beta=(1,1)"],
+    ["polytope", "--sigma=(-1,-2);(-2,-1);(-1,-2);(-3,0)", "--beta=(2,2)"],
+    ["polytope", "--sigma=(2,-1);(-1,2)", "--point=(1/2,1/2)"],
 ]
 
 # the series counterexamples at the precision edges, where the depth
@@ -214,7 +228,7 @@ def requests():
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
-            + FRACTIONAL + PRINTING + SERIES_EDGES]
+            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES]
 
 
 def run(argv):
