@@ -161,15 +161,20 @@ def cmd_density(args, out):
     names = _split_vars(args.vars)
     p = parse_poly(_read_arg(args.p), names)
     u = parse_point(args.u)
+    if len(u) != p.arity:
+        raise ValueError(f"u has {len(u)} coordinates, P has {p.arity} variables")
+    # the search runs, and fails on a bad input, before the first line is printed
+    if args.homogeneous:
+        hits = density.homogeneous_density(p, u, args.horizon)
+    else:
+        report = density.ray_hits_support(p, u, args.horizon)
     out.record("subcommand", "density")
     out.record("u", _point_str(u))
     if args.homogeneous:
-        hits = density.homogeneous_density(p, u, args.horizon)
         out.record("hits", ",".join(str(m) for m in hits))
         out.text(f"m with m*u in Supp(P^m), m <= {args.horizon}: {hits}")
         out.record("verdict", density.FOUND if hits else density.INCONCLUSIVE)
         return 0 if hits else 2
-    report = density.ray_hits_support(p, u, args.horizon)
     for m, lam in report.hits:
         out.record(f"hit.m{m}", _point_str(lam))
     out.record("verdict", report.verdict)

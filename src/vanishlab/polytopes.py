@@ -152,6 +152,10 @@ def orthant_meet(polytope):
     primal lambda as its convex weights.  Otherwise the reduced costs of
     the surplus columns give the SeparationCertificate c, and delta = -t
     is its largest margin.  Either answer is checked first.
+
+    The simplex starts at the best single generator u_j*, the one whose
+    smallest coordinate u_j*,i* is largest: lambda_j* = 1, t = u_j*,i* and
+    s_i = u_j*,i - t >= 0 is a feasible basis, so there is no phase 1.
     """
     nums, den = polytope.nums, polytope.den
     n = polytope.arity
@@ -162,10 +166,19 @@ def orthant_meet(polytope):
             for i in range(n)]
     rows.append([1] * k + [0] * (2 + n))
     objective = [0] * k + [1, -1] + [0] * n
-    status, x, t, reduced = solve_lp(rows, [0] * n + [1], objective, [den] * n + [1])
+    # the lowest-index maximizer j* of min(u_j) and the lowest-index minimizer i* of u_j*
+    mins = [min(g) for g in nums]
+    best = max(range(k), key=mins.__getitem__)
+    low = nums[best].index(mins[best])
+    start = [k + 2 + i for i in range(n)] + [best]
+    start[low] = k if mins[best] >= 0 else k + 1
+    status, x, t, reduced = solve_lp(rows, [0] * n + [1], objective, [den] * n + [1],
+                                     start=start)
     if status == OPTIMAL and t < 0:
         # s_i's reduced cost is coordinate row i's optimal dual y_i <= 0, and c = -y
-        meet = SeparationCertificate(c=tuple(-r for r in reduced[k + 2:]), delta=-t)
+        costs, cden = reduced
+        meet = SeparationCertificate(c=tuple(Fraction(-v, cden) for v in costs[k + 2:]),
+                                     delta=-t)
         if meet.verify(polytope):
             return meet
     elif status == OPTIMAL:

@@ -7,7 +7,8 @@ that every pivot updates like the others.  The entering column is a sign
 test on that row and the ratio test compares by cross-multiplication, so
 no Fraction is built between the conversion on entry and the one on exit.
 A caller that holds integer numerators hands them over with each row's
-denominator, and they enter the tableau as they are.
+denominator, and they enter the tableau as they are.  A caller that knows a
+feasible basis names it, and phase 1 is skipped.
 """
 from __future__ import annotations
 
@@ -85,7 +86,24 @@ def _objective_row(cost, tableau, basis):
     return row, den
 
 
-def solve_lp(rows, rhs, objective, dens=None):
+def _start(tableau, start, n):
+    """Pivot column start[i] into row i by Gauss-Jordan, with no ratio test;
+    the basis, or ValueError if it is not a feasible one."""
+    m = len(tableau)
+    if (len(start) != m or len(set(start)) != m
+            or any(type(j) is not int or not 0 <= j < n for j in start)):
+        raise ValueError(f"start {start!r} is not {m} distinct columns of {n}")
+    basis = list(start)
+    for i, j in enumerate(start):
+        if not tableau[i][0][j]:
+            raise ValueError(f"start column {j} has a zero pivot in row {i}")
+        _pivot(tableau, basis, i, j)
+    if any(row[-1] < 0 for row, _ in tableau):
+        raise ValueError(f"start {start!r} is not a feasible basis")
+    return basis
+
+
+def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     """Maximize objective.x subject to rows.x = rhs, x >= 0.
 
     With ``dens``, constraint i is ``(rows[i] / dens[i]).x = rhs[i] / dens[i]``
@@ -93,9 +111,15 @@ def solve_lp(rows, rhs, objective, dens=None):
     numerators passes them as they are.  The row keeps that denominator in
     the tableau: multiplying it through would change the phase-1 objective,
     and with it the pivots Bland's rule makes.
+    With ``start``, a list naming one column per row whose basic solution
+    is feasible, phase 1 is skipped: column start[i] is pivoted into row i
+    and phase 2 runs from there.  A start that is not distinct columns in
+    range, meets a zero pivot or gives a negative basic value raises
+    ``ValueError``; there is no fallback.
     Returns ``(status, x, value, reduced)``, all but status None unless
-    optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
-    column j is the unit vector of row i, it is minus row i's optimal dual.
+    optimal.  ``reduced`` is ``(nums, den)``: ``nums[j] / den <= 0`` is the
+    reduced cost of column j, and where column j is the unit vector of row
+    i it is minus row i's optimal dual.
     A number that is not an exact rational raises ``TypeError``.
     """
     m, n = len(rows), len(objective)
@@ -103,29 +127,31 @@ def solve_lp(rows, rhs, objective, dens=None):
         dens = [1] * m
     elif any(type(d) is not int or d < 1 for d in dens) or len(dens) != m:
         raise TypeError(f"row denominators {dens!r} are not {m} positive ints")
-    tableau = []
-    for i in range(m):
-        row, den = _integer_row([*rows[i], rhs[i]], dens[i])
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[n:n] = [den if j == i else 0 for j in range(m)]
-        tableau.append((row, den))
-    basis = [n + i for i in range(m)]
+    tableau = [_integer_row([*rows[i], rhs[i]], dens[i]) for i in range(m)]
+    if start is not None:
+        basis = _start(tableau, start, n)
+    else:
+        for i, (row, den) in enumerate(tableau):
+            if row[-1] < 0:
+                row = [-v for v in row]
+            row[n:n] = [den if j == i else 0 for j in range(m)]
+            tableau[i] = (row, den)
+        basis = [n + i for i in range(m)]
 
-    tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis))
-    _optimize(tableau, basis)
-    if tableau.pop()[0][-1] > 0:
-        return INFEASIBLE, None, None, None
+        tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis))
+        _optimize(tableau, basis)
+        if tableau.pop()[0][-1] > 0:
+            return INFEASIBLE, None, None, None
 
-    # Drive leftover artificials out of the basis; a row that keeps one is redundant.
-    for i in range(m):
-        if basis[i] >= n:
-            j = next((j for j in range(n) if tableau[i][0][j]), -1)
-            if j >= 0:
-                _pivot(tableau, basis, i, j)
-    keep = [i for i in range(m) if basis[i] < n]
-    basis = [basis[i] for i in keep]
-    tableau = [(tableau[i][0][:n] + tableau[i][0][-1:], tableau[i][1]) for i in keep]
+        # Drive leftover artificials out of the basis; a row that keeps one is redundant.
+        for i in range(m):
+            if basis[i] >= n:
+                j = next((j for j in range(n) if tableau[i][0][j]), -1)
+                if j >= 0:
+                    _pivot(tableau, basis, i, j)
+        keep = [i for i in range(m) if basis[i] < n]
+        basis = [basis[i] for i in keep]
+        tableau = [(tableau[i][0][:n] + tableau[i][0][-1:], tableau[i][1]) for i in keep]
 
     tableau.append(_objective_row([*objective, 0], tableau, basis))
     if not _optimize(tableau, basis):
@@ -134,4 +160,4 @@ def solve_lp(rows, rhs, objective, dens=None):
     x = [Fraction(0)] * n
     for (row, den), b in zip(tableau, basis):
         x[b] = Fraction(row[-1], den)
-    return OPTIMAL, x, Fraction(-obj[-1], oden), [Fraction(v, oden) for v in obj[:-1]]
+    return OPTIMAL, x, Fraction(-obj[-1], oden), (obj[:-1], oden)

@@ -4,7 +4,9 @@ This is the two-phase Bland-rule solver that `vanishlab.simplex` replaced
 with an integer tableau: it rebuilds `Fraction` rows on every pivot and
 recomputes each reduced cost from scratch.  It shares no code with the
 library, so the tests can require that `vanishlab.simplex.solve_lp` returns
-exactly the same ``(status, x, value, reduced)`` on every LP.
+exactly the same ``(status, x, value, reduced)`` on every LP, with or without
+a start basis (``rational_result`` reads the library's integer reduced-cost
+row as the `Fraction` list this solver returns).
 """
 
 from fractions import Fraction
@@ -55,9 +57,29 @@ def _optimize(tableau, basis, cost):
         _pivot(tableau, basis, leave, enter)
 
 
-def solve_lp(rows, rhs, objective):
+def _start_basis(rows, rhs, start, n):
+    """The tableau and basis after pivoting column start[i] into row i, in
+    row order and with no ratio test; ValueError unless that basis exists
+    and is feasible."""
+    m = len(rows)
+    if len(start) != m or len(set(start)) != m or not all(0 <= j < n for j in start):
+        raise ValueError("the start must name distinct columns, one per row")
+    tableau = [r + [b] for r, b in zip(rows, rhs)]
+    basis = [None] * m
+    for i, j in enumerate(start):
+        if tableau[i][j] == 0:
+            raise ValueError("singular start basis")
+        _pivot(tableau, basis, i, j)
+    if any(r[-1] < 0 for r in tableau):
+        raise ValueError("infeasible start basis")
+    return tableau, basis
+
+
+def solve_lp(rows, rhs, objective, start=None):
     """Maximize objective.x subject to rows.x = rhs, x >= 0.
 
+    With ``start`` (one column per row, a feasible basis) phase 1 is
+    skipped and phase 2 runs from that basis.
     Returns ``(status, x, value, reduced)``, all but status None unless
     optimal.  ``reduced[j] <= 0`` is the reduced cost of column j; where
     column j is the unit vector of row i, it is minus row i's optimal dual.
@@ -67,6 +89,9 @@ def solve_lp(rows, rhs, objective):
     rows = [[Fraction(v) for v in r] for r in rows]
     rhs = [Fraction(v) for v in rhs]
     objective = [Fraction(v) for v in objective]
+    if start is not None:
+        tableau, basis = _start_basis(rows, rhs, start, n)
+        return _phase2(tableau, basis, objective)
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
@@ -98,7 +123,11 @@ def solve_lp(rows, rhs, objective):
         del basis[i]
     for r in tableau:
         del r[n:-1]
+    return _phase2(tableau, basis, objective)
 
+
+def _phase2(tableau, basis, objective):
+    n = len(objective)
     value = _optimize(tableau, basis, objective)
     if value is None:
         return UNBOUNDED, None, None, None
@@ -116,3 +145,13 @@ def rational_lp(rows, rhs, objective, dens=None):
     return ([[Fraction(v) / d for v in r] for r, d in zip(rows, dens)],
             [Fraction(b) / d for b, d in zip(rhs, dens)],
             [Fraction(v) for v in objective])
+
+
+def rational_result(result):
+    """The library's ``(status, x, value, reduced)`` with its integer
+    reduced-cost row ``(nums, den)`` read as a list of `Fraction`s."""
+    status, x, value, reduced = result
+    if reduced is not None:
+        nums, den = reduced
+        reduced = [Fraction(v, den) for v in nums]
+    return status, x, value, reduced

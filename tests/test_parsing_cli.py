@@ -296,6 +296,22 @@ class TestCli:
         assert out == ""
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [[], ["--homogeneous"]], ids=["ray", "homogeneous"])
+    @pytest.mark.parametrize("query, message", [
+        (["--u", "(1/2,1/2,0)"], "u has 3 coordinates, P has 2 variables"),
+        (["--u", "(1)"], "u has 1 coordinates, P has 2 variables"),
+        (["--u", "(1/2,1/2)", "-M", "0"], "horizon must be >= 1"),
+        (["--u", "(1/2,1/2)", "-M", "-2"], "horizon must be >= 1"),
+        (["--u", "(2,2)"], "Newton polytope"),
+    ], ids=["u-3d", "u-1d", "M-zero", "M-negative", "u-outside"])
+    def test_bad_density_request_prints_nothing(self, capsys, mode, query, message):
+        # density searches before it prints, with or without --homogeneous
+        code, out, err = run(capsys, "density", "--p", "x + y", *query, *mode,
+                             "--format", "structured")
+        assert code == 3
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

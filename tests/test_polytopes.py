@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import vanishlab.polytopes
 from fm_oracle import hull_meets_orthant
 from paper_oracle import same_set, scale_translate
-from simplex_oracle import rational_lp, solve_lp as oracle_solve_lp
+from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
 from vanishlab.parsing import parse_poly
-from vanishlab.simplex import UNBOUNDED
+from vanishlab.simplex import OPTIMAL, UNBOUNDED
 from vanishlab.polytopes import (
     RationalPolytope,
     SeparationCertificate,
@@ -103,15 +103,17 @@ class TestOrthantMeet:
         solve_lp = vanishlab.polytopes.solve_lp
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return solve_lp(*args)
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(vanishlab.polytopes, "solve_lp", counting)
         assert isinstance(orthant_meet(RationalPolytope(gens)), kind)
         assert len(calls) == 1
-        rows = calls[0][0]
+        (rows, *_), kwargs = calls[0]
         assert len(rows) == len(gens[0]) + 1
+        # the only keyword is the start basis, one column per row
+        assert list(kwargs) == ["start"] and len(kwargs["start"]) == len(rows)
 
     @pytest.mark.parametrize("gens, tamper", [
         # a certificate whose margin is too large
@@ -123,7 +125,7 @@ class TestOrthantMeet:
     def test_invalid_answer_raises(self, gens, tamper, monkeypatch):
         solve_lp = vanishlab.polytopes.solve_lp
         monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
-                            lambda *args: tamper(*solve_lp(*args)))
+                            lambda *args, **kwargs: tamper(*solve_lp(*args, **kwargs)))
         with pytest.raises(RuntimeError):
             orthant_meet(RationalPolytope(gens))
 
@@ -272,12 +274,25 @@ class TestNoFloats:
 # before: rationally the same LP, so the oracle gives the same answer
 
 COORDS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+# few values, so that coordinates and generators tie often
+TIE_COORDS = st.sampled_from([-2, -1, 0, 1, Fraction(-1, 2), Fraction(2, 3)])
 
 
 @st.composite
-def generator_lists(draw, n=None):
+def generator_lists(draw, n=None, max_size=12):
     n = draw(st.integers(1, 5)) if n is None else n
-    return draw(st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=12))
+    return draw(st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=max_size))
+
+
+@st.composite
+def tied_generator_lists(draw, max_size=12):
+    """Generators drawn with repetition from a pool of at most four points
+    whose coordinates often repeat: duplicates and ties on both the best
+    generator and its smallest coordinate."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.tuples(*[st.one_of(TIE_COORDS, COORDS)] * n),
+                         min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
 
 
 def fraction_orthant_lp(gens):
@@ -286,6 +301,20 @@ def fraction_orthant_lp(gens):
             for i in range(n)]
     rows.append([F(1)] * k + [F(0)] * (2 + n))
     return rows, [F(0)] * n + [F(1)], [F(0)] * k + [F(1), F(-1)] + [F(0)] * n
+
+
+def fraction_orthant_start(gens):
+    """The orthant LP's start basis, from the Fraction generators: j* has
+    the largest smallest coordinate and i* is where u_j* takes it, lowest
+    indices first; row i* holds t+ (t-, if u_j*,i* < 0), row i != i* its
+    surplus s_i, and the sum row lambda_j*."""
+    n, k = len(gens[0]), len(gens)
+    gens = [tuple(map(F, g)) for g in gens]
+    best = max(range(k), key=lambda j: (min(gens[j]), -j))
+    low = min(range(n), key=lambda i: (gens[best][i], i))
+    start = [k + 2 + i for i in range(n)] + [best]
+    start[low] = k if gens[best][low] >= 0 else k + 1
+    return start
 
 
 def fraction_membership_lp(gens, point):
@@ -303,24 +332,28 @@ def fraction_difference_lp(ga, gb, w):
 
 def sent_lps(monkeypatch):
     """Record, as Fraction LPs, every LP the polytope layer hands solve_lp,
-    with the result solve_lp returned for it."""
+    with its keyword arguments and the result solve_lp returned for it."""
     solve_lp = vanishlab.polytopes.solve_lp
     sent = []
 
-    def recording(rows, rhs, objective, dens=None):
-        result = solve_lp(rows, rhs, objective, dens)
-        sent.append((rational_lp(rows, rhs, objective, dens), result))
+    def recording(rows, rhs, objective, dens=None, **kwargs):
+        result = solve_lp(rows, rhs, objective, dens, **kwargs)
+        sent.append((rational_lp(rows, rhs, objective, dens), kwargs, result))
         return result
 
     monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
     return sent
 
 
-def assert_sent(sent, expected):
-    (lp, result), = sent
+def assert_sent(sent, expected, **kwargs):
+    """The one LP sent is ``expected`` with the keywords ``kwargs``, and the
+    oracle, given the same start, returns exactly the same answer."""
+    (lp, sent_kwargs, result), = sent
     assert lp == expected
-    assert result == oracle_solve_lp(*expected)
+    assert sent_kwargs == kwargs
+    assert rational_result(result) == oracle_solve_lp(*expected, **kwargs)
     sent.clear()
+    return result
 
 
 class TestIntegerRows:
@@ -330,7 +363,7 @@ class TestIntegerRows:
         with pytest.MonkeyPatch.context() as mp:
             sent = sent_lps(mp)
             meet = orthant_meet(RationalPolytope(gens))
-        assert_sent(sent, fraction_orthant_lp(gens))
+        assert_sent(sent, fraction_orthant_lp(gens), start=fraction_orthant_start(gens))
         assert isinstance(meet, (Witness, SeparationCertificate))
 
     @settings(max_examples=150, deadline=None)
@@ -371,6 +404,51 @@ class TestIntegerRows:
             assert tuple(u - v for u, v in zip(*pair)) == tuple(map(F, w))
             assert contains_point(RationalPolytope(ga), pair[0]) is not None
             assert contains_point(RationalPolytope(gb), pair[1]) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(generator_lists(), tied_generator_lists()))
+    def test_orthant_start_matches_oracle(self, gens):
+        # the start is the test's own, the answer the oracle's with that
+        # start, and t the two-phase oracle's: the optimal value is unique
+        # even where the optimum is tied
+        with pytest.MonkeyPatch.context() as mp:
+            sent = sent_lps(mp)
+            meet = orthant_meet(RationalPolytope(gens))
+        lp = fraction_orthant_lp(gens)
+        status, _, t, _ = assert_sent(sent, lp, start=fraction_orthant_start(gens))
+        assert status == OPTIMAL
+        assert t == oracle_solve_lp(*lp)[2]
+        if isinstance(meet, Witness):
+            assert t >= 0 and min(meet.point) == t
+        else:
+            assert t < 0 and meet.delta == -t
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(generator_lists(max_size=6), tied_generator_lists(max_size=6)))
+    def test_orthant_start_agrees_with_fm_oracle(self, gens):
+        meet = orthant_meet(RationalPolytope(gens))
+        assert isinstance(meet, Witness) == hull_meets_orthant(gens)
+
+    @pytest.mark.parametrize("gens", [[(-2, 1), (1, -2)], [(1, 2, 3), (-1, 0, 2), (3, -1, 0)]])
+    def test_orthant_bad_start_raises(self, gens):
+        lp = fraction_orthant_lp(gens)
+        n, k = len(gens[0]), len(gens)
+        good = fraction_orthant_start(gens)
+        # t+ and t- are parallel columns: t- has nothing left once t+ is basic
+        singular = [k, k + 1] + good[2:]
+        # generator 0 with a coordinate other than its smallest as t:
+        # the surplus of its smallest coordinate comes out negative
+        low = min(range(n), key=lambda i: gens[0][i])
+        other = (low + 1) % n
+        infeasible = [k + 2 + i for i in range(n)] + [0]
+        infeasible[other] = k if gens[0][other] >= 0 else k + 1
+        for start, match in ((singular, "zero pivot"), (infeasible, "feasible")):
+            with pytest.raises(ValueError, match=match):
+                vanishlab.polytopes.solve_lp(*lp, start=start)
+            with pytest.raises(ValueError):
+                oracle_solve_lp(*lp, start=start)
+        assert rational_result(vanishlab.polytopes.solve_lp(*lp, start=good)) == \
+            oracle_solve_lp(*lp, start=good)
 
     def test_storage(self):
         sigma = RationalPolytope([(Fraction(1, 2), -1), (Fraction(-5, 4), Fraction(2, 3))])

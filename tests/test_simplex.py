@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vanishlab.polytopes
 from golden_corpus import CORPUS, run
-from simplex_oracle import rational_lp, solve_lp as oracle_solve_lp
+from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
 from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -52,13 +52,14 @@ def test_exact_fractions_survive():
     # optimum at a fractional vertex: max x1 + x2, 3x1 + x2 <= 2, x1 + 3x2 <= 2
     rows = [[F(3), F(1), F(1), F(0)], [F(1), F(3), F(0), F(1)]]
     rhs = [F(2), F(2)]
-    status, x, value, reduced = solve_lp(rows, rhs, [F(1), F(1), F(0), F(0)])
+    status, x, value, (costs, den) = solve_lp(rows, rhs, [F(1), F(1), F(0), F(0)])
     assert status == OPTIMAL
     assert value == F(1)
     assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)
-    assert all(r <= 0 for r in reduced)
+    # the reduced costs come back as integers over one positive denominator
+    assert den > 0 and all(type(v) is int and v <= 0 for v in costs)
     # strong duality: the slacks' reduced costs are minus the optimal duals
-    y = [-r for r in reduced[2:]]
+    y = [Fraction(-v, den) for v in costs[2:]]
     assert y == [Fraction(1, 4), Fraction(1, 4)]
     assert sum(a * b for a, b in zip(y, rhs)) == value
 
@@ -96,7 +97,7 @@ def lps(draw):
 
 
 def assert_matches_oracle(rows, rhs, objective):
-    got = solve_lp(rows, rhs, objective)
+    got = rational_result(solve_lp(rows, rhs, objective))
     assert got == oracle_solve_lp(rows, rhs, objective)
     return got
 
@@ -114,7 +115,7 @@ def test_row_denominators_match_oracle(lp, data):
     # the rows divided out, so the same pivots and the same answer
     rows, rhs, objective = lp
     dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
-    assert solve_lp(rows, rhs, objective, dens) == oracle_solve_lp(
+    assert rational_result(solve_lp(rows, rhs, objective, dens)) == oracle_solve_lp(
         *rational_lp(rows, rhs, objective, dens))
 
 
@@ -164,10 +165,10 @@ def test_golden_corpus_lps_match_oracle(monkeypatch):
     monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
     seen = []
 
-    def recording(rows, rhs, objective, dens=None):
+    def recording(rows, rhs, objective, dens=None, **kwargs):
         args = rational_lp(rows, rhs, objective, dens)
-        result = solve_lp(rows, rhs, objective, dens)
-        seen.append((args, result))
+        result = solve_lp(rows, rhs, objective, dens, **kwargs)
+        seen.append((args, kwargs, result))
         return result
 
     monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
@@ -176,5 +177,76 @@ def test_golden_corpus_lps_match_oracle(monkeypatch):
         assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
     # every polytope request solves at least its orthant LP
     assert len(seen) >= sum(e["argv"][0] == "polytope" for e in entries) > 0
-    for args, result in seen:
-        assert result == oracle_solve_lp(*args)
+    for args, kwargs, result in seen:
+        assert rational_result(result) == oracle_solve_lp(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# A start basis named by the caller: pivoted in without phase 1, then the
+# same phase 2 as the oracle with the same start
+
+def _start_error(call):
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(lps(), st.data())
+def test_start_matches_oracle(lp, data):
+    # any distinct columns, one per row: the library raises exactly when the
+    # oracle finds the basis singular or infeasible, and agrees otherwise
+    rows, rhs, objective = lp
+    n = len(objective)
+    if len(rows) > n:
+        return
+    start = data.draw(st.permutations(range(n)))[:len(rows)]
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+    want, err = _start_error(lambda: oracle_solve_lp(
+        *rational_lp(rows, rhs, objective, dens), start=start))
+    if err is not None:
+        with pytest.raises(ValueError):
+            solve_lp(rows, rhs, objective, dens, start=start)
+    else:
+        assert rational_result(solve_lp(rows, rhs, objective, dens, start=start)) == want
+
+
+# x0 + x1 = 1, 2*x0 + 2*x1 + x2 = 3: columns 0 and 1 are parallel
+START_ROWS, START_OBJECTIVE = [[1, 1, 0], [2, 2, 1]], [0, 1, 1]
+
+
+@pytest.mark.parametrize("start", [
+    [1, 1],         # a repeated column
+    [0],            # too few columns
+    [0, 1, 2],      # too many
+    [0, 3],         # out of range
+    [-1, 0],        # out of range
+    [True, 2],      # not an int
+])
+def test_malformed_start_raises(start):
+    with pytest.raises(ValueError, match="distinct columns"):
+        solve_lp(START_ROWS, [1, 3], START_OBJECTIVE, start=start)
+
+
+@pytest.mark.parametrize("rhs, start, match", [
+    # x1 has nothing left in row 1 once x0 is basic in row 0
+    ([1, 3], [0, 1], "zero pivot"),
+    # x2 is not in row 0: columns are not reordered to find a pivot
+    ([1, 3], [2, 0], "zero pivot"),
+    # x0 = 1 leaves x2 = 1 - 2 = -1
+    ([1, 1], [0, 2], "feasible"),
+])
+def test_singular_or_infeasible_start_raises(rhs, start, match):
+    with pytest.raises(ValueError, match=match):
+        solve_lp(START_ROWS, rhs, START_OBJECTIVE, start=start)
+    with pytest.raises(ValueError):
+        oracle_solve_lp(START_ROWS, rhs, START_OBJECTIVE, start=start)
+
+
+def test_start_skips_phase_one():
+    # x0 = 1, x2 = 1 is feasible, and phase 2 moves from it to the same
+    # optimum the two phases reach (it is unique here)
+    result = solve_lp(START_ROWS, [1, 3], START_OBJECTIVE, start=[0, 2])
+    assert result == solve_lp(START_ROWS, [1, 3], START_OBJECTIVE)
+    assert result[:3] == (OPTIMAL, [0, 1, 1], 2)
