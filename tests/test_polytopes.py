@@ -285,11 +285,11 @@ def generator_lists(draw, n=None, max_size=12):
 
 
 @st.composite
-def tied_generator_lists(draw, max_size=12):
+def tied_generator_lists(draw, n=None, max_size=12):
     """Generators drawn with repetition from a pool of at most four points
     whose coordinates often repeat: duplicates and ties on both the best
     generator and its smallest coordinate."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5)) if n is None else n
     pool = draw(st.lists(st.tuples(*[st.one_of(TIE_COORDS, COORDS)] * n),
                          min_size=1, max_size=4))
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
@@ -357,14 +357,23 @@ def assert_sent(sent, expected, **kwargs):
 
 
 class TestIntegerRows:
-    @settings(max_examples=150, deadline=None)
-    @given(generator_lists())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(generator_lists(), tied_generator_lists()))
     def test_orthant_meet(self, gens):
+        # the start is the test's own, the answer the oracle's with that
+        # start, and t the two-phase oracle's: the optimal value is unique
+        # even where the optimum is tied
         with pytest.MonkeyPatch.context() as mp:
             sent = sent_lps(mp)
             meet = orthant_meet(RationalPolytope(gens))
-        assert_sent(sent, fraction_orthant_lp(gens), start=fraction_orthant_start(gens))
-        assert isinstance(meet, (Witness, SeparationCertificate))
+        lp = fraction_orthant_lp(gens)
+        status, _, t, _ = assert_sent(sent, lp, start=fraction_orthant_start(gens))
+        assert status == OPTIMAL
+        assert t == oracle_solve_lp(*lp)[2]
+        if isinstance(meet, Witness):
+            assert t >= 0 and min(meet.point) == t
+        else:
+            assert t < 0 and meet.delta == -t
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -405,29 +414,17 @@ class TestIntegerRows:
             assert contains_point(RationalPolytope(ga), pair[0]) is not None
             assert contains_point(RationalPolytope(gb), pair[1]) is not None
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(generator_lists(), tied_generator_lists()))
-    def test_orthant_start_matches_oracle(self, gens):
-        # the start is the test's own, the answer the oracle's with that
-        # start, and t the two-phase oracle's: the optimal value is unique
-        # even where the optimum is tied
-        with pytest.MonkeyPatch.context() as mp:
-            sent = sent_lps(mp)
-            meet = orthant_meet(RationalPolytope(gens))
-        lp = fraction_orthant_lp(gens)
-        status, _, t, _ = assert_sent(sent, lp, start=fraction_orthant_start(gens))
-        assert status == OPTIMAL
-        assert t == oracle_solve_lp(*lp)[2]
-        if isinstance(meet, Witness):
-            assert t >= 0 and min(meet.point) == t
-        else:
-            assert t < 0 and meet.delta == -t
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(generator_lists(max_size=6), tied_generator_lists(max_size=6)))
-    def test_orthant_start_agrees_with_fm_oracle(self, gens):
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_orthant_start_agrees_with_fm_oracle(self, data):
+        # Fourier-Motzkin grows doubly exponentially with the generators it
+        # eliminates: at most five distinct ones in Q^1..Q^3 keep it in
+        # tenths of a second
+        n = data.draw(st.integers(1, 3))
+        gens = data.draw(st.one_of(generator_lists(n, max_size=5),
+                                   tied_generator_lists(n, max_size=8)))
         meet = orthant_meet(RationalPolytope(gens))
-        assert isinstance(meet, Witness) == hull_meets_orthant(gens)
+        assert isinstance(meet, Witness) == hull_meets_orthant(sorted(set(gens)))
 
     @pytest.mark.parametrize("gens", [[(-2, 1), (1, -2)], [(1, 2, 3), (-1, 0, 2), (3, -1, 0)]])
     def test_orthant_bad_start_raises(self, gens):
@@ -447,8 +444,6 @@ class TestIntegerRows:
                 vanishlab.polytopes.solve_lp(*lp, start=start)
             with pytest.raises(ValueError):
                 oracle_solve_lp(*lp, start=start)
-        assert rational_result(vanishlab.polytopes.solve_lp(*lp, start=good)) == \
-            oracle_solve_lp(*lp, start=good)
 
     def test_storage(self):
         sigma = RationalPolytope([(Fraction(1, 2), -1), (Fraction(-5, 4), Fraction(2, 3))])
