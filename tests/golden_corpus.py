@@ -10,9 +10,10 @@ prints an orthant witness, a few polytope queries with several optimal
 answers, which pin the one the orthant LP prints, polytope queries whose
 generators have mixed denominators, requests that pin the printing and
 parsing of coefficients and the operator kernel at a larger horizon, and
-the series counterexamples at their precision edges and at M=10/D=20, and
-polytope queries on the edges of the orthant LP's start basis.  Only
-valid inputs are recorded.
+the series counterexamples at their precision edges and at M=10/D=20,
+polytope queries on the edges of the orthant LP's start basis, and the
+homogeneous density search, the operator-monomial, two-monomial-P and
+fractional-symbol case paths.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -103,6 +104,25 @@ SERIES_EDGES = [
     ["counterexample", "dk", "-M", "12", "-D", "12"],
     ["counterexample", "ddv", "-M", "10", "-D", "20"],
     ["counterexample", "dk", "-M", "10", "-D", "20"],
+]
+
+# the homogeneous density search (a hit, no hit, a negative degree), the
+# operator-monomial variant of the monomial case (a certificate, a
+# witness) and a fractional symbol, the two-monomial-P path of a
+# homogeneous operator (a certificate, a witness pair, the single-monomial
+# route), and fractional Phi (one with an order-1 coordinate change)
+CASE_PATHS = [
+    ["density", "--p=x^2 + y^2", "--u=(1/2,3/2)", "--homogeneous", "-M", "6"],
+    ["density", "--p=x^2 + y^2", "--u=(1/2,3/2)", "--homogeneous", "-M", "3"],
+    ["density", "--p=x^-1 + y^-1", "--u=(-1/2,-1/2)", "--homogeneous", "-M", "4"],
+    ["case", "monomial", "--op=dx^3", "--p=x*y + y^2", "--g=x", "-M", "6"],
+    ["case", "monomial", "--op=dx", "--p=x*y + y^2", "--g=x", "-M", "4"],
+    ["case", "monomial", "--op=1/2*dx^2 - 3/4*dy^2", "--p=x^2*y^2", "--g=x*y", "-M", "5"],
+    ["case", "two-monomial", "--op=dx^2", "--p=x*y + y", "-M", "4"],
+    ["case", "two-monomial", "--op=dx*dy", "--p=x^2*y + y^2", "-M", "5"],
+    ["case", "two-monomial", "--op=dx^2 + dx*dy", "--p=x*y", "-M", "4"],
+    ["case", "phi", "--phi=1/2*dy^2 - 2/3*dy^3", "--f=y", "--g=x*y", "-M", "6"],
+    ["case", "phi", "--phi=3/2*dy + dy^3", "--f=y^2", "--g=x + y", "-M", "6"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -228,7 +248,7 @@ def requests():
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
-            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES]
+            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS]
 
 
 def run(argv):
