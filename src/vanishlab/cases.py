@@ -115,7 +115,8 @@ def one_var_check(lam, p, g, horizon=8):
 
 def _phi_operator(phi):
     """Lift a one-variable symbol Phi(xi) to Phi(d_y) on two variables."""
-    return DiffOp(LaurentPoly(2, {(0, k): c for (k,), c in phi.terms.items()}))
+    nums = {(0, k): n for (k,), n in phi.nums.items()}
+    return DiffOp(LaurentPoly._from_integers(2, nums, phi.den))
 
 
 def phi_flow(phi, f):
@@ -208,11 +209,6 @@ def phi_case_check(phi, f, g, horizon=8):
 # ---------------------------------------------------------------------------
 # Monomial cases via Laurent polynomials with no holomorphic part
 
-def _monomial_exponent(poly):
-    (expo, _), = poly.terms.items()
-    return expo
-
-
 def monomial_case_check(op, p, g, horizon=8):
     """Case where P is a monomial z^alpha, or mirrored, Lambda = d^alpha.
 
@@ -227,17 +223,15 @@ def monomial_case_check(op, p, g, horizon=8):
         raise ValueError("P and the operator must be nonzero")
     n = p.arity
     if p.is_monomial():
-        alpha = _monomial_exponent(p)
+        alpha, = p.nums
         if any(a < 0 for a in alpha):
             raise ValueError("the monomial exponent must be in N^n")
         # f(z) = Lambda(z^{-1}) z^alpha
-        f = LaurentPoly(n, {
-            tuple(a - m for a, m in zip(alpha, mu)): c
-            for mu, c in op.symbol.terms.items()
-        })
+        nums = {tuple(a - m for a, m in zip(alpha, mu)): c for mu, c in op.symbol.nums.items()}
+        f = LaurentPoly._from_integers(n, nums, op.symbol.den)
         variant = "P-monomial"
     elif op.symbol.is_monomial():
-        alpha = _monomial_exponent(op.symbol)
+        alpha, = op.symbol.nums
         f = LaurentPoly.monomial(tuple(-a for a in alpha)) * p
         variant = "operator-monomial"
     else:
@@ -264,7 +258,7 @@ def monomial_case_check(op, p, g, horizon=8):
 
     checks.append(("Poly(f) disjoint from the nonnegative orthant", True))
     bound = 1
-    for gamma in g.terms:
+    for gamma in g.nums:
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
     # verify both routes on the tail, per monomial of g and for g as a whole
     verified, residuals = _verify_tail(profile, bound)
@@ -272,7 +266,7 @@ def monomial_case_check(op, p, g, horizon=8):
         if m < bound:
             continue
         op_m, p_m = op ** m, p ** m
-        for gamma in g.terms:
+        for gamma in g.nums:
             mono = LaurentPoly.monomial(gamma)
             direct = apply(op_m, p_m * mono).is_zero
             holo = (mono * f_m).holomorphic_part().is_zero
@@ -319,7 +313,7 @@ def _sigma_criterion(case, op, p, g, profile, checks):
         return CaseVerdict(case=case, checks=tuple(checks), notes=tuple(notes))
     checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", True))
     bound = 1
-    for gamma in g.terms:
+    for gamma in g.nums:
         bound = max(bound, moveaway_bound(gamma, sigma, meet))
     verified, residuals = _verify_tail(profile, bound)
     return CaseVerdict(
@@ -342,7 +336,7 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
         raise ValueError("exponents must be in N^n")
     if p.is_zero or not p.is_homogeneous():
         raise ValueError("P must be nonzero and homogeneous")
-    if any(x < 0 for e in p.terms for x in e):
+    if any(x < 0 for e in p.nums for x in e):
         raise ValueError("P must have support in N^n")
     a = Fraction(a)
     b = Fraction(b)
@@ -363,7 +357,7 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
     for entry, sym_m, p_m in profile_scan(op, p, g, horizon):
         entries.append(entry)
         support = _combination_support(alpha, beta, entry.m)
-        if entry.m <= 5 and set(sym_m.terms) != support:
+        if entry.m <= 5 and set(sym_m.nums) != support:
             support_ok = False
         if entry.pp_zero:
             for mu in support:
@@ -381,15 +375,15 @@ def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
         raise ValueError("operator symbol must be nonzero and homogeneous")
     if p.is_zero:
         raise ValueError("P must be nonzero")
-    if len(p.terms) > 2:
+    if len(p.nums) > 2:
         raise ValueError("P must be a sum of at most two monomials")
-    if any(x < 0 for e in p.terms for x in e):
+    if any(x < 0 for e in p.nums for x in e):
         raise ValueError("P must have support in N^n")
-    if len(p.terms) == 1:
+    if len(p.nums) == 1:
         verdict = monomial_case_check(op, p, g, horizon)
         return replace(verdict, case="two-monomial-P",
                        notes=verdict.notes + ("single monomial routed to the monomial case",))
-    (alpha, _), (beta, _) = p.terms.items()
+    alpha, beta = p.nums
     if sum(alpha) == sum(beta):
         raise ValueError("|alpha| must differ from |beta|")
     _check_horizon(horizon)
@@ -397,7 +391,7 @@ def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
     support_ok = True
     for entry, _, p_m in profile_scan(op, p, g, horizon):
         entries.append(entry)
-        if entry.m <= 5 and set(p_m.terms) != _combination_support(alpha, beta, entry.m):
+        if entry.m <= 5 and set(p_m.nums) != _combination_support(alpha, beta, entry.m):
             support_ok = False
     checks = [("Supp(P^m) = {k*alpha + l*beta}", support_ok)]
     profile = VanishingProfile(horizon=horizon, entries=tuple(entries))
@@ -475,7 +469,7 @@ def counterexample_dk(horizon, precision=12):
     f = e * LaurentPoly.monomial((-1, -1)) + LaurentPoly.monomial((0, -1))
     rows = []
     for m, f_m in enumerate(powers(f, horizon), start=1):
-        x_exps = {ex[0] for ex in f_m.body.terms}
+        x_exps = {ex[0] for ex in f_m.body.nums}
         checks = (
             ("constant term of f^m is 0", f_m.constant_term() == 0),
             ("constant term of f^m x is 1/(m-1)!",

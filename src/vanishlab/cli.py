@@ -80,7 +80,7 @@ def cmd_vanish(args, out):
     names = _split_vars(args.vars)
     op = parse_operator(_read_arg(args.op), names)
     p = parse_poly(_read_arg(args.p), names)
-    g = parse_poly(_read_arg(args.g), names) if args.g else None
+    g = None if args.g is None else parse_poly(_read_arg(args.g), names)
     profile = vanishing_profile(op, p, g, args.horizon)
     out.record("subcommand", "vanish")
     out.record("horizon", profile.horizon)
@@ -235,6 +235,11 @@ def _emit_verdict(verdict: CaseVerdict, out):
     return {"confirmed": 0, "hypothesis-fails": 1, "failed": 1, "inconclusive": 2}[verdict.status]
 
 
+def _multiplier(args, names):
+    """The case checkers' g: 1 when --g is absent, and an empty --g is a parse error."""
+    return parse_poly("1" if args.g is None else _read_arg(args.g), names)
+
+
 def cmd_case(args, out):
     names = _split_vars(args.vars)
     horizon = args.horizon
@@ -243,26 +248,27 @@ def cmd_case(args, out):
             raise ValueError("the one-variable case needs exactly one variable")
         lam = parse_operator(_read_arg(args.op), names).symbol
         p = parse_poly(_read_arg(args.p), names)
-        g = parse_poly(_read_arg(args.g) if args.g else "1", names)
+        g = _multiplier(args, names)
         verdict = cases.one_var_check(lam, p, g, horizon)
     elif args.which == "phi":
         if len(names) != 2:
             raise ValueError("the phi case needs exactly two variables")
         phi = parse_operator(_read_arg(args.phi), [names[1]]).symbol
         f = parse_poly(_read_arg(args.f), names)
-        g = parse_poly(_read_arg(args.g) if args.g else "1", names)
+        g = _multiplier(args, names)
         verdict = cases.phi_case_check(phi, f, g, horizon)
     elif args.which == "monomial":
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
-        g = parse_poly(_read_arg(args.g) if args.g else "1", names)
+        g = _multiplier(args, names)
         verdict = cases.monomial_case_check(op, p, g, horizon)
     else:  # two-monomial
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
-        g = parse_poly(_read_arg(args.g) if args.g else "1", names)
-        if len(op.symbol.terms) == 2 and not op.symbol.is_homogeneous():
-            (alpha, a), (beta, b) = op.symbol.terms.items()
+        g = _multiplier(args, names)
+        if len(op.symbol.nums) == 2 and not op.symbol.is_homogeneous():
+            alpha, beta = op.symbol.nums
+            a, b = op.symbol.coeff(alpha), op.symbol.coeff(beta)
             verdict = cases.two_monomial_check(a, alpha, b, beta, p, g, horizon)
         else:
             verdict = cases.homogeneous_two_monomial_p_check(op, p, g, horizon)

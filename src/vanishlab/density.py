@@ -91,26 +91,17 @@ def homogeneous_density(p, u, horizon):
     """Hits for homogeneous P: exactly the m with m*u in Supp(P^m).
 
     Homogeneity (generalized degree d != 0) pins the ray's intersection
-    with the degree-md hyperplane to the single point m*u.
+    with the degree-md hyperplane, which holds Supp(P^m), to the single
+    point m*u: these are the m of the ray search's hits.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    degrees = {sum(e) for e in p.terms}
+    degrees = {sum(e) for e in p.nums}
     if len(degrees) != 1:
         raise ValueError("P must be homogeneous")
-    d = degrees.pop()
-    if d == 0:
+    if degrees == {0}:
         raise ValueError("degree must be nonzero")
-    u = tuple(Fraction(exact(v)) for v in u)
-    if contains_point(newton_polytope(p), u) is None:
-        raise ValueError("u must lie in the Newton polytope of P")
-    hits = []
-    for m, p_m in enumerate(powers(p, horizon), start=1):
-        mu = tuple(m * v for v in u)
-        if all(v.denominator == 1 for v in mu):
-            if p_m.coeff(tuple(int(v) for v in mu)) != 0:
-                hits.append(m)
-    return hits
+    return [m for m, _ in ray_hits_support(p, u, horizon).hits]
 
 
 @dataclass(frozen=True)

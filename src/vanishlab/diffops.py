@@ -7,9 +7,6 @@ from operator import sub
 
 from .poly import LaurentPoly, TruncSeries, powers
 
-POLYNOMIAL = "polynomial"
-LAURENT = "laurent"
-
 
 class DiffOp:
     """The operator L(d) attached to a polynomial symbol L(xi).
@@ -62,44 +59,34 @@ class DiffOp:
 
 
 def _falling(mu, beta):
-    """The integer product of the falling factorials b (b-1) ... (b-m+1)."""
+    """The integer product of the falling factorials b (b-1) ... (b-m+1), for
+    b >= 0: zero as soon as some b < m."""
     coeff = 1
     for m, b in zip(mu, beta):
-        if not m:
-            continue
-        if b >= 0:
+        if m:
             if b < m:
                 return 0
             coeff *= perm(b, m)
-        else:
-            # b (b-1) ... (b-m+1) = (-1)^m (-b) (-b+1) ... (-b+m-1)
-            coeff *= perm(m - 1 - b, m) if m % 2 == 0 else -perm(m - 1 - b, m)
     return coeff
 
 
-def _apply_to_poly(op, poly, mode):
+def _apply_to_poly(op, poly):
     symbol = op.symbol
+    if symbol.nums and any(b < 0 for e in poly.nums for b in e):
+        raise ValueError("operand exponents must be in N^n")
+    # d^mu z^beta vanishes unless beta >= mu, so unless |beta| >= |mu|: each
+    # mu visits only those operand terms, filtered once per |mu| in the
+    # operand's order, which keeps the output's insertion order
     right = list(poly.nums.items())
-    if mode == POLYNOMIAL:
-        if symbol.nums and any(b < 0 for e in poly.nums for b in e):
-            raise ValueError("polynomial mode requires exponents in N^n")
-        # d^mu z^beta vanishes unless beta >= mu, so unless |beta| >= |mu|:
-        # each mu visits only those operand terms, filtered once per |mu| in
-        # the operand's order, which keeps the output's insertion order
-        degrees = [sum(beta) for beta, _ in right]
-        live = {}
-        rows = []
-        for mu, c in symbol.nums.items():
-            d = sum(mu)
-            if d not in live:
-                live[d] = [term for term, deg in zip(right, degrees) if deg >= d]
-            rows.append((mu, c, live[d]))
-    else:
-        rows = [(mu, c, right) for mu, c in symbol.nums.items()]
+    degrees = [sum(beta) for beta, _ in right]
+    live = {}
     out = {}
     get = out.get
-    for mu, c, partners in rows:
-        for beta, b in partners:
+    for mu, c in symbol.nums.items():
+        d = sum(mu)
+        if d not in live:
+            live[d] = [term for term, deg in zip(right, degrees) if deg >= d]
+        for beta, b in live[d]:
             coeff = _falling(mu, beta)
             if coeff:
                 expo = tuple(map(sub, beta, mu))
@@ -107,21 +94,20 @@ def _apply_to_poly(op, poly, mode):
     return LaurentPoly._from_integers(poly.arity, out, symbol.den * poly.den)
 
 
-def apply(op, operand, mode=POLYNOMIAL):
+def apply(op, operand):
     """Apply an operator to a LaurentPoly or TruncSeries, exactly.
 
-    Polynomial mode requires operand exponents in N^n; Laurent mode uses the
-    falling-factorial rule, the extension of d^mu z^beta to negative beta.
-    On a series, the output degree drops by the largest derivative order the
-    symbol takes in the truncated variable.
+    Operand exponents must lie in N^n: a nonzero operator raises ValueError
+    on a negative one.  On a series, the output degree drops by the largest
+    derivative order the symbol takes in the truncated variable.
     """
     if op.arity != operand.arity:
         raise ValueError("arity mismatch between operator and operand")
     if isinstance(operand, TruncSeries):
         v = operand.var
         degree = operand.degree - max((mu[v] for mu in op.symbol.nums), default=0)
-        return TruncSeries(_apply_to_poly(op, operand.body, mode), v, degree)
-    return _apply_to_poly(op, operand, mode)
+        return TruncSeries(_apply_to_poly(op, operand.body), v, degree)
+    return _apply_to_poly(op, operand)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A polynomial stores integer numerators over one positive denominator, in
 lowest terms, and every operation works on those integers: a product
 multiplies numerators pair by pair and reduces once with one ``gcd``.
-Coefficients are read as `fractions.Fraction` through the ``terms`` view;
-nothing in this module ever touches floating point, and a float
+Coefficients are read as `fractions.Fraction` through ``coeff`` or
+``terms``; nothing in this module ever touches floating point, and a float
 coefficient raises ``TypeError``.  A series product multiplies only the
 pairs that land within its provable degree.
 Values are immutable after construction and every operation returns a
@@ -13,12 +13,12 @@ fresh object, so sharing across threads is safe.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import add, index
+from types import MappingProxyType
 
 
 def grlex_key(expo):
@@ -32,39 +32,13 @@ def _default_names(arity):
     return tuple(f"z{i + 1}" for i in range(arity))
 
 
-class _Terms(Mapping):
-    """Read-only exponent -> `Fraction` view of a polynomial's integer storage.
-
-    Iterating or sizing it reads the stored keys; each `Fraction` is built
-    only when its coefficient is read.
-    """
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums, den):
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, expo):
-        return Fraction(self._nums[expo], self._den)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __len__(self):
-        return len(self._nums)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 class LaurentPoly:
     """A finite map from integer exponent vectors to nonzero rationals.
 
     Stored as integer numerators ``nums`` (exponent tuple -> int) over one
     positive denominator ``den``, in lowest terms: no numerator is zero and
     ``gcd(den, *nums.values()) == 1``.  Equal polynomials therefore have
-    equal storage.  ``terms`` is the exponent -> `Fraction` view of it.
+    equal storage.  ``terms`` is an exponent -> `Fraction` copy of it.
     Exponents may be negative.
     """
 
@@ -114,8 +88,8 @@ class LaurentPoly:
 
     @property
     def terms(self):
-        """Exponent -> `Fraction` coefficient, a read-only view."""
-        return _Terms(self.nums, self.den)
+        """Exponent -> `Fraction` coefficient, read-only, built on each read."""
+        return MappingProxyType({e: Fraction(n, self.den) for e, n in self.nums.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -235,7 +209,7 @@ class LaurentPoly:
         Requires every exponent of ``var`` in ``self`` to be nonnegative.
         """
         self._check_arity(replacement)
-        exponents = [e[var] for e in self.terms]
+        exponents = [e[var] for e in self.nums]
         if any(k < 0 for k in exponents):
             raise ValueError("cannot substitute into a negative exponent")
         replacement_powers = [LaurentPoly.one(self.arity),

@@ -94,7 +94,7 @@ def newton_polytope(poly):
     """Polytope generated by the support of a nonzero Laurent polynomial."""
     if poly.is_zero:
         raise ValueError("the zero polynomial has no Newton polytope")
-    return RationalPolytope(sorted(poly.terms))
+    return RationalPolytope(sorted(poly.nums))
 
 
 def minkowski_diff(a, b):

@@ -8,7 +8,7 @@ differentiates and prints those integers, cuts a series product inside its
 pair loop, visits only the live pairs of an operator application and tests
 a ray by integer cross-multiplication.  These kernels share no code with
 it: they take any ``{exponent tuple: coefficient}`` mapping (a plain dict
-or a polynomial's ``terms`` view), multiply and differentiate every pair
+or a polynomial's ``terms`` mapping), multiply and differentiate every pair
 and truncate afterwards, so the tests can cross-check the fast paths
 against them.
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracle import fraction_on_ray
+from kernel_oracle import fraction_mul, fraction_on_ray
 from vanishlab.density import (
     CONSISTENT,
     FOUND,
@@ -129,11 +129,28 @@ class TestHomogeneousDensity:
         with pytest.raises(ValueError):
             homogeneous_density(lp("x*y^-1 + 1", ("x", "y")), (0, 0), 4)
 
-    def test_agrees_with_ray_search_on_hit_set(self):
-        u = (Fraction(1, 2), Fraction(1, 2))
-        p = lp("x + y")
-        hit_ms = sorted({m for m, _ in ray_hits_support(p, u, 6).hits})
-        assert homogeneous_density(p, u, 6) == hit_ms
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 3), st.integers(-3, 3).filter(bool), st.integers(1, 5))
+    def test_hits_match_oracle(self, data, arity, degree, horizon):
+        # a homogeneous P of nonzero degree, negative exponents and negative
+        # degrees included, and u a support point or the midpoint of two:
+        # m is a hit iff m*u is an integer point whose coefficient in P^m,
+        # multiplied out in Fractions, is nonzero
+        head = st.tuples(*[st.integers(-3, 3)] * (arity - 1))
+        expo = head.map(lambda h: h + (degree - sum(h),))
+        coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+        terms = data.draw(st.dictionaries(expo, coeff, min_size=1, max_size=4))
+        p = LaurentPoly(arity, terms)
+        support = sorted(terms)
+        s1, s2 = data.draw(st.sampled_from(support)), data.draw(st.sampled_from(support))
+        u = tuple(Fraction(a + b, 2) for a, b in zip(s1, s2))
+        expected, p_m = [], {(0,) * arity: Fraction(1)}
+        for m in range(1, horizon + 1):
+            p_m = fraction_mul(p_m, terms)
+            mu = tuple(m * v for v in u)
+            if all(v.denominator == 1 for v in mu) and p_m.get(tuple(map(int, mu))):
+                expected.append(m)
+        assert homogeneous_density(p, u, horizon) == expected
 
 
 class TestDkCheck:

@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vanishlab.diffops import (
-    LAURENT,
-    POLYNOMIAL,
-    DiffOp,
-    apply,
-    vanishing_profile,
-)
+from vanishlab.diffops import DiffOp, apply, vanishing_profile
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries
 
@@ -22,9 +16,9 @@ def op(src):
     return parse_operator(src, ["x", "y"])
 
 
-def d(mu, beta, mode=POLYNOMIAL):
+def d(mu, beta):
     """d^mu applied to the monomial z^beta."""
-    return apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta), mode)
+    return apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta))
 
 
 class TestApplyMonomial:
@@ -33,28 +27,15 @@ class TestApplyMonomial:
         assert d((2, 0), (1, 3)).is_zero
         assert d((0, 2), (1, 3)) == LaurentPoly.monomial((1, 1), 6)
 
-    def test_laurent_mode(self):
-        # d_y (y^-1) = -y^-2
-        assert d((0, 1), (0, -1), LAURENT) == LaurentPoly.monomial((0, -2), -1)
-        assert d((0, 2), (0, -1), LAURENT) == LaurentPoly.monomial((0, -3), 2)
-
     def test_polynomial_mode_rejects_negative(self):
         with pytest.raises(ValueError):
             d((0, 1), (0, -1))
-
-    def test_modes_agree_on_natural_exponents(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            mu = (rng.randrange(4), rng.randrange(4))
-            beta = (rng.randrange(6), rng.randrange(6))
-            assert d(mu, beta) == d(mu, beta, LAURENT)
 
 
 class TestApply:
     def test_examples(self):
         assert apply(op("dx*dy"), lp("x*y")) == lp("1")
         assert apply(op("dx^2"), lp("x*y^3")).is_zero
-        assert apply(op("dy"), lp("y^-1"), LAURENT) == lp("-1*y^-2")
 
     def test_apply_power_example(self):
         r = apply(op("dx*dy") ** 2, lp("x^2 + y^2") ** 2)

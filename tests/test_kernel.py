@@ -14,7 +14,7 @@ from kernel_oracle import (
     truncate,
 )
 from vanishlab import poly
-from vanishlab.diffops import LAURENT, POLYNOMIAL, DiffOp, apply
+from vanishlab.diffops import DiffOp, apply
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
 
@@ -118,8 +118,9 @@ class TestCanonicalStorage:
         symbol = data.draw(polys(arity, lo=0, hi=3, max_size=3))
         var = data.draw(st.integers(0, arity - 1))
         degree = data.draw(st.integers(-3, 3))
+        natural = data.draw(polys(arity, lo=0, hi=3))
         results = [p, p * q, q * p, p + q, q + p, p - q, -p, p * s, s * p, p + s,
-                   apply(DiffOp(symbol), p, LAURENT),
+                   apply(DiffOp(symbol), natural),
                    TruncSeries(p, var, degree).body,
                    (TruncSeries(p, var, degree) * q).body,
                    (TruncSeries(p, var, degree) * TruncSeries(q, var, degree)).body]
@@ -313,9 +314,9 @@ class TestPowers:
                 x ** -1
 
 
-def monomial_derivative(mu, beta, mode):
+def monomial_derivative(mu, beta):
     """d^mu z^beta through apply, as (coefficient, exponent) like the oracle."""
-    out = apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta), mode)
+    out = apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta))
     assert_clean(out)
     assert len(out.terms) <= 1
     if out.is_zero:
@@ -327,45 +328,36 @@ def monomial_derivative(mu, beta, mode):
 class TestApply:
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 4))
-    def test_monomial_laurent_mode(self, data, arity):
-        mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
-        beta = data.draw(st.tuples(*[st.integers(-6, 6)] * arity))
-        assert monomial_derivative(mu, beta, LAURENT) == fraction_derivative(mu, beta)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 4))
     def test_monomial_polynomial_mode(self, data, arity):
         mu = data.draw(st.tuples(*[st.integers(0, 5)] * arity))
         beta = data.draw(st.tuples(*[st.integers(0, 6)] * arity))
-        coeff, expo = monomial_derivative(mu, beta, POLYNOMIAL)
+        coeff, expo = monomial_derivative(mu, beta)
         assert (coeff, expo) == fraction_derivative(mu, beta)
         assert (coeff == 0) == any(b < m for m, b in zip(mu, beta))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.integers(1, 4), st.booleans())
-    def test_apply_matches_oracle(self, data, arity, laurent):
-        # symbol exponents 0..5 against operand exponents -6..6 (Laurent) or
-        # 0..6 (polynomial): derivatives that outrun the exponent and the
-        # falling factorials of negative exponents both come up
+    @given(st.data(), st.integers(1, 4))
+    def test_apply_matches_oracle(self, data, arity):
+        # symbol exponents 0..5 against operand exponents 0..6: derivatives
+        # that outrun the exponent come up beside live ones
         symbol = data.draw(polys(arity, lo=0, hi=5, max_size=4))
-        operand = data.draw(polys(arity, lo=-6 if laurent else 0, hi=6))
-        out = apply(DiffOp(symbol), operand, LAURENT if laurent else POLYNOMIAL)
+        operand = data.draw(polys(arity, lo=0, hi=6))
+        out = apply(DiffOp(symbol), operand)
         assert_clean(out)
         assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 3), st.booleans())
-    def test_apply_matches_oracle_larger(self, data, arity, laurent):
+    @given(st.data(), st.integers(1, 3))
+    def test_apply_matches_oracle_larger(self, data, arity):
         # up to 6 symbol terms of total degree up to 8, against operands of
-        # total degree from below to above the symbol's: in polynomial mode
-        # most pairs are dead and skipped, the rest must come out as the
-        # oracle's, in its order
+        # total degree from below to above the symbol's: most pairs are dead
+        # and skipped, the rest must come out as the oracle's, in its order
         expo = st.lists(st.integers(0, arity - 1), max_size=8).map(
             lambda vs: tuple(vs.count(i) for i in range(arity)))
         symbol = data.draw(st.builds(lambda items: LaurentPoly(arity, dict(items)),
                                      st.lists(st.tuples(expo, fractions), max_size=6)))
-        operand = data.draw(polys(arity, lo=-4 if laurent else 0, hi=9, max_size=10))
-        out = apply(DiffOp(symbol), operand, LAURENT if laurent else POLYNOMIAL)
+        operand = data.draw(polys(arity, lo=0, hi=9, max_size=10))
+        out = apply(DiffOp(symbol), operand)
         assert_clean(out)
         assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
 

@@ -37,3 +37,11 @@ def test_every_exported_name_has_a_library_caller():
                 if name != "__init__.py" and isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert sorted(set(vanishlab.__all__) - imported) == []
+
+
+def test_only_poly_reads_terms():
+    # ``terms`` builds a Fraction for every coefficient on each read: the
+    # library reads the integer storage ``nums``/``den`` instead
+    reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name != "poly.py" and isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert reads == []

@@ -312,6 +312,20 @@ class TestCli:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["vanish", "--op", "dx*dy", "--p", "x^2 + y^2"],
+        ["case", "one-var", "--vars", "x", "--op", "dx^2", "--p", "x"],
+        ["case", "phi", "--phi", "dy^2", "--f", "y"],
+        ["case", "monomial", "--op", "dx^2", "--p", "x*y"],
+        ["case", "two-monomial", "--op", "dx^2 + dy^3", "--p", "x*y"],
+    ], ids=["vanish", "one-var", "phi", "monomial", "two-monomial"])
+    def test_empty_g_is_parse_error(self, capsys, argv):
+        # an empty --g is malformed text, as an empty --p is, not g = 1
+        code, out, err = run(capsys, *argv, "--g=", "-M", "3", "--format", "structured")
+        assert code == 3
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
