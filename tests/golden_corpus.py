@@ -13,7 +13,8 @@ parsing of coefficients and the operator kernel at a larger horizon, and
 the series counterexamples at their precision edges and at M=10/D=20,
 polytope queries on the edges of the orthant LP's start basis, and the
 homogeneous density search, the operator-monomial, two-monomial-P and
-fractional-symbol case paths.  Only valid inputs are recorded.
+fractional-symbol case paths, and the spellings of points that reach the
+polytope layer as integers or as fractions.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -123,6 +124,22 @@ CASE_PATHS = [
     ["case", "two-monomial", "--op=dx^2 + dx*dy", "--p=x*y", "-M", "4"],
     ["case", "phi", "--phi=1/2*dy^2 - 2/3*dy^3", "--f=y", "--g=x*y", "-M", "6"],
     ["case", "phi", "--phi=3/2*dy + dy^3", "--f=y^2", "--g=x + y", "-M", "6"],
+]
+
+# point spellings on the polytope request path: leading zeros, -0, blanks
+# around coordinates and parentheses, a trailing ';', integral p/q, integer
+# generators with fractional --point and --beta, one fractional coordinate
+# among integers; and fractional symbols whose move-away bounds come from
+# integer exponents, through Poly(f) and through Poly(P) - Poly(Lambda)
+SPELLINGS = [
+    ["polytope", "--sigma=(007,-2);(-0,-1);(-3,010)", "--point=(-0,-1)", "--beta=(007,-0)"],
+    ["polytope", "--sigma= ( 1 , -2 ) ; (-3, 1) ;", "--point=( 1 , -2 )", "--beta=( 2 , 3 )"],
+    ["polytope", "--sigma=(4/2,-3);(-1,6/3);(-12/4,-1)", "--beta=(2,1)"],
+    ["polytope", "--sigma=(-2,1);(1,-2);(-1,-1)", "--point=(-1/2,-1/2)", "--beta=(3/2,5/4)"],
+    ["polytope", "--sigma=(2,-1,0);(-1,2,-1);(0,0,3)", "--point=(1/3,1/3,1/3)"],
+    ["polytope", "--sigma=(-2,1,0);(1,-2,-1/3);(-1,-1,-1)", "--beta=(1,2,0)"],
+    ["case", "monomial", "--op=-3/2*dx^2*dy", "--p=x*y + x^3", "--g=x^2", "-M", "5"],
+    ["case", "two-monomial", "--op=1/2*dx^2 - 2/3*dy^3", "--p=x*y", "--g=x + y", "-M", "5"],
 ]
 
 NAMES = ("x", "y", "z")
@@ -248,7 +265,7 @@ def requests():
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
-            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS]
+            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS]
 
 
 def run(argv):
