@@ -4,12 +4,12 @@ Every query here (membership, orthant disjointness, move-away bounds) is
 expressed as a small rational LP over the generator list; no convex hull
 or H-representation is ever computed.
 
-A polytope converts its generators once, to integer numerators over one
-positive common denominator.  The LPs are built from those integers and
-reach the simplex as integer rows over their own denominators, and a
-separation certificate is verified by cross-multiplying integers, so no
-`Fraction` is built on the way in.  Answers (weights, points, c and delta)
-come back as `Fraction`s.
+A polytope stores its generators once, as integer numerators over one
+positive common denominator; integer generators are kept as they are.
+The LPs are built from those integers and reach the simplex as integer
+rows over their own denominators, and a separation certificate is
+verified by cross-multiplying integers, so no `Fraction` is built on the
+way in.  Answers (weights, points, c and delta) come back as `Fraction`s.
 """
 from __future__ import annotations
 
@@ -24,34 +24,55 @@ from .simplex import OPTIMAL, exact, solve_lp
 class RationalPolytope:
     """Convex hull of a finite generator set in Q^n.
 
-    The generator list may contain redundant (non-vertex) points.
-    ``generators`` holds them as `Fraction`s; ``nums`` holds the same
-    points as integer numerators over the one positive denominator ``den``.
+    The generator list may contain redundant (non-vertex) points.  ``nums``
+    holds them as integer numerators over the one positive denominator
+    ``den``, the lcm of their denominators: integer generators are stored
+    as they are, over 1.
     """
 
-    __slots__ = ("arity", "generators", "nums", "den")
+    __slots__ = ("arity", "nums", "den")
 
     def __init__(self, generators):
-        gens = tuple(tuple(v if type(v) is Fraction else Fraction(exact(v)) for v in g)
-                     for g in generators)
-        if not gens:
+        nums = tuple(map(tuple, generators))
+        if all(type(v) is int for g in nums for v in g):
+            den = 1
+        else:
+            gens = tuple(tuple(v if type(v) is int or type(v) is Fraction else Fraction(exact(v))
+                               for v in g) for g in nums)
+            den = lcm(*(v.denominator for g in gens for v in g))
+            nums = tuple(tuple(v.numerator * (den // v.denominator) for v in g) for g in gens)
+        if not nums:
             raise ValueError("a polytope needs at least one generator")
-        arity = len(gens[0])
-        if any(len(g) != arity for g in gens):
+        arity = len(nums[0])
+        if not arity:
+            raise ValueError("a generator needs at least one coordinate")
+        if any(len(g) != arity for g in nums):
             raise ValueError("generators must share one arity")
-        den = lcm(*(v.denominator for g in gens for v in g))
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "nums", tuple(
-            tuple(v.numerator * (den // v.denominator) for v in g) for g in gens))
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    @property
+    def generators(self):
+        """The generators as `Fraction`s, read-only, built on each read."""
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in g) for g in self.nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolytope is immutable")
 
     def __repr__(self):
-        pts = "; ".join("(" + ",".join(str(v) for v in g) + ")" for g in self.generators)
+        den = self.den
+        pts = "; ".join("(" + ",".join(str(Fraction(v, den)) for v in g) + ")"
+                        for g in self.nums)
         return f"RationalPolytope[{pts}]"
+
+
+def _over_lcm(values):
+    """Exact rationals as (integer numerators, the lcm of their denominators)."""
+    values = [exact(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -80,9 +101,8 @@ class SeparationCertificate:
         """
         if len(self.c) != polytope.arity:
             return False
-        c, delta = [exact(v) for v in self.c], exact(self.delta)
-        l = lcm(*(v.denominator for v in c))
-        cn = [v.numerator * (l // v.denominator) for v in c]
+        cn, l = _over_lcm(self.c)
+        delta = exact(self.delta)
         p, q = delta.numerator, delta.denominator
         if any(v < 0 for v in cn) or sum(cn) != l or p <= 0:
             return False
@@ -101,9 +121,15 @@ def minkowski_diff(a, b):
     """All pairwise generator differences: the Minkowski difference hull."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    gens = sorted({tuple(u - v for u, v in zip(ga, gb))
-                   for ga in a.generators for gb in b.generators})
-    return RationalPolytope(gens)
+    # integer differences over den; sorting and deduplicating them is the
+    # same as for the rational differences, since den > 0
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    rows = sorted({tuple(sa * u - sb * v for u, v in zip(ga, gb))
+                   for ga in a.nums for gb in b.nums})
+    if den > 1:
+        rows = [tuple(Fraction(v, den) for v in g) for g in rows]
+    return RationalPolytope(rows)
 
 
 def _combination(weights, polytope):
@@ -202,9 +228,13 @@ def moveaway_bound(beta, polytope, certificate):
     if len(beta) != polytope.arity:
         raise ValueError(f"beta has {len(beta)} coordinates, the polytope lives in "
                          f"dimension {polytope.arity}")
-    beta = tuple(Fraction(exact(v)) for v in beta)
-    cb = sum(a * b for a, b in zip(certificate.c, beta))
-    return max(1, (cb / certificate.delta).__floor__() + 1)
+    # with c = cn / l, beta = bn / lb and delta = p / q:
+    # (c.beta) / delta = q * (cn . bn) / (l * lb * p)
+    cn, l = _over_lcm(certificate.c)
+    bn, lb = _over_lcm(beta)
+    delta = exact(certificate.delta)
+    p, q = delta.numerator, delta.denominator
+    return max(1, q * sum(map(mul, cn, bn)) // (l * lb * p) + 1)
 
 
 def difference_decomposition(a, b, w):

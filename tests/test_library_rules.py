@@ -45,3 +45,11 @@ def test_only_poly_reads_terms():
     reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if name != "poly.py" and isinstance(node, ast.Attribute) and node.attr == "terms"]
     assert reads == []
+
+
+def test_no_library_reads_generators():
+    # ``RationalPolytope.generators`` builds a Fraction for every coordinate
+    # on each read: the library reads the integer storage ``nums``/``den``
+    reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "generators"]
+    assert reads == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parsing_oracle
 from vanishlab.cli import build_parser, main
 from vanishlab.parsing import (
     ParseError,
@@ -15,6 +16,33 @@ from vanishlab.parsing import (
     parse_poly,
 )
 from vanishlab.poly import LaurentPoly
+from vanishlab.polytopes import RationalPolytope
+
+# point and generator-list text: any string over the grammar's characters and
+# the ones int() would take, and near-misses joined from likely pieces
+POINT_TEXT = st.text(alphabet="0123456789-+/_. ,;()", max_size=24)
+POINT_PIECES = st.lists(
+    st.sampled_from(["0", "7", "007", "12", "-", "+", "/", "_", ".", " ", ",", ";", "(", ")",
+                     "-0", "1/2", "4/2", "-3/00", "(1,2)", " ( 1 , -2 ) "]),
+    max_size=10).map("".join)
+# well-formed generator lists in every spelling the grammar allows: blanks,
+# leading zeros, -0, p/q with q = 0 or with p/q integral, parentheses or none
+BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+COMPONENT = st.builds("{}{}{}{}{}".format, BLANKS, st.sampled_from(["", "-"]),
+                      st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+                      st.sampled_from(["", "/1", "/2", "/4", "/0", "/06"]), BLANKS)
+POINT_SPELLED = st.lists(
+    st.builds(lambda cs, parens: "(" + ",".join(cs) + ")" if parens else ",".join(cs),
+              st.lists(COMPONENT, min_size=1, max_size=3), st.booleans()),
+    min_size=1, max_size=3).map(";".join)
+
+
+def outcome(parse, src):
+    """What parse gives for src, or (ValueError, its message)."""
+    try:
+        return parse(src)
+    except ValueError as exc:
+        return ValueError, str(exc)
 
 
 class TestParsing:
@@ -57,6 +85,46 @@ class TestParsing:
     def test_fraction_rejects(self, src, message):
         with pytest.raises(ValueError, match=message):
             parse_fraction(src)
+
+    # an int for integral text, a Fraction where the text is p/q
+    @pytest.mark.parametrize("src, value", [
+        ("(1/2,-3)", (Fraction(1, 2), -3)), ("(007,-0)", (7, 0)), (" ( 1 , -2 ) ", (1, -2)),
+        ("3", (3,)), (" 1 ", (1,)), ("(4/2, 6/4)", (Fraction(2), Fraction(3, 2))),
+    ])
+    def test_point_accepts(self, src, value):
+        got = parse_point(src)
+        assert got == value
+        assert [type(v) for v in got] == [Fraction if type(v) is Fraction else int for v in value]
+
+    @pytest.mark.parametrize("src, message", [
+        ("+1", "not an exact fraction: '+1'"), ("(1_0,2)", "not an exact fraction: '1_0'"),
+        ("(1, 1 2)", "not an exact fraction: '1 2'"), ("- 1", "not an exact fraction: '- 1'"),
+        ("(1 /2)", "not an exact fraction: '1 /2'"), ("()", "not an exact fraction: ''"),
+        ("(1,)", "not an exact fraction: ''"), ("((1))", "not an exact fraction: '(1)'"),
+        ("(1", "not an exact fraction: '(1'"), ("1.5", "not an exact fraction: '1.5'"),
+        ("(1/0, x)", "zero denominator in '1/0'"), ("(x, 1/0)", "not an exact fraction: 'x'"),
+    ])
+    def test_point_rejects(self, src, message):
+        with pytest.raises(ValueError) as exc:
+            parse_point(src)
+        assert str(exc.value) == message
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(POINT_TEXT, POINT_PIECES, POINT_SPELLED))
+    def test_points_agree_with_fraction_oracle(self, src):
+        # the same strings accepted, the same values, the same error messages
+        got, want = outcome(parse_generators, src), outcome(parsing_oracle.parse_generators, src)
+        assert got == want
+        assert outcome(parse_point, src) == outcome(parsing_oracle.parse_point, src)
+        if isinstance(got, list):
+            assert all(type(v) is int for g in got for v in g) or "/" in src
+            # one storage from either parser's points
+            ours, theirs = outcome(RationalPolytope, got), outcome(RationalPolytope, want)
+            if isinstance(ours, RationalPolytope):
+                assert (ours.arity, ours.nums, ours.den, ours.generators) == (
+                    theirs.arity, theirs.nums, theirs.den, theirs.generators)
+            else:
+                assert ours == theirs
 
     def test_error_positions(self):
         src = "x + $"

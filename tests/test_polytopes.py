@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +451,60 @@ class TestIntegerRows:
         assert sigma.generators == ((Fraction(1, 2), F(-1)), (Fraction(-5, 4), Fraction(2, 3)))
         assert (sigma.nums, sigma.den) == (((6, -12), (-15, 8)), 12)
         assert (RationalPolytope([(2, 0)]).nums, RationalPolytope([(2, 0)]).den) == (((2, 0),), 1)
+        # integer generators are kept as they are; generators is built on read
+        rows = ((2, 0), (-1, 3))
+        sigma = RationalPolytope(rows)
+        assert (sigma.nums, sigma.den) == (rows, 1)
+        assert [type(v) for g in sigma.generators for v in g] == [Fraction] * 4
+        with pytest.raises(AttributeError):
+            sigma.generators = ()
+        # integral Fractions, bools and lists reach the same storage
+        assert RationalPolytope([[F(4) / 2, True]]).nums == ((2, 1),)
+        assert repr(sigma) == "RationalPolytope[(2,0); (-1,3)]"
+        assert repr(RationalPolytope([(Fraction(1, 2), -1)])) == "RationalPolytope[(1/2,-1)]"
+
+    @pytest.mark.parametrize("gens", [[()], [(), ()], [(F(1),), ()], [(), (1,)]])
+    def test_zero_coordinate_generator(self, gens):
+        with pytest.raises(ValueError):
+            RationalPolytope(gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists())
+    def test_integer_storage_is_the_fraction_storage(self, gens):
+        # the storage the constructor built from Fractions: nums over the lcm
+        # of the denominators, in the input's order
+        fractions = [tuple(map(F, g)) for g in gens]
+        den = lcm(*(v.denominator for g in fractions for v in g))
+        expected = tuple(tuple(v.numerator * (den // v.denominator) for v in g) for g in fractions)
+        for sigma in (RationalPolytope(gens), RationalPolytope(fractions)):
+            assert (sigma.nums, sigma.den) == (expected, den)
+            assert sigma.generators == tuple(fractions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_minkowski_diff(self, data):
+        # against the difference of the Fraction generators, sorted and
+        # deduplicated as minkowski_diff did it
+        n = data.draw(st.integers(1, 4))
+        a = RationalPolytope(data.draw(generator_lists(n, max_size=6)))
+        b = RationalPolytope(data.draw(generator_lists(n, max_size=6)))
+        expected = RationalPolytope(sorted({tuple(u - v for u, v in zip(ga, gb))
+                                            for ga in a.generators for gb in b.generators}))
+        got = minkowski_diff(a, b)
+        assert (got.nums, got.den) == (expected.nums, expected.den)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_moveaway_bound(self, data):
+        # against floor((c.beta) / delta) + 1 in Fractions, at least 1
+        gens = data.draw(generator_lists())
+        sigma = RationalPolytope(gens)
+        cert = orthant_meet(sigma)
+        if isinstance(cert, Witness):
+            return
+        beta = data.draw(st.tuples(*[COORDS] * sigma.arity))
+        cb = sum(c * F(v) for c, v in zip(cert.c, beta))
+        assert moveaway_bound(beta, sigma, cert) == max(1, (cb / cert.delta).__floor__() + 1)
 
 
 # ---------------------------------------------------------------------------
