@@ -8,24 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .poly import powers
 from .polytopes import contains_point, newton_polytope
-from .simplex import exact
+from .simplex import exact, over_lcm
 
 FOUND = "found"
 INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_FAILS = "hypothesis-fails"
 CONSISTENT = "consistent"
 PREDICTS_NONZERO = "predicts-nonzero"
-
-
-def _integers(values):
-    """Integers proportional to exact rationals, by one positive factor."""
-    values = [exact(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _ray(direction):
@@ -35,7 +27,7 @@ def _ray(direction):
     where v_j != 0, lam is on the ray iff lam_i*v_j == lam_j*v_i for every i
     and lam_j*v_j >= 0; for v = 0 the ray is the origin.
     """
-    v = _integers(direction)
+    v = over_lcm(direction)[0]
     j = next((i for i, x in enumerate(v) if x), None)
     if j is None:
         return lambda lam: not any(lam)
@@ -55,7 +47,7 @@ def on_ray(point, direction):
     cross-multiplication only; no floating-point slopes, and a float
     coordinate raises ``TypeError``.
     """
-    return _ray(direction)(_integers(point))
+    return _ray(direction)(over_lcm(point)[0])
 
 
 @dataclass(frozen=True)

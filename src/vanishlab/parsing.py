@@ -150,49 +150,36 @@ def parse_operator(src, varnames):
     return DiffOp(symbol)
 
 
-_NUMBER = r"-?\d+(?:/\d+)?"
-_FRACTION = re.compile(_NUMBER)
-# a point: components as _NUMBER with blanks around, joined by ',', in one
-# pair of parentheses (group 1) or in none (group 2)
-_COORDS = rf"\s*{_NUMBER}\s*(?:,\s*{_NUMBER}\s*)*"
-_POINT = re.compile(rf"\s*\(({_COORDS})\)\s*|({_COORDS})")
+_FRACTION = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def _coordinate(text):
-    """The value of text that matches _NUMBER, blanks around allowed: an
-    ``int``, or a `Fraction` where the text is p/q."""
-    num, slash, den = text.partition("/")
-    if not slash:
+def _coordinate(src):
+    """The value of "int" or "int/int", whitespace around allowed: an ``int``,
+    or a `Fraction` where the text is p/q."""
+    src = src.strip()
+    match = _FRACTION.fullmatch(src)
+    if not match:
+        raise ValueError(f"not an exact fraction: {src!r}")
+    num, den = match.groups()
+    if den is None:
         return int(num)
     den = int(den)
     if not den:
-        raise ValueError(f"zero denominator in {text.strip()!r}")
+        raise ValueError(f"zero denominator in {src!r}")
     return Fraction(int(num), den)
 
 
 def parse_fraction(src):
     """``int`` or ``int/int`` with a positive denominator, whitespace around allowed."""
-    src = src.strip()
-    if not _FRACTION.fullmatch(src):
-        raise ValueError(f"not an exact fraction: {src!r}")
     return Fraction(_coordinate(src))
 
 
 def parse_point(src):
     """Parse "(a,b,...)": an ``int`` for each integral component, a `Fraction` for p/q."""
-    match = _POINT.fullmatch(src)
-    if match is None:
-        # name the first component that is not an exact fraction
-        body = src.strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        for part in body.split(","):
-            parse_fraction(part)
-        # not reached: a point whose every component parses matches _POINT
-        raise ValueError(f"not a point: {src!r}")
-    body = match[1] or match[2]
-    # int alone reads the components of a point with no p/q, the common case
-    return tuple(map(_coordinate if "/" in body else int, body.split(",")))
+    src = src.strip()
+    if src.startswith("(") and src.endswith(")"):
+        src = src[1:-1]
+    return tuple(map(_coordinate, src.split(",")))
 
 
 def parse_generators(src):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .simplex import OPTIMAL, exact, solve_lp
+from .simplex import OPTIMAL, exact, over_lcm, solve_lp
 
 
 class RationalPolytope:
@@ -68,13 +68,6 @@ class RationalPolytope:
         return f"RationalPolytope[{pts}]"
 
 
-def _over_lcm(values):
-    """Exact rationals as (integer numerators, the lcm of their denominators)."""
-    values = [exact(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 @dataclass(frozen=True)
 class Witness:
     """A rational point of the polytope inside the nonnegative orthant."""
@@ -101,7 +94,7 @@ class SeparationCertificate:
         """
         if len(self.c) != polytope.arity:
             return False
-        cn, l = _over_lcm(self.c)
+        cn, l = over_lcm(self.c)
         delta = exact(self.delta)
         p, q = delta.numerator, delta.denominator
         if any(v < 0 for v in cn) or sum(cn) != l or p <= 0:
@@ -230,8 +223,8 @@ def moveaway_bound(beta, polytope, certificate):
                          f"dimension {polytope.arity}")
     # with c = cn / l, beta = bn / lb and delta = p / q:
     # (c.beta) / delta = q * (cn . bn) / (l * lb * p)
-    cn, l = _over_lcm(certificate.c)
-    bn, lb = _over_lcm(beta)
+    cn, l = over_lcm(certificate.c)
+    bn, lb = over_lcm(beta)
     delta = exact(certificate.delta)
     p, q = delta.numerator, delta.denominator
     return max(1, q * sum(map(mul, cn, bn)) // (l * lb * p) + 1)

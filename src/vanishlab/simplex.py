@@ -29,12 +29,19 @@ def exact(v):
     return v
 
 
+def over_lcm(values):
+    """Exact rationals as (integer numerators, the lcm of their denominators)."""
+    values = [exact(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _integer_row(values, den=1):
     """(integers, positive denominator) in lowest terms of a fresh list of
     exact rationals that are each over den."""
     if not all(type(v) is int for v in values):
-        scale = lcm(*(exact(v).denominator for v in values))
-        values, den = [v.numerator * (scale // v.denominator) for v in values], den * scale
+        values, scale = over_lcm(values)
+        den *= scale
     return _lowest(values, den)
 
 

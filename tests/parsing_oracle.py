@@ -1,8 +1,8 @@
 """The point parser as it was before it read coordinates as integers.
 
 Every coordinate goes through ``parse_fraction`` and comes back as a
-`Fraction`.  ``test_parsing_cli.py`` checks the library's one-match point
-parser against it: the same strings accepted and rejected, the same values.
+`Fraction`.  ``test_parsing_cli.py`` checks the library's int-per-coordinate
+point parser against it: the same strings accepted and rejected, the same values.
 """
 from __future__ import annotations
 
