@@ -340,13 +340,8 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
         raise ValueError("P must have support in N^n")
     a = Fraction(a)
     b = Fraction(b)
-    if not a and not b:
-        raise ValueError("operator must be nonzero")
     if not a or not b:
-        expo, coeff = (beta, b) if not a else (alpha, a)
-        verdict = monomial_case_check(DiffOp.monomial(expo, coeff), p, g, horizon)
-        return replace(verdict, case="two-monomial",
-                       notes=verdict.notes + ("degenerate pair routed to the monomial case",))
+        raise ValueError("both coefficients must be nonzero")
 
     _check_horizon(horizon)
     op = DiffOp(LaurentPoly(len(alpha), {alpha: a}) + LaurentPoly(len(beta), {beta: b}))

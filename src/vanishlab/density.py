@@ -40,16 +40,6 @@ def _ray(direction):
     return test
 
 
-def on_ray(point, direction):
-    """Exact test for point = k*direction with rational k >= 0.
-
-    For the zero direction the ray degenerates to the origin.  Uses
-    cross-multiplication only; no floating-point slopes, and a float
-    coordinate raises ``TypeError``.
-    """
-    return _ray(direction)(over_lcm(point)[0])
-
-
 @dataclass(frozen=True)
 class RaySearchReport:
     u: tuple

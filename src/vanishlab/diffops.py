@@ -41,10 +41,6 @@ class DiffOp:
     def arity(self):
         return self.symbol.arity
 
-    @classmethod
-    def monomial(cls, mu, coeff=1):
-        return cls(LaurentPoly.monomial(mu, coeff))
-
     def __pow__(self, m):
         return DiffOp._from_symbol(self.symbol ** m)
 

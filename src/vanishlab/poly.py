@@ -124,9 +124,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.nums
 
-    def support(self):
-        return set(self.nums)
-
     def coeff(self, expo):
         n = self.nums.get(tuple(expo), 0)
         return Fraction(n, self.den) if n else Fraction(0)
@@ -185,9 +182,6 @@ class LaurentPoly:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,12 +337,6 @@ class TruncSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncSeries(-self.body, self.var, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         body, degree = self._operand(other)
         if degree is None:
@@ -381,20 +369,10 @@ class TruncSeries:
     def constant_term(self):
         return self.coeff((0,) * self.arity)
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.body, self.var, self.degree) == (other.body, other.var, other.degree)
-
-    def __hash__(self):
-        return hash((self.body, self.var, self.degree))
-
-    def to_string(self, names=None):
-        names = names or _default_names(self.arity)
-        return f"{self.body.to_string(names)}  (mod {names[self.var]}<={self.degree})"
-
     def __repr__(self):
-        return f"TruncSeries({self.to_string()!r})"
+        names = _default_names(self.arity)
+        text = f"{self.body.to_string(names)}  (mod {names[self.var]}<={self.degree})"
+        return f"TruncSeries({text!r})"
 
 
 def _product(a, b, cut=None):

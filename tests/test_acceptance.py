@@ -252,7 +252,7 @@ def test_criterion_10_operator_algebra():
     for _ in range(200):
         o1, o2, p = rop(), rop(), rpoly()
         assert apply(o1, apply(o2, p)) == apply(o2, apply(o1, p))
-    dx, dy = DiffOp.monomial((1, 0)), DiffOp.monomial((0, 1))
+    dx, dy = DiffOp(LaurentPoly.monomial((1, 0))), DiffOp(LaurentPoly.monomial((0, 1)))
     for _ in range(200):
         p, q = rpoly(), rpoly()
         d = rng.choice([dx, dy])

@@ -137,8 +137,7 @@ class TestCanonicalStorage:
     def test_truncation_drops_the_denominator_it_carried(self):
         x_half = LaurentPoly(2, {(1, 0): Fraction(1, 2)})
         cut = TruncSeries(x_half + LaurentPoly(2, {(0, 5): Fraction(1, 3)}), 1, 1)
-        assert cut == TruncSeries(x_half, 1, 1)
-        assert hash(cut) == hash(TruncSeries(x_half, 1, 1))
+        assert (cut.body, cut.var, cut.degree) == (x_half, 1, 1)
         assert (cut.body.nums, cut.body.den) == ({(1, 0): 1}, 2)
 
     def test_zero_has_denominator_one(self):
@@ -206,7 +205,7 @@ class TestSeriesProduct:
             mp.setattr(TruncSeries, "__init__", counting)
             prod = a * b
         assert calls == []
-        assert prod == TruncSeries(prod.body, prod.var, prod.degree)
+        assert prod.body == TruncSeries(prod.body, prod.var, prod.degree).body
 
     def test_zero_body_lowers_precision_with_negative_partner(self):
         # O(y^4) (precision 3) times y^-2 is O(y^2): trustworthy up to y^1
@@ -221,11 +220,11 @@ class TestSeriesProduct:
     def test_exact_operands_keep_integer_precision(self):
         s = TruncSeries(LaurentPoly.variable(2, 1), 1, 3)
         x = LaurentPoly.variable(2, 0)
-        for result in (s + x, x + s, s - x, s * x, x * s, s + 2, s - Fraction(1, 2), s * 3):
+        for result in (s + x, x + s, s + -x, s * x, x * s, s + 2, s + Fraction(-1, 2), s * 3):
             assert type(result.degree) is int
             assert (result.var, result.degree) == (1, 3)
-            assert result.to_string().endswith("  (mod y<=3)")
-        assert s.to_string(["a", "b"]) == "b  (mod b<=3)"
+            assert repr(result).endswith("  (mod y<=3)')")
+        assert repr(s) == "TruncSeries('y  (mod y<=3)')"
 
     def test_rejects_other_operands(self):
         s = TruncSeries(LaurentPoly.variable(2, 1), 1, 3)
@@ -276,7 +275,8 @@ class TestPowers:
             # every claimed precision is provable against the untruncated power
             assert s_m.body.terms == truncate(exact, 1, s_m.degree)
             # ** m is the last element of powers: same body, same degree
-            assert s ** m == list(powers(s, m))[-1] == s_m
+            for other in (s ** m, list(powers(s, m))[-1]):
+                assert (other.body, other.var, other.degree) == (s_m.body, s_m.var, s_m.degree)
 
     def test_one_product_per_power(self, monkeypatch):
         products = []
@@ -308,7 +308,8 @@ class TestPowers:
             s ** m
             assert len(products) == max(m - 1, 0)
         assert p ** 0 == LaurentPoly.one(2)
-        assert s ** 0 == TruncSeries(LaurentPoly.one(2), 1, 4)
+        one = s ** 0
+        assert (one.body, one.var, one.degree) == (LaurentPoly.one(2), 1, 4)
         for x in (p, s):
             with pytest.raises(ValueError):
                 x ** -1
@@ -316,7 +317,7 @@ class TestPowers:
 
 def monomial_derivative(mu, beta):
     """d^mu z^beta through apply, as (coefficient, exponent) like the oracle."""
-    out = apply(DiffOp.monomial(mu), LaurentPoly.monomial(beta))
+    out = apply(DiffOp(LaurentPoly.monomial(mu)), LaurentPoly.monomial(beta))
     assert_clean(out)
     assert len(out.terms) <= 1
     if out.is_zero:
@@ -376,9 +377,9 @@ class TestApply:
 
     def test_polynomial_mode_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
-            apply(DiffOp.monomial((0, 1)), LaurentPoly.monomial((0, -1)))
+            apply(DiffOp(LaurentPoly.monomial((0, 1))), LaurentPoly.monomial((0, -1)))
         with pytest.raises(ValueError):
-            apply(DiffOp.monomial((0, 0)), LaurentPoly.monomial((0, -1)))
+            apply(DiffOp(LaurentPoly.monomial((0, 0))), LaurentPoly.monomial((0, -1)))
         # the zero operator never differentiates anything
         assert apply(DiffOp(LaurentPoly.zero(2)), LaurentPoly.monomial((0, -1))).is_zero
 

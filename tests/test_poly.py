@@ -59,7 +59,7 @@ class TestBasics:
 
     def test_zero_coefficients_dropped(self):
         p = LaurentPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
-        assert p.support() == {(1, 0)}
+        assert set(p.terms) == {(1, 0)}
 
     def test_rejects_float_coefficients(self):
         # 0.1 would be stored as 3602879701896397/36028797018963968
@@ -131,8 +131,8 @@ class TestRingLaws:
     def test_support_of_power_contained_in_sumset(self, p, m):
         sums = {(0, 0)}
         for _ in range(m):
-            sums = {tuple(a + b for a, b in zip(s, u)) for s in sums for u in p.support()}
-        assert (p ** m).support() <= sums
+            sums = {tuple(a + b for a, b in zip(s, u)) for s in sums for u in p.terms}
+        assert set((p ** m).terms) <= sums
 
     @settings(max_examples=30, deadline=None)
     @given(polys, st.integers(1, 3))
@@ -225,6 +225,7 @@ class TestTruncSeries:
         # body agrees with the exact power up to the claimed precision
         for m in range(1, 5):
             pw = f ** m
-            assert pw == list(powers(f, m))[-1]
+            last = list(powers(f, m))[-1]
+            assert (pw.body, pw.var, pw.degree) == (last.body, last.var, last.degree)
             exact = lp("y^-1 + y") ** m
             assert pw.body == TruncSeries(exact, 1, pw.degree).body
