@@ -266,8 +266,9 @@ def cmd_case(args, out):
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
         g = _multiplier(args, names)
-        if len(op.symbol.nums) == 2 and not op.symbol.is_homogeneous():
-            alpha, beta = op.symbol.nums
+        exponents = op.symbol.exponents()
+        if len(exponents) == 2 and not op.symbol.is_homogeneous():
+            alpha, beta = exponents
             a, b = op.symbol.coeff(alpha), op.symbol.coeff(beta)
             verdict = cases.two_monomial_check(a, alpha, b, beta, p, g, horizon)
         else:

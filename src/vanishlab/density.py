@@ -62,7 +62,7 @@ def ray_hits_support(p, u, horizon):
     hit = _ray(u)
     hits = []
     for m, p_m in enumerate(powers(p, horizon), start=1):
-        for lam in sorted(p_m.nums):
+        for lam in sorted(p_m.exponents()):
             if hit(lam):
                 hits.append((m, lam))
     verdict = FOUND if hits else INCONCLUSIVE
@@ -78,7 +78,7 @@ def homogeneous_density(p, u, horizon):
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    degrees = {sum(e) for e in p.nums}
+    degrees = {sum(e) for e in p.exponents()}
     if len(degrees) != 1:
         raise ValueError("P must be homogeneous")
     if degrees == {0}:

@@ -18,9 +18,8 @@ class DiffOp:
     __slots__ = ("symbol",)
 
     def __init__(self, symbol):
-        for e in symbol.nums:
-            if any(x < 0 for x in e):
-                raise ValueError("operator symbol must have nonnegative exponents")
+        if not symbol.is_holomorphic():
+            raise ValueError("operator symbol must have nonnegative exponents")
         object.__setattr__(self, "symbol", symbol)
 
     @classmethod
@@ -68,7 +67,7 @@ def _falling(mu, beta):
 
 def _apply_to_poly(op, poly):
     symbol = op.symbol
-    if symbol.nums and any(b < 0 for e in poly.nums for b in e):
+    if not symbol.is_zero and not poly.is_holomorphic():
         raise ValueError("operand exponents must be in N^n")
     # d^mu z^beta vanishes unless beta >= mu, so unless |beta| >= |mu|: each
     # mu visits only those operand terms, filtered once per |mu| in the
@@ -101,7 +100,7 @@ def apply(op, operand):
         raise ValueError("arity mismatch between operator and operand")
     if isinstance(operand, TruncSeries):
         v = operand.var
-        degree = operand.degree - max((mu[v] for mu in op.symbol.nums), default=0)
+        degree = operand.degree - (op.symbol.degree_in(v) or 0)
         return TruncSeries(_apply_to_poly(op, operand.body), v, degree)
     return _apply_to_poly(op, operand)
 

@@ -124,6 +124,19 @@ class LaurentPoly:
     def is_zero(self):
         return not self.nums
 
+    def exponents(self):
+        """The exponent tuples of the terms, in storage order."""
+        return tuple(self.nums)
+
+    def integer_items(self):
+        """``(exponent tuple, numerator)`` per term, in storage order; each
+        coefficient is the numerator over ``den``."""
+        return list(self.nums.items())
+
+    def is_holomorphic(self):
+        """Whether every exponent vector lies in N^n."""
+        return all(x >= 0 for e in self.nums for x in e)
+
     def coeff(self, expo):
         n = self.nums.get(tuple(expo), 0)
         return Fraction(n, self.den) if n else Fraction(0)

@@ -107,7 +107,7 @@ def newton_polytope(poly):
     """Polytope generated by the support of a nonzero Laurent polynomial."""
     if poly.is_zero:
         raise ValueError("the zero polynomial has no Newton polytope")
-    return RationalPolytope(sorted(poly.nums))
+    return RationalPolytope(sorted(poly.exponents()))
 
 
 def minkowski_diff(a, b):

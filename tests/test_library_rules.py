@@ -53,3 +53,17 @@ def test_no_library_reads_generators():
     reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "generators"]
     assert reads == []
+
+
+def test_only_poly_and_diffops_read_polynomial_storage():
+    # outside the kernel, exponents are read through LaurentPoly's tuple
+    # views (exponents, integer_items, is_holomorphic, coeff, ...).  polytopes.py
+    # reads the integer rows of its own RationalPolytope, which are also named
+    # ``nums``, through ``self``, ``polytope``, ``a`` and ``b``
+    polytope_names = {"self", "polytope", "a", "b"}
+    reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name not in ("poly.py", "diffops.py")
+             and isinstance(node, ast.Attribute) and node.attr == "nums"
+             and not (name == "polytopes.py" and isinstance(node.value, ast.Name)
+                      and node.value.id in polytope_names)]
+    assert reads == []
