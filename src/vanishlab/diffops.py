@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import perm
-from operator import sub
+from math import perm, prod
 
 from .poly import LaurentPoly, TruncSeries, powers
 
@@ -55,38 +54,37 @@ class DiffOp:
 
 def _falling(mu, beta):
     """The integer product of the falling factorials b (b-1) ... (b-m+1), for
-    b >= 0: zero as soon as some b < m."""
-    coeff = 1
-    for m, b in zip(mu, beta):
-        if m:
-            if b < m:
-                return 0
-            coeff *= perm(b, m)
-    return coeff
+    beta >= mu: every factor is positive."""
+    return prod(map(perm, beta, mu))
 
 
 def _apply_to_poly(op, poly):
     symbol = op.symbol
     if not symbol.is_zero and not poly.is_holomorphic():
         raise ValueError("operand exponents must be in N^n")
-    # d^mu z^beta vanishes unless beta >= mu, so unless |beta| >= |mu|: each
-    # mu visits only those operand terms, filtered once per |mu| in the
-    # operand's order, which keeps the output's insertion order
-    right = list(poly.nums.items())
-    degrees = [sum(beta) for beta, _ in right]
-    live = {}
+    # d^mu z^beta vanishes unless beta >= mu.  With both keys at one width
+    # that is one guard-bit test (see the poly module): every slot of
+    # beta + guards - mu keeps its top bit.  Only those pairs reach
+    # _falling, mu by mu in the operand's order, which keeps the output's
+    # insertion order.  A key in N^n reads its slots without the bias.
+    wide = symbol if symbol.reach >= poly.reach else poly
+    layout = wide.layout
+    _, shifts, guards, mask, _ = layout
+    betas = poly._at(layout)
+    right = list(zip(map(guards.__add__, betas), betas, betas.values()))
     out = {}
     get = out.get
-    for mu, c in symbol.nums.items():
-        d = sum(mu)
-        if d not in live:
-            live[d] = [term for term, deg in zip(right, degrees) if deg >= d]
-        for beta, b in live[d]:
-            coeff = _falling(mu, beta)
-            if coeff:
-                expo = tuple(map(sub, beta, mu))
-                out[expo] = get(expo, 0) + c * b * coeff
-    return LaurentPoly._from_integers(poly.arity, out, symbol.den * poly.den)
+    for mu, c in symbol._at(layout).items():
+        mu_expo = None
+        for biased, beta, b in right:
+            if biased - mu & guards == guards:
+                if mu_expo is None:
+                    mu_expo = tuple([mu >> s & mask for s in shifts])
+                expo = beta - mu
+                beta_expo = tuple([beta >> s & mask for s in shifts])
+                out[expo] = get(expo, 0) + c * b * _falling(mu_expo, beta_expo)
+    # 0 <= beta - mu <= beta: the output's exponents lie within the wider reach
+    return LaurentPoly._from_keys(poly.arity, out, symbol.den * poly.den, wide.reach, layout)
 
 
 def apply(op, operand):

@@ -7,6 +7,34 @@ Coefficients are read as `fractions.Fraction` through ``coeff`` or
 ``terms``; nothing in this module ever touches floating point, and a float
 coefficient raises ``TypeError``.  A series product multiplies only the
 pairs that land within its provable degree.
+
+Each monomial is stored as one packed ``int`` key (after Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  With slot width W, the exponent vector e packs to
+``sum(e[i] << W*i)``.  The packing is linear, so ``key(e1) + key(e2) ==
+key(e1 + e2)`` also for negative exponents, and a monomial product is one
+integer add.  Let ``half = 2**(W-1)``, ``mask = 2**W - 1`` and ``guards``
+the integer with ``half`` in every slot.  While every exponent has absolute
+value below ``half``, slot i reads back as ``((key + guards) >> W*i & mask)
+- half``.  Slot i of ``key + guards`` has its top bit set exactly when
+e[i] >= 0, so e is in N^n iff ``(key + guards) & guards == guards``.  For
+beta, mu in N^n, beta >= mu is that test on ``key(beta) - key(mu)``: one
+subtract, one add and one mask.
+
+Each polynomial carries ``reach``, a bound on the absolute value of its
+exponents, and packs its keys at ``width = _width(arity, reach)``: ``30 //
+arity`` bits, doubled until ``reach < 2**(width-1)``.  At the first width a
+key stays below 2**30 even plus ``guards``, which keeps it one digit of a
+CPython int, whose arithmetic and hash take the fast path.  An operation
+bounds the reach of its result before it starts: the sum of the operands'
+reaches for a product, their maximum for a sum.  It works at the width of
+that bound and repacks an operand stored narrower.  A width therefore only
+ever widens, and no slot wraps into its neighbour.  Two equal polynomials
+with different reach bounds compare equal and hash alike.  The tuple views
+(``terms``, ``exponents``, ``integer_items``, ``to_string`` and the rest)
+unpack the keys, and outside this module and `vanishlab.diffops` nothing
+reads a key.
+
 Values are immutable after construction and every operation returns a
 fresh object, so sharing across threads is safe.
 """
@@ -14,11 +42,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from functools import cache, reduce
+from itertools import chain, repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, index
+from operator import and_, index, itemgetter, lshift, rshift
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 def grlex_key(expo):
@@ -32,17 +62,63 @@ def _default_names(arity):
     return tuple(f"z{i + 1}" for i in range(arity))
 
 
+def _width(arity, reach):
+    """The slot width for ``arity`` slots holding exponents of absolute value
+    at most ``reach``: ``30 // arity`` (at least 2), doubled until it holds them."""
+    width = max(2, 30 // arity)
+    while reach >> (width - 1):
+        width *= 2
+    return width
+
+
+class _Layout(NamedTuple):
+    """``arity`` slots of ``width`` bits: ``guards`` holds ``half`` in every
+    slot, and is also the bias of a read."""
+    width: int
+    shifts: tuple
+    guards: int
+    mask: int
+    half: int
+
+
+@cache
+def _layout(arity, width):
+    """The one `_Layout` of the arity and width, so layouts compare by identity."""
+    shifts = tuple(range(0, arity * width, width))
+    half = 1 << (width - 1)
+    return _Layout(width, shifts, sum(half << s for s in shifts), (1 << width) - 1, half)
+
+
+def _pack_all(expos, layout):
+    """The keys of the exponent tuples ``expos``, in order."""
+    shifts = layout.shifts
+    return [sum(map(lshift, e, shifts)) for e in expos]
+
+
+def _unpack_all(keys, layout):
+    """The exponent tuples of ``keys``, in order."""
+    _, shifts, guards, mask, half = layout
+    return [tuple([(k >> s & mask) - half for s in shifts]) for k in map(guards.__add__, keys)]
+
+
+def _slots(keys, layout, var):
+    """For each key, the exponent of ``var`` plus ``half``: its slot of ``key + guards``."""
+    return map(layout.mask.__and__,
+               map(rshift, map(layout.guards.__add__, keys), repeat(layout.shifts[var])))
+
+
 class LaurentPoly:
     """A finite map from integer exponent vectors to nonzero rationals.
 
-    Stored as integer numerators ``nums`` (exponent tuple -> int) over one
-    positive denominator ``den``, in lowest terms: no numerator is zero and
-    ``gcd(den, *nums.values()) == 1``.  Equal polynomials therefore have
-    equal storage.  ``terms`` is an exponent -> `Fraction` copy of it.
-    Exponents may be negative.
+    Stored as integer numerators ``nums`` (packed exponent key -> int) over
+    one positive denominator ``den``, in lowest terms: no numerator is zero
+    and ``gcd(den, *nums.values()) == 1``.  Every exponent has absolute value
+    at most ``reach``, and the keys are packed by ``layout``, at ``width =
+    _width(arity, reach)`` bits a slot (see the module docstring).  ``terms``
+    is an exponent tuple -> `Fraction` copy of it.  Exponents may be negative.
     """
 
-    __slots__ = ("arity", "nums", "den")
+    __slots__ = ("arity", "nums", "den", "reach", "layout")
 
     def __init__(self, arity, terms=None):
         if arity < 1:
@@ -61,17 +137,34 @@ class LaurentPoly:
         clean = {e: c for e, c in clean.items() if c}
         # the lcm of lowest-terms denominators leaves the numerators coprime to it
         den = lcm(*[c.denominator for c in clean.values()])
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "nums",
-                           {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
-        object.__setattr__(self, "den", den)
+        reach = max(map(abs, chain.from_iterable(clean)), default=0)
+        layout = _layout(arity, _width(arity, reach))
+        _set_arity(self, arity)
+        _set_nums(self, {e: c.numerator * (den // c.denominator)
+                         for e, c in zip(_pack_all(clean, layout), clean.values())})
+        _set_den(self, den)
+        _set_reach(self, reach)
+        _set_layout(self, layout)
 
     @classmethod
     def _from_integers(cls, arity, nums, den):
         """The polynomial ``nums[e] / den``, zeros dropped, in lowest terms.
 
-        ``nums`` must be a fresh dict of int-tuple keys of the arity and int
+        ``nums`` must be a dict of int-tuple keys of the arity and int
         values, and ``den`` a positive int; neither is checked.
+        """
+        reach = max(map(abs, chain.from_iterable(nums)), default=0)
+        layout = _layout(arity, _width(arity, reach))
+        return cls._from_keys(arity, dict(zip(_pack_all(nums, layout), nums.values())), den,
+                              reach, layout)
+
+    @classmethod
+    def _from_keys(cls, arity, nums, den, reach, layout):
+        """``_from_integers`` on keys packed by ``layout``.
+
+        ``nums`` must be a fresh dict of such keys, every exponent of
+        absolute value at most ``reach`` and ``layout`` that of
+        ``_width(arity, reach)``; none of this is checked.
         """
         if 0 in nums.values():
             nums = {e: n for e, n in nums.items() if n}
@@ -81,15 +174,25 @@ class LaurentPoly:
                 den //= g
                 nums = {e: n // g for e, n in nums.items()}
         poly = object.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "nums", nums)
-        object.__setattr__(poly, "den", den)
+        _set_arity(poly, arity)
+        _set_nums(poly, nums)
+        _set_den(poly, den)
+        _set_reach(poly, reach)
+        _set_layout(poly, layout)
         return poly
+
+    def _at(self, layout):
+        """``nums`` with its keys packed by ``layout``, which is at least as wide."""
+        if layout is self.layout:
+            return self.nums
+        nums = self.nums
+        return dict(zip(_pack_all(_unpack_all(nums, self.layout), layout), nums.values()))
 
     @property
     def terms(self):
         """Exponent -> `Fraction` coefficient, read-only, built on each read."""
-        return MappingProxyType({e: Fraction(n, self.den) for e, n in self.nums.items()})
+        den = self.den
+        return MappingProxyType({e: Fraction(n, den) for e, n in self.integer_items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -126,19 +229,25 @@ class LaurentPoly:
 
     def exponents(self):
         """The exponent tuples of the terms, in storage order."""
-        return tuple(self.nums)
+        return tuple(_unpack_all(self.nums, self.layout))
 
     def integer_items(self):
         """``(exponent tuple, numerator)`` per term, in storage order; each
         coefficient is the numerator over ``den``."""
-        return list(self.nums.items())
+        nums = self.nums
+        return list(zip(_unpack_all(nums, self.layout), nums.values()))
 
     def is_holomorphic(self):
-        """Whether every exponent vector lies in N^n."""
-        return all(x >= 0 for e in self.nums for x in e)
+        """Whether every exponent vector lies in N^n: the AND of the biased
+        keys keeps a slot's top bit only where every key has it."""
+        guards = self.layout.guards
+        return reduce(and_, map(guards.__add__, self.nums), guards) & guards == guards
 
     def coeff(self, expo):
-        n = self.nums.get(tuple(expo), 0)
+        expo = tuple(expo)
+        if len(expo) != self.arity or max(map(abs, expo)) > self.reach:
+            return Fraction(0)
+        n = self.nums.get(sum(map(lshift, expo, self.layout.shifts)), 0)
         return Fraction(n, self.den) if n else Fraction(0)
 
     def constant_term(self):
@@ -146,22 +255,31 @@ class LaurentPoly:
 
     def holomorphic_part(self):
         """Sub-sum over exponent vectors lying in N^n."""
-        kept = {e: n for e, n in self.nums.items() if all(x >= 0 for x in e)}
-        return LaurentPoly._from_integers(self.arity, kept, self.den)
+        guards = self.layout.guards
+        kept = {e: n for e, n in self.nums.items() if e + guards & guards == guards}
+        return LaurentPoly._from_keys(self.arity, kept, self.den, self.reach, self.layout)
+
+    def _extreme(self, var, pick):
+        """``pick`` (min or max) of the exponents of ``var``; None for zero.
+
+        The last variable's slot is the top one, and it grows with the key:
+        its extreme is the slot of the extreme key."""
+        if self.is_zero:
+            return None
+        layout = self.layout
+        if var == self.arity - 1:
+            return (pick(self.nums) + layout.guards >> layout.shifts[var]) - layout.half
+        return pick(_slots(self.nums, layout, var)) - layout.half
 
     def degree_in(self, var):
         """Largest exponent of the given variable; None for the zero polynomial."""
-        if self.is_zero:
-            return None
-        return max(e[var] for e in self.nums)
+        return self._extreme(var, max)
 
     def min_exponent(self, var):
-        if self.is_zero:
-            return None
-        return min(e[var] for e in self.nums)
+        return self._extreme(var, min)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.nums}
+        degs = set(map(sum, _unpack_all(self.nums, self.layout)))
         return len(degs) <= 1
 
     def is_monomial(self):
@@ -181,17 +299,19 @@ class LaurentPoly:
         self._check_arity(other)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
-        out = {e: n * sa for e, n in self.nums.items()}
+        # the wider of the two layouts is that of the larger reach
+        wide = self if self.reach >= other.reach else other
+        out = {e: n * sa for e, n in self._at(wide.layout).items()}
         get = out.get
-        for e, n in other.nums.items():
+        for e, n in other._at(wide.layout).items():
             out[e] = get(e, 0) + n * sb
-        return LaurentPoly._from_integers(self.arity, out, den)
+        return LaurentPoly._from_keys(self.arity, out, den, wide.reach, wide.layout)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._from_integers(self.arity, {e: -n for e, n in self.nums.items()},
-                                          self.den)
+        return LaurentPoly._from_keys(self.arity, {e: -n for e, n in self.nums.items()},
+                                      self.den, self.reach, self.layout)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -Fraction(other))
@@ -199,8 +319,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             num, den = other.numerator, other.denominator
-            return LaurentPoly._from_integers(
-                self.arity, {e: n * num for e, n in self.nums.items()}, self.den * den)
+            return LaurentPoly._from_keys(self.arity, {e: n * num for e, n in self.nums.items()},
+                                          self.den * den, self.reach, self.layout)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return _product(self, other)
@@ -216,13 +336,14 @@ class LaurentPoly:
         Requires every exponent of ``var`` in ``self`` to be nonnegative.
         """
         self._check_arity(replacement)
-        exponents = [e[var] for e in self.nums]
+        terms = self.terms
+        exponents = [e[var] for e in terms]
         if any(k < 0 for k in exponents):
             raise ValueError("cannot substitute into a negative exponent")
         replacement_powers = [LaurentPoly.one(self.arity),
                               *powers(replacement, max(exponents, default=0))]
         out = LaurentPoly.zero(self.arity)
-        for e, c in self.terms.items():
+        for e, c in terms.items():
             rest = tuple(0 if i == var else x for i, x in enumerate(e))
             out = out + LaurentPoly.monomial(rest, c) * replacement_powers[e[var]]
         return out
@@ -234,10 +355,13 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.arity, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self.arity, self.den, self.nums) == (other.arity, other.den, other.nums)
+        if (self.arity, self.den, len(self.nums)) != (other.arity, other.den, len(other.nums)):
+            return False
+        layout = (self if self.reach >= other.reach else other).layout
+        return self._at(layout) == other._at(layout)
 
     def __hash__(self):
-        return hash((self.arity, self.den, frozenset(self.nums.items())))
+        return hash((self.arity, self.den, frozenset(self.integer_items())))
 
     def to_string(self, names=None):
         """Terms in descending graded-lex order.  A coefficient prints as
@@ -246,10 +370,11 @@ class LaurentPoly:
         if self.is_zero:
             return "0"
         names = names or _default_names(self.arity)
-        nums, den = self.nums, self.den
+        den = self.den
         pieces = []
-        for expo in sorted(nums, key=grlex_key, reverse=True):
-            n = nums[expo]
+        terms = dict(self.integer_items())
+        for expo in sorted(terms, key=grlex_key, reverse=True):
+            n = terms[expo]
             mono = "*".join(
                 names[i] if e == 1 else f"{names[i]}^{e}"
                 for i, e in enumerate(expo) if e
@@ -276,6 +401,11 @@ class LaurentPoly:
         return f"LaurentPoly({self.arity}, {self.to_string()!r})"
 
 
+# the slot setters themselves, past the __setattr__ that keeps values immutable
+_set_arity, _set_nums, _set_den, _set_reach, _set_layout = (
+    LaurentPoly.__dict__[name].__set__ for name in LaurentPoly.__slots__)
+
+
 class TruncSeries:
     """A Laurent polynomial truncated in one variable.
 
@@ -295,9 +425,12 @@ class TruncSeries:
             raise ValueError(f"tracked variable {var!r} is not an index below arity {body.arity}")
         if type(degree) is not int:
             raise ValueError(f"truncation degree {degree!r} is not an integer")
-        kept = {e: n for e, n in body.nums.items() if e[var] <= degree}
+        layout = body.layout
+        top = degree + layout.half
+        kept = {e: n for (e, n), slot in zip(body.nums.items(), _slots(body.nums, layout, var))
+                if slot <= top}
         if len(kept) < len(body.nums):
-            body = LaurentPoly._from_integers(body.arity, kept, body.den)
+            body = LaurentPoly._from_keys(body.arity, kept, body.den, body.reach, layout)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "degree", degree)
@@ -390,7 +523,9 @@ class TruncSeries:
 
 def _product(a, b, cut=None):
     """``a * b`` for two polynomials: integer numerators multiplied pair by
-    pair over the product of the denominators, then reduced once.
+    pair over the product of the denominators, then reduced once.  Each
+    pair's key is the sum of the two keys, at a width that holds the
+    bound ``a.reach + b.reach``.
 
     With ``cut = (var, degree)`` only the pairs whose product has exponent
     at most ``degree`` in variable ``var`` are multiplied: the right
@@ -399,22 +534,31 @@ def _product(a, b, cut=None):
     the terms come out in the order each exponent is first reached.
     """
     a._check_arity(b)
-    right = list(b.nums.items())
+    reach = a.reach + b.reach
+    # the wider layout is that of the larger reach; it may hold the sum
+    layout = a.layout if a.reach >= b.reach else b.layout
+    if reach >> (layout.width - 1):
+        layout = _layout(a.arity, _width(a.arity, reach))
+    a_nums, b_nums = a._at(layout), b._at(layout)
     if cut is None:
-        rows = zip(a.nums.items(), repeat(right))
+        rows = zip(a_nums.items(), repeat(list(b_nums.items())))
     else:
         var, degree = cut
-        right.sort(key=lambda term: term[0][var])
-        exps = [e[var] for e, _ in right]
-        rows = [(term, right[:bisect_right(exps, degree - term[0][var])])
-                for term in a.nums.items()]
+        # slots carry the bias half: e1 + e2 <= degree where they add to
+        # at most degree + 2*half
+        by_slot = sorted(zip(_slots(b_nums, layout, var), b_nums.items()), key=itemgetter(0))
+        slots = list(map(itemgetter(0), by_slot))
+        right = list(map(itemgetter(1), by_slot))
+        top = degree + 2 * layout.half
+        rows = [(term, right[:bisect_right(slots, top - slot)])
+                for term, slot in zip(a_nums.items(), _slots(a_nums, layout, var))]
     out = {}
     get = out.get
     for (e1, c1), partners in rows:
         for e2, c2 in partners:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
-    return LaurentPoly._from_integers(a.arity, out, a.den * b.den)
+    return LaurentPoly._from_keys(a.arity, out, a.den * b.den, reach, layout)
 
 
 def powers(x, horizon):

@@ -107,7 +107,7 @@ def series_exp(s):
     variable (so the constant term is zero), which makes the sum over
     s^k/k! finite at the series' degree.
     """
-    if any(e[s.var] < 1 for e in s.body.nums):
+    if any(e[s.var] < 1 for e in s.body.exponents()):
         raise ValueError("series_exp requires a positive exponent in the tracked variable")
     result = power = TruncSeries(LaurentPoly.one(s.arity), s.var, s.degree)
     k = 0

@@ -13,7 +13,7 @@ from kernel_oracle import (
     fraction_to_string,
     truncate,
 )
-from vanishlab import poly
+from vanishlab import diffops, poly
 from vanishlab.diffops import DiffOp, apply
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
@@ -138,7 +138,7 @@ class TestCanonicalStorage:
         x_half = LaurentPoly(2, {(1, 0): Fraction(1, 2)})
         cut = TruncSeries(x_half + LaurentPoly(2, {(0, 5): Fraction(1, 3)}), 1, 1)
         assert (cut.body, cut.var, cut.degree) == (x_half, 1, 1)
-        assert (cut.body.nums, cut.body.den) == ({(1, 0): 1}, 2)
+        assert (cut.body.integer_items(), cut.body.den) == ([((1, 0), 1)], 2)
 
     def test_zero_has_denominator_one(self):
         half = LaurentPoly(1, {(1,): Fraction(1, 2)})
@@ -152,7 +152,7 @@ class TestCanonicalStorage:
         with pytest.raises(TypeError):
             p.terms[(1, 0)] = Fraction(1)
         assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
-        assert (p.nums, p.den) == ({(1, 0): 1, (0, 1): 6}, 2)
+        assert (p.integer_items(), p.den) == ([((1, 0), 1), ((0, 1), 6)], 2)
 
 
 class TestSeriesProduct:
@@ -382,6 +382,124 @@ class TestApply:
             apply(DiffOp(LaurentPoly.monomial((0, 0))), LaurentPoly.monomial((0, -1)))
         # the zero operator never differentiates anything
         assert apply(DiffOp(LaurentPoly.zero(2)), LaurentPoly.monomial((0, -1))).is_zero
+
+
+def slot_edges(arity, rungs=2):
+    """Exponents at the edges of the first ``rungs`` slot widths of the
+    arity: 2**(W-1) - 1 is the largest that fits width W, one more widens."""
+    width = poly._width(arity, 0)
+    edges = []
+    for _ in range(rungs):
+        top = 2 ** (width - 1) - 1
+        edges += [top, top + 1, -top, -top - 1]
+        width *= 2
+    return edges
+
+
+def packed_polys(arity, values, max_size=4):
+    """Polynomials whose exponents are drawn from -3..3 and ``values``."""
+    expo = st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(values))] * arity)
+    return st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                     st.lists(st.tuples(expo, fractions), max_size=max_size))
+
+
+def assert_packed(p):
+    """The reach bounds every exponent and the layout is the one of the reach."""
+    assert all(abs(x) <= p.reach for e in p.terms for x in e)
+    assert p.layout is poly._layout(p.arity, poly._width(p.arity, p.reach))
+    assert p.reach < 2 ** (p.layout.width - 1)
+
+
+class TestPackedKeys:
+    """The packed kernel against the reference oracles, in arity 1 to 6 and
+    at the edges of the slot widths, where a key that wrapped would alias
+    another."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_product_and_terms(self, data, arity):
+        values = slot_edges(arity)
+        p = data.draw(packed_polys(arity, values))
+        q = data.draw(packed_polys(arity, values))
+        for r in (p, q, p * q):
+            assert_packed(r)
+            assert LaurentPoly(arity, r.terms) == r
+            assert r.exponents() == tuple(r.terms)
+            for expo in r.exponents():
+                assert r.coeff(expo) == r.terms[expo]
+        assert list((p * q).terms.items()) == list(fraction_mul(p.terms, q.terms).items())
+        # carrying 2**W out of one slot into the next packs to the same key
+        # at width W: coeff must not read that other exponent's coefficient
+        width = p.layout.width
+        for expo in p.terms:
+            for i in range(arity - 1):
+                alias = list(expo)
+                alias[i] += 2 ** width
+                alias[i + 1] -= 1
+                assert p.coeff(alias) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_series_product_cuts_every_variable(self, data, arity):
+        values = slot_edges(arity)
+        p = data.draw(packed_polys(arity, values))
+        q = data.draw(packed_polys(arity, values))
+        degree = data.draw(st.one_of(st.integers(-4, 4), st.sampled_from(values)))
+        exact = fraction_mul(p.terms, q.terms)
+        for var in range(arity):
+            cut = poly._product(p, q, (var, degree))
+            assert_packed(cut)
+            assert cut.terms == truncate(exact, var, degree)
+            a, b = TruncSeries(p, var, degree), TruncSeries(q, var, degree)
+            prod = a * b
+            assert prod.body.terms == truncate(fraction_mul(a.body.terms, b.body.terms), var,
+                                               prod.degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_apply_visits_falling_only_where_beta_covers_mu(self, data, arity):
+        # operand slots up to one past the first two width edges; the symbol
+        # keeps small orders, so the oracle's falling factorials stay short
+        values = [v for v in slot_edges(arity) if v > 0]
+        symbol = data.draw(polys(arity, lo=0, hi=3, max_size=3))
+        expo = st.tuples(*[st.one_of(st.integers(0, 5), st.sampled_from(values))] * arity)
+        operand = data.draw(st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                                      st.lists(st.tuples(expo, fractions), max_size=5)))
+        seen = []
+        falling = diffops._falling
+
+        def checked(mu, beta):
+            assert all(b >= m for m, b in zip(mu, beta))
+            seen.append((mu, beta))
+            return falling(mu, beta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffops, "_falling", checked)
+            out = apply(DiffOp(symbol), operand)
+        assert_packed(out)
+        assert list(out.terms.items()) == list(fraction_apply(symbol.terms, operand.terms).items())
+        live = [(mu, beta) for mu in symbol.terms for beta in operand.terms
+                if all(b >= m for m, b in zip(mu, beta))]
+        assert seen == live
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_widths_widen(self, arity):
+        width = poly._width(arity, 0)
+        top = 2 ** (width - 1) - 1
+        fits = LaurentPoly.monomial((top,) * arity)
+        past = LaurentPoly.monomial((-top - 1,) + (0,) * (arity - 1))
+        assert fits.layout.width == width
+        assert past.layout.width == 2 * width
+        for square, expo in ((fits * fits, 2 * top), (past * past, -2 * top - 2)):
+            assert square.layout.width == 2 * width
+            assert square.exponents() == ((expo,) + square.exponents()[0][1:],)
+        assert (fits * past).exponents() == ((-1,) + (top,) * (arity - 1),)
+        # a slot order past the operand's edge is a dead pair, never a wrapped live one
+        big = DiffOp(LaurentPoly.monomial((top + 1,) + (0,) * (arity - 1)))
+        assert apply(big, fits).is_zero
+        # d z^top in every variable at once: top^arity z^(top-1)
+        d = DiffOp(LaurentPoly.monomial((1,) * arity))
+        assert apply(d, fits) == LaurentPoly.monomial((top - 1,) * arity, top ** arity)
 
 
 # unit and 1/d magnitudes of both signs, beside general mixed denominators

@@ -55,15 +55,30 @@ def test_no_library_reads_generators():
     assert reads == []
 
 
-def test_only_poly_and_diffops_read_polynomial_storage():
-    # outside the kernel, exponents are read through LaurentPoly's tuple
-    # views (exponents, integer_items, is_holomorphic, coeff, ...).  polytopes.py
-    # reads the integer rows of its own RationalPolytope, which are also named
-    # ``nums``, through ``self``, ``polytope``, ``a`` and ``b``
+# the packed-key layout of LaurentPoly.nums and the helpers that know it
+PACKING = {"_Layout", "_layout", "_width", "_pack_all", "_unpack_all", "_slots", "_from_keys",
+           "_at", "layout", "reach"}
+
+
+def test_only_poly_and_diffops_touch_packed_keys():
+    # LaurentPoly.nums is keyed by packed exponent ints, whose layout only
+    # poly.py and diffops.py know; every other module reads exponent tuples
+    # through the views (exponents, integer_items, is_holomorphic, coeff,
+    # ...).  polytopes.py reads the integer rows of its own RationalPolytope,
+    # which are also named ``nums``, through ``self``, ``polytope``, ``a``
+    # and ``b``
     polytope_names = {"self", "polytope", "a", "b"}
-    reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
-             if name not in ("poly.py", "diffops.py")
-             and isinstance(node, ast.Attribute) and node.attr == "nums"
-             and not (name == "polytopes.py" and isinstance(node.value, ast.Name)
-                      and node.value.id in polytope_names)]
-    assert reads == []
+    touches = []
+    for name, node in library_nodes():
+        if name in ("poly.py", "diffops.py"):
+            continue
+        if isinstance(node, ast.Attribute):
+            polytope_rows = (name == "polytopes.py" and isinstance(node.value, ast.Name)
+                             and node.value.id in polytope_names)
+            hit = node.attr in PACKING or node.attr == "nums" and not polytope_rows
+        else:
+            hit = (isinstance(node, ast.Name) and node.id in PACKING
+                   or isinstance(node, ast.alias) and node.name in PACKING)
+        if hit:
+            touches.append(f"{name}:{getattr(node, 'lineno', '?')}")
+    assert touches == []
