@@ -279,8 +279,7 @@ class LaurentPoly:
         return self._extreme(var, min)
 
     def is_homogeneous(self):
-        degs = set(map(sum, _unpack_all(self.nums, self.layout)))
-        return len(degs) <= 1
+        return len(set(map(sum, self.exponents()))) <= 1
 
     def is_monomial(self):
         return len(self.nums) == 1
