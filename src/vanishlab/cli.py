@@ -88,13 +88,14 @@ def cmd_vanish(args, out):
     for e in profile.entries:
         out.record(f"m{e.m}.pp_zero", e.pp_zero)
         out.record(f"m{e.m}.ppg_zero", e.ppg_zero)
-        line = f"  m={e.m}: L^m(P^m)={'0' if e.pp_zero else e.pp_residual.to_string(names)}"
-        line += f"  L^m(P^m g)={'0' if e.ppg_zero else e.ppg_residual.to_string(names)}"
-        out.text(line)
+        pp = "0" if e.pp_zero else e.pp_residual.to_string(names)
+        ppg = "0" if e.ppg_zero else e.ppg_residual.to_string(names)
+        if out.fmt == TEXT:
+            out.text(f"  m={e.m}: L^m(P^m)={pp}  L^m(P^m g)={ppg}")
         if not e.pp_zero:
-            out.record(f"m{e.m}.pp_residual", e.pp_residual.to_string(names))
+            out.record(f"m{e.m}.pp_residual", pp)
         if not e.ppg_zero:
-            out.record(f"m{e.m}.ppg_residual", e.ppg_residual.to_string(names))
+            out.record(f"m{e.m}.ppg_residual", ppg)
     if profile.first_pp_failure is not None:
         out.record("verdict", "hypothesis-fails")
         out.record("first_failure", profile.first_pp_failure)

@@ -174,12 +174,22 @@ def parse_fraction(src):
     return Fraction(_coordinate(src))
 
 
+# a point of integer coordinates with whitespace around each, which int()
+# reads as _coordinate would: str.strip() also strips \x1c-\x1f, int() does
+# not, so a point with one of those takes _coordinate
+_BLANK = r"[^\S\x1c-\x1f]*"
+_INTEGERS = re.compile(rf"{_BLANK}-?\d+{_BLANK}(?:,{_BLANK}-?\d+{_BLANK})*")
+
+
 def parse_point(src):
     """Parse "(a,b,...)": an ``int`` for each integral component, a `Fraction` for p/q."""
     src = src.strip()
     if src.startswith("(") and src.endswith(")"):
         src = src[1:-1]
-    return tuple(map(_coordinate, src.split(",")))
+    parts = src.split(",")
+    if _INTEGERS.fullmatch(src):
+        return tuple(map(int, parts))
+    return tuple(map(_coordinate, parts))
 
 
 def parse_generators(src):

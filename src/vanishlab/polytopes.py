@@ -7,15 +7,17 @@ or H-representation is ever computed.
 A polytope stores its generators once, as integer numerators over one
 positive common denominator; integer generators are kept as they are.
 The LPs are built from those integers and reach the simplex as integer
-rows over their own denominators, and a separation certificate is
-verified by cross-multiplying integers, so no `Fraction` is built on the
-way in.  Answers (weights, points, c and delta) come back as `Fraction`s.
+rows over their own denominators, and the simplex answers in integers
+too.  Every check of an answer (weights, a witness point, a separation
+certificate) cross-multiplies integers, and a `Fraction` is built only for
+a coordinate of the answer that is returned: the weights, the points, and
+c and delta.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .simplex import OPTIMAL, exact, over_lcm, solve_lp
@@ -48,6 +50,17 @@ class RationalPolytope:
             raise ValueError("a generator needs at least one coordinate")
         if any(len(g) != arity for g in nums):
             raise ValueError("generators must share one arity")
+        self._store(arity, nums, den)
+
+    @classmethod
+    def _from_integers(cls, arity, nums, den):
+        """The polytope of the integer rows nums over den, taken as they are:
+        nonempty tuples of arity ints, den > 0 and in lowest terms with them."""
+        self = object.__new__(cls)
+        self._store(arity, nums, den)
+        return self
+
+    def _store(self, arity, nums, den):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -96,11 +109,17 @@ class SeparationCertificate:
             return False
         cn, l = over_lcm(self.c)
         delta = exact(self.delta)
-        p, q = delta.numerator, delta.denominator
-        if any(v < 0 for v in cn) or sum(cn) != l or p <= 0:
-            return False
-        bound = -p * l * polytope.den
-        return all(q * sum(map(mul, cn, g)) <= bound for g in polytope.nums)
+        return _separates(polytope, cn, l, delta.numerator, delta.denominator)
+
+
+def _separates(polytope, cn, l, p, q):
+    """Whether c = cn / l and delta = p / q, for l, q > 0, certify that the
+    polytope misses the orthant: c >= 0, sum(c) = 1, delta > 0 and
+    q * (cn . u) <= -p * l * den for every generator u = nums / den."""
+    if any(v < 0 for v in cn) or sum(cn) != l or p <= 0:
+        return False
+    bound = -p * l * polytope.den
+    return all(q * sum(map(mul, cn, g)) <= bound for g in polytope.nums)
 
 
 def newton_polytope(poly):
@@ -120,19 +139,23 @@ def minkowski_diff(a, b):
     sa, sb = den // a.den, den // b.den
     rows = sorted({tuple(sa * u - sb * v for u, v in zip(ga, gb))
                    for ga in a.nums for gb in b.nums})
-    if den > 1:
-        rows = [tuple(Fraction(v, den) for v in g) for g in rows]
-    return RationalPolytope(rows)
+    # den over the common factor of every difference is the lcm of their
+    # denominators, the den the rational differences would be stored over
+    g = gcd(den, *(v for row in rows for v in row)) if den > 1 else 1
+    if g > 1:
+        rows, den = [tuple(v // g for v in row) for row in rows], den // g
+    return RationalPolytope._from_integers(a.arity, tuple(rows), den)
 
 
 def _combination(weights, polytope):
-    """The point sum(w_j u_j) for rational weights on the generators u_j,
-    summed in integers with one `Fraction` per coordinate."""
-    terms = [(w.numerator, w.denominator, g) for w, g in zip(weights, polytope.nums) if w]
-    den = lcm(*(b for _, b, _ in terms))
-    terms = [(a * (den // b), g) for a, b, g in terms]
-    den *= polytope.den
-    return tuple(Fraction(sum(a * g[i] for a, g in terms), den) for i in range(polytope.arity))
+    """The numerators of the point sum(w_j u_j) for integer weights w_j over a
+    positive denominator d: the point is these over d * polytope.den."""
+    terms = [(w, g) for w, g in zip(weights, polytope.nums) if w]
+    return [sum(w * g[i] for w, g in terms) for i in range(polytope.arity)]
+
+
+def _fractions(nums, den):
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def contains_point(polytope, point):
@@ -159,7 +182,10 @@ def contains_point(polytope, point):
     status, x, _, _ = solve_lp(rows, rhs, [0] * k, dens)
     if status != OPTIMAL:
         return None
-    return tuple(x)
+    # at most n + 1 weights are nonzero: the others share one zero
+    xn, xden = x
+    zero = Fraction(0)
+    return tuple(Fraction(v, xden) if v else zero for v in xn)
 
 
 def orthant_meet(polytope):
@@ -170,7 +196,8 @@ def orthant_meet(polytope):
     there are.  If t >= 0 that point is returned as a Witness, with the
     primal lambda as its convex weights.  Otherwise the reduced costs of
     the surplus columns give the SeparationCertificate c, and delta = -t
-    is its largest margin.  Either answer is checked first.
+    is its largest margin.  Either answer is checked in integers, and only
+    the answer returned is built as `Fraction`s.
 
     The simplex starts at the best single generator u_j*, the one whose
     smallest coordinate u_j*,i* is largest: lambda_j* = 1, t = u_j*,i* and
@@ -193,18 +220,21 @@ def orthant_meet(polytope):
     start[low] = k if mins[best] >= 0 else k + 1
     status, x, t, reduced = solve_lp(rows, [0] * n + [1], objective, [den] * n + [1],
                                      start=start)
-    if status == OPTIMAL and t < 0:
-        # s_i's reduced cost is coordinate row i's optimal dual y_i <= 0, and c = -y
-        costs, cden = reduced
-        meet = SeparationCertificate(c=tuple(Fraction(-v, cden) for v in costs[k + 2:]),
-                                     delta=-t)
-        if meet.verify(polytope):
-            return meet
-    elif status == OPTIMAL:
-        lam = x[:k]
-        meet = Witness(point=_combination(lam, polytope))
-        if sum(lam) == 1 and all(v >= 0 for v in (*lam, *meet.point)):
-            return meet
+    if status == OPTIMAL:
+        (xn, xden), (tn, tden) = x, t
+        if tn < 0:
+            # s_i's reduced cost is coordinate row i's optimal dual y_i <= 0, c = -y,
+            # and delta = -t
+            costs, cden = reduced
+            cn = [-v for v in costs[k + 2:]]
+            if _separates(polytope, cn, cden, -tn, tden):
+                return SeparationCertificate(c=_fractions(cn, cden), delta=Fraction(-tn, tden))
+        else:
+            # lambda = xn / xden and the point sum(lambda_j u_j) = point / (xden * den)
+            lam = xn[:k]
+            point = _combination(lam, polytope)
+            if sum(lam) == xden and all(v >= 0 for v in (*lam, *point)):
+                return Witness(point=_fractions(point, xden * den))
     raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
 
 
@@ -256,4 +286,6 @@ def difference_decomposition(a, b, w):
     status, x, _, _ = solve_lp(rows, rhs, [0] * (ka + kb), dens)
     if status != OPTIMAL:
         return None
-    return _combination(x[:ka], a), _combination(x[ka:], b)
+    xn, xden = x
+    return (_fractions(_combination(xn[:ka], a), xden * a.den),
+            _fractions(_combination(xn[ka:], b), xden * b.den))

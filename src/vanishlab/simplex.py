@@ -4,11 +4,14 @@ Solves maximize c.x subject to Ax = b, x >= 0 on an integer tableau: each
 row is integers over a positive integer denominator, kept in lowest terms,
 and the objective is one more row (reduced costs, then minus the value)
 that every pivot updates like the others.  The entering column is a sign
-test on that row and the ratio test compares by cross-multiplication, so
-no Fraction is built between the conversion on entry and the one on exit.
-A caller that holds integer numerators hands them over with each row's
-denominator, and they enter the tableau as they are.  A caller that knows a
-feasible basis names it, and phase 1 is skipped.
+test on that row and the ratio test compares by cross-multiplication.
+The answer comes back in integers as well: the solution as numerators over
+one common denominator, the value and the reduced costs as numerators over
+the objective row's denominator.  So no Fraction is built here: rational
+input is read through its numerators and denominators, and a caller that
+holds integer numerators hands them over with each row's denominator, and
+they enter the tableau as they are.  A caller that knows a feasible basis
+names it, and phase 1 is skipped.
 """
 from __future__ import annotations
 
@@ -124,9 +127,13 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     range, meets a zero pivot or gives a negative basic value raises
     ``ValueError``; there is no fallback.
     Returns ``(status, x, value, reduced)``, all but status None unless
-    optimal.  ``reduced`` is ``(nums, den)``: ``nums[j] / den <= 0`` is the
-    reduced cost of column j, and where column j is the unit vector of row
-    i it is minus row i's optimal dual.
+    optimal, each of the last three as integers over a positive ``int``
+    denominator.  ``x`` is ``(nums, den)``: ``x[j] = nums[j] / den``, where
+    ``den`` is the lcm of the basic rows' denominators.  ``value`` is
+    ``(num, den)`` and ``reduced`` is ``(nums, den)``, both over the
+    objective row's denominator: ``nums[j] / den <= 0`` is the reduced cost
+    of column j, and where column j is the unit vector of row i it is minus
+    row i's optimal dual.  Neither pair need be in lowest terms.
     A number that is not an exact rational raises ``TypeError``.
     """
     m, n = len(rows), len(objective)
@@ -164,7 +171,8 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     if not _optimize(tableau, basis):
         return UNBOUNDED, None, None, None
     obj, oden = tableau.pop()
-    x = [Fraction(0)] * n
+    xden = lcm(*(den for _, den in tableau))
+    x = [0] * n
     for (row, den), b in zip(tableau, basis):
-        x[b] = Fraction(row[-1], den)
-    return OPTIMAL, x, Fraction(-obj[-1], oden), (obj[:-1], oden)
+        x[b] = row[-1] * (xden // den)
+    return OPTIMAL, (x, xden), (-obj[-1], oden), (obj[:-1], oden)

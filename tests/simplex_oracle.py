@@ -5,8 +5,8 @@ with an integer tableau: it rebuilds `Fraction` rows on every pivot and
 recomputes each reduced cost from scratch.  It shares no code with the
 library, so the tests can require that `vanishlab.simplex.solve_lp` returns
 exactly the same ``(status, x, value, reduced)`` on every LP, with or without
-a start basis (``rational_result`` reads the library's integer reduced-cost
-row as the `Fraction` list this solver returns).
+a start basis (``rational_result`` reads the library's integer answers,
+numerators over a denominator, as the `Fraction`s this solver returns).
 """
 
 from fractions import Fraction
@@ -148,10 +148,14 @@ def rational_lp(rows, rhs, objective, dens=None):
 
 
 def rational_result(result):
-    """The library's ``(status, x, value, reduced)`` with its integer
-    reduced-cost row ``(nums, den)`` read as a list of `Fraction`s."""
+    """The library's ``(status, x, value, reduced)`` with its integer answers
+    read as `Fraction`s: ``x`` and ``reduced``, each ``(nums, den)``, as
+    lists, and ``value``, ``(num, den)``, as one `Fraction`.  A numerator
+    that is not an int, or a denominator that is not a positive int, fails."""
     status, x, value, reduced = result
-    if reduced is not None:
-        nums, den = reduced
-        reduced = [Fraction(v, den) for v in nums]
-    return status, x, value, reduced
+    if status != OPTIMAL:
+        return status, x, value, reduced
+    for nums, den in (x, ([value[0]], value[1]), reduced):
+        assert all(type(v) is int for v in nums) and type(den) is int and den > 0
+    return (status, [Fraction(v, x[1]) for v in x[0]], Fraction(*value),
+            [Fraction(v, reduced[1]) for v in reduced[0]])

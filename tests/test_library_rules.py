@@ -82,3 +82,13 @@ def test_only_poly_and_diffops_touch_packed_keys():
         if hit:
             touches.append(f"{name}:{getattr(node, 'lineno', '?')}")
     assert touches == []
+
+
+def test_simplex_builds_no_fraction():
+    # the simplex pivots integer rows and answers in integers: the callers
+    # build a Fraction only for an answer they return
+    calls = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name == "simplex.py" and isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")]
+    assert calls == []

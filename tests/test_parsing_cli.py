@@ -35,6 +35,35 @@ POINT_SPELLED = st.lists(
     st.builds(lambda cs, parens: "(" + ",".join(cs) + ")" if parens else ",".join(cs),
               st.lists(COMPONENT, min_size=1, max_size=3), st.booleans()),
     min_size=1, max_size=3).map(";".join)
+# integer points with one edge each: whitespace around coordinates and
+# parentheses (Unicode whitespace too, and \x1c, which str.strip() strips and
+# int() does not), -0 and leading zeros, a trailing or doubled comma, one p/q
+# among the integers, a zero denominator
+EDGE_BLANKS = st.sampled_from(["", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c"])
+EDGE_INTS = st.sampled_from(["0", "-0", "00", "-00", "007", "-007", "12", "-3"])
+EDGES = ("none", "trailing comma", "doubled comma", "p/q", "zero denominator")
+
+
+@st.composite
+def edge_point(draw):
+    coords = draw(st.lists(EDGE_INTS, min_size=1, max_size=4))
+    edge = draw(st.sampled_from(EDGES))
+    i = draw(st.integers(0, len(coords) - 1))
+    if edge == "p/q":
+        coords[i] += draw(st.sampled_from(["/3", "/04", "/1", "/2"]))
+    elif edge == "zero denominator":
+        coords[i] += draw(st.sampled_from(["/0", "/00"]))
+    text = ",".join(draw(EDGE_BLANKS) + c + draw(EDGE_BLANKS) for c in coords)
+    if edge == "trailing comma":
+        text += ","
+    elif edge == "doubled comma":
+        text = text.replace(",", ",,", 1) if "," in text else text + ",,"
+    if draw(st.booleans()):
+        text = draw(EDGE_BLANKS) + "(" + draw(EDGE_BLANKS) + text + draw(EDGE_BLANKS) + ")"
+    return text + draw(EDGE_BLANKS)
+
+
+POINT_EDGES = st.lists(edge_point(), min_size=1, max_size=3).map(";".join)
 
 
 def outcome(parse, src):
@@ -110,7 +139,7 @@ class TestParsing:
         assert str(exc.value) == message
 
     @settings(max_examples=1000, deadline=None)
-    @given(st.one_of(POINT_TEXT, POINT_PIECES, POINT_SPELLED))
+    @given(st.one_of(POINT_TEXT, POINT_PIECES, POINT_SPELLED, POINT_EDGES))
     def test_points_agree_with_fraction_oracle(self, src):
         # the same strings accepted, the same values, the same error messages
         got, want = outcome(parse_generators, src), outcome(parsing_oracle.parse_generators, src)

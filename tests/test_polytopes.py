@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanishlab.polytopes
+from counting import fractions_built
 from fm_oracle import hull_meets_orthant
 from paper_oracle import same_set, scale_translate
 from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
@@ -61,6 +62,20 @@ class TestBasics:
         b = RationalPolytope([(1, 1)])
         d = minkowski_diff(a, b)
         assert set(d.generators) == {(0, -1), (-1, 0)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_minkowski_diff_matches_fraction_rows(self, data):
+        # the integer rows over the shared denominator give the polytope the
+        # sorted, deduplicated Fraction differences give, in the same storage
+        n = data.draw(st.integers(1, 4))
+        ga = data.draw(generator_lists(n, max_size=5))
+        gb = data.draw(generator_lists(n, max_size=5))
+        got = minkowski_diff(RationalPolytope(ga), RationalPolytope(gb))
+        want = RationalPolytope(sorted({tuple(F(u) - F(v) for u, v in zip(g, h))
+                                        for g in ga for h in gb}))
+        assert (got.arity, got.nums, got.den) == (want.arity, want.nums, want.den)
+        assert got.generators == want.generators
 
     def test_scale_translate(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
@@ -117,18 +132,41 @@ class TestOrthantMeet:
         assert list(kwargs) == ["start"] and len(kwargs["start"]) == len(rows)
 
     @pytest.mark.parametrize("gens, tamper", [
-        # a certificate whose margin is too large
-        ([(-2, 1), (1, -2)], lambda s, x, v, r: (s, x, v * 2, r)),
-        # witness weights that sum to 2
-        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, [2 * c for c in x], v, r)),
+        # a certificate whose margin is too large: the value (num, den) doubled
+        ([(-2, 1), (1, -2)], lambda s, x, v, r: (s, x, (v[0] * 2, v[1]), r)),
+        # witness weights that sum to 2: x's numerators doubled over the same den
+        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, ([2 * c for c in x[0]], x[1]), v, r)),
         ([(-1, 2), (2, -1)], lambda s, x, v, r: (UNBOUNDED, None, None, None)),
-    ], ids=["certificate", "witness", "status"])
+        # weights -1 and 2, which sum to 1 and give the point (2, 2) >= 0
+        ([(0, 0), (1, 1)], lambda s, x, v, r: (s, ([-x[1], 2 * x[1], *x[0][2:]], x[1]), v, r)),
+        # weights 1 and 0, which give the point (-1, 2)
+        ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, ([x[1], 0, *x[0][2:]], x[1]), v, r)),
+    ], ids=["certificate", "witness", "status", "negative-weight", "negative-point"])
     def test_invalid_answer_raises(self, gens, tamper, monkeypatch):
         solve_lp = vanishlab.polytopes.solve_lp
         monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
                             lambda *args, **kwargs: tamper(*solve_lp(*args, **kwargs)))
         with pytest.raises(RuntimeError):
             orthant_meet(RationalPolytope(gens))
+
+    @pytest.mark.parametrize("gens, kind", [
+        ([(1,)], Witness),
+        ([(-1, 2), (2, -1)], Witness),
+        ([(-1, -2), (2, 0), (0, 1), (0, 0), (-3, 2)], Witness),
+        ([(0, 0, 0), (-1, 3, 5)], Witness),
+        ([(-1,)], SeparationCertificate),
+        ([(-2, 1), (1, -2)], SeparationCertificate),
+        ([(-2, 1, 0), (1, -2, -1), (-1, -1, -1)], SeparationCertificate),
+        ([(-1, 2, -3, 0), (2, -1, -1, -5)], SeparationCertificate),
+    ])
+    def test_fractions_only_for_the_answer(self, gens, kind):
+        # on an integer polytope the LP and every check run in integers: the
+        # only Fractions are the answer's, a witness's n coordinates or a
+        # certificate's n coordinates of c and its delta
+        sigma = RationalPolytope(gens)
+        meet, built = fractions_built(lambda: orthant_meet(sigma))
+        assert isinstance(meet, kind)
+        assert built == sigma.arity + (kind is SeparationCertificate)
 
     def test_witness_maximizes_smallest_coordinate(self):
         sigma = RationalPolytope([(-1, -2), (2, 0), (0, 1), (0, 0), (-3, 2)])
@@ -368,7 +406,8 @@ class TestIntegerRows:
             sent = sent_lps(mp)
             meet = orthant_meet(RationalPolytope(gens))
         lp = fraction_orthant_lp(gens)
-        status, _, t, _ = assert_sent(sent, lp, start=fraction_orthant_start(gens))
+        result = assert_sent(sent, lp, start=fraction_orthant_start(gens))
+        status, _, t, _ = rational_result(result)
         assert status == OPTIMAL
         assert t == oracle_solve_lp(*lp)[2]
         if isinstance(meet, Witness):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanishlab.polytopes
+from counting import fractions_built
 from golden_corpus import CORPUS, run
 from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
 from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
@@ -17,8 +18,8 @@ def F(v):
 
 def test_optimal():
     # maximize x1 + x2 s.t. x1 + x2 + s = 1 (standard form, x >= 0)
-    status, x, value, _ = solve_lp(
-        [[F(1), F(1), F(1)]], [F(1)], [F(1), F(1), F(0)])
+    status, x, value, _ = rational_result(solve_lp(
+        [[F(1), F(1), F(1)]], [F(1)], [F(1), F(1), F(0)]))
     assert status == OPTIMAL
     assert value == 1
     assert x[0] + x[1] == 1
@@ -42,7 +43,7 @@ def test_degenerate_redundant_rows():
     # duplicated constraint rows must not break phase 1
     rows = [[F(1), F(2)], [F(1), F(2)], [F(2), F(4)]]
     rhs = [F(2), F(2), F(4)]
-    status, x, value, _ = solve_lp(rows, rhs, [F(1), F(0)])
+    status, x, value, _ = rational_result(solve_lp(rows, rhs, [F(1), F(0)]))
     assert status == OPTIMAL
     assert value == 2
     assert x[0] + 2 * x[1] == 2
@@ -52,10 +53,15 @@ def test_exact_fractions_survive():
     # optimum at a fractional vertex: max x1 + x2, 3x1 + x2 <= 2, x1 + 3x2 <= 2
     rows = [[F(3), F(1), F(1), F(0)], [F(1), F(3), F(0), F(1)]]
     rhs = [F(2), F(2)]
-    status, x, value, (costs, den) = solve_lp(rows, rhs, [F(1), F(1), F(0), F(0)])
+    result = solve_lp(rows, rhs, [F(1), F(1), F(0), F(0)])
+    status, x, value, _ = rational_result(result)
     assert status == OPTIMAL
     assert value == F(1)
     assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)
+    # x comes back as integers over the lcm of the basic rows' denominators,
+    # the value over the objective row's, not necessarily in lowest terms
+    assert result[1:3] == (([4, 4, 0, 0], 8), (4, 4))
+    costs, den = result[3]
     # the reduced costs come back as integers over one positive denominator
     assert den > 0 and all(type(v) is int and v <= 0 for v in costs)
     # strong duality: the slacks' reduced costs are minus the optimal duals
@@ -242,4 +248,14 @@ def test_start_skips_phase_one():
     # optimum the two phases reach (it is unique here)
     result = solve_lp(START_ROWS, [1, 3], START_OBJECTIVE, start=[0, 2])
     assert result == solve_lp(START_ROWS, [1, 3], START_OBJECTIVE)
-    assert result[:3] == (OPTIMAL, [0, 1, 1], 2)
+    assert rational_result(result)[:3] == (OPTIMAL, [0, 1, 1], 2)
+
+
+def test_answers_are_integers():
+    # no Fraction is built inside the solver, for Fraction input too: the
+    # answer is integers over positive denominators
+    rows = [[F(3), F(1), F(1), F(0)], [F(1), Fraction(3, 2), F(0), F(1)]]
+    rhs, objective = [F(2), Fraction(2, 3)], [F(1), Fraction(1, 5), F(0), F(0)]
+    result, built = fractions_built(lambda: solve_lp(rows, rhs, objective))
+    assert built == 0
+    assert rational_result(result) == oracle_solve_lp(rows, rhs, objective)
