@@ -174,11 +174,10 @@ def parse_fraction(src):
     return Fraction(_coordinate(src))
 
 
-# a point of integer coordinates with whitespace around each, which int()
-# reads as _coordinate would: str.strip() also strips \x1c-\x1f, int() does
-# not, so a point with one of those takes _coordinate
-_BLANK = r"[^\S\x1c-\x1f]*"
-_INTEGERS = re.compile(rf"{_BLANK}-?\d+{_BLANK}(?:,{_BLANK}-?\d+{_BLANK})*")
+# a point of integers with no blanks inside, as the CLI prints points:
+# int() reads each part as _coordinate does, and every other point,
+# blanks included, goes through _coordinate
+_INTEGERS = re.compile(r"-?\d+(?:,-?\d+)*")
 
 
 def parse_point(src):

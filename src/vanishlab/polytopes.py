@@ -105,11 +105,18 @@ class SeparationCertificate:
         and the generators nums / den, c.u <= -delta is
         q * (cn . nums) <= -p * l * den.
         """
-        if len(self.c) != polytope.arity:
-            return False
-        cn, l = over_lcm(self.c)
-        delta = exact(self.delta)
-        return _separates(polytope, cn, l, delta.numerator, delta.denominator)
+        return _checked(self, polytope) is not None
+
+
+def _checked(certificate, polytope):
+    """(cn, l, p, q), with c = cn / l over the lcm l of its denominators and
+    delta = p / q, if the certificate is valid for the polytope; else None."""
+    if len(certificate.c) != polytope.arity:
+        return None
+    cn, l = over_lcm(certificate.c)
+    delta = exact(certificate.delta)
+    p, q = delta.numerator, delta.denominator
+    return (cn, l, p, q) if _separates(polytope, cn, l, p, q) else None
 
 
 def _separates(polytope, cn, l, p, q):
@@ -182,10 +189,7 @@ def contains_point(polytope, point):
     status, x, _, _ = solve_lp(rows, rhs, [0] * k, dens)
     if status != OPTIMAL:
         return None
-    # at most n + 1 weights are nonzero: the others share one zero
-    xn, xden = x
-    zero = Fraction(0)
-    return tuple(Fraction(v, xden) if v else zero for v in xn)
+    return _fractions(*x)
 
 
 def orthant_meet(polytope):
@@ -246,17 +250,16 @@ def moveaway_bound(beta, polytope, certificate):
     smallest over all certificates: when the orthant LP has tied optima,
     another c with the same delta may give a smaller N.
     """
-    if not certificate.verify(polytope):
+    checked = _checked(certificate, polytope)
+    if checked is None:
         raise ValueError("invalid separation certificate for this polytope")
     if len(beta) != polytope.arity:
         raise ValueError(f"beta has {len(beta)} coordinates, the polytope lives in "
                          f"dimension {polytope.arity}")
     # with c = cn / l, beta = bn / lb and delta = p / q:
     # (c.beta) / delta = q * (cn . bn) / (l * lb * p)
-    cn, l = over_lcm(certificate.c)
+    cn, l, p, q = checked
     bn, lb = over_lcm(beta)
-    delta = exact(certificate.delta)
-    p, q = delta.numerator, delta.denominator
     return max(1, q * sum(map(mul, cn, bn)) // (l * lb * p) + 1)
 
 

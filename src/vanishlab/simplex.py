@@ -1,22 +1,23 @@
 """Exact rational simplex solver (two phases, Bland's anti-cycling rule).
 
-Solves maximize c.x subject to Ax = b, x >= 0 on an integer tableau: each
-row is integers over a positive integer denominator, kept in lowest terms,
-and the objective is one more row (reduced costs, then minus the value)
-that every pivot updates like the others.  The entering column is a sign
-test on that row and the ratio test compares by cross-multiplication.
-The answer comes back in integers as well: the solution as numerators over
-one common denominator, the value and the reduced costs as numerators over
-the objective row's denominator.  So no Fraction is built here: rational
-input is read through its numerators and denominators, and a caller that
-holds integer numerators hands them over with each row's denominator, and
-they enter the tableau as they are.  A caller that knows a feasible basis
-names it, and phase 1 is skipped.
+Solves maximize c.x subject to Ax = b, x >= 0 on an integer tableau over
+one positive common denominator d, the absolute determinant of the basis:
+every entry is d times the true one.  A pivot is fraction-free (Bareiss):
+each row is scaled by the pivot and divided exactly by the old d, so no
+gcd is taken and the entries stay minors of the input.  The objective is
+one more row (reduced costs, then minus the value) that every pivot
+updates like the others.  The entering column is a sign test on that row
+and the ratio test compares by cross-multiplication.  The answer comes
+back in integers as well, numerators over d.  So no Fraction is built
+here: rational input is read through its numerators and denominators, and
+a caller that holds integer numerators hands them over with each row's
+denominator.  A caller that knows a feasible basis names it, and phase 1
+is skipped.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 
 OPTIMAL = "optimal"
@@ -40,77 +41,86 @@ def over_lcm(values):
 
 
 def _integer_row(values, den=1):
-    """(integers, positive denominator) in lowest terms of a fresh list of
-    exact rationals that are each over den."""
+    """(integers, positive denominator) of a fresh list of exact rationals
+    that are each over den."""
     if not all(type(v) is int for v in values):
         values, scale = over_lcm(values)
         den *= scale
-    return _lowest(values, den)
+    return values, den
 
 
-def _lowest(row, den):
-    g = gcd(den, *row) if den > 0 else -gcd(den, *row)
-    return (row, den) if g == 1 else ([v // g for v in row], den // g)
+def _pivot(tableau, basis, d, r, col):
+    """Pivot column col into row r of a tableau over d > 0; the new d.
 
-
-def _eliminate(row, den, prow, col):
-    """row - (row[col] / prow[col]) * prow; prow's own denominator cancels."""
-    p, f = prow[col], row[col]
-    return _lowest([p * a - f * b for a, b in zip(row, prow)], den * p)
-
-
-def _pivot(tableau, basis, r, col):
-    prow = tableau[r][0]
-    for i, (row, den) in enumerate(tableau):
-        if i != r and row[col]:
-            tableau[i] = _eliminate(row, den, prow, col)
-    tableau[r] = _lowest(prow, prow[col])
+    Fraction-free (Bareiss) elimination: every row is scaled by the pivot
+    and divided by the old d.  The division is exact: d is the absolute
+    determinant of the basis, so by Cramer's rule each quotient, the new d
+    times an entry of the true tableau, is an integer.  A negative pivot
+    negates its row first, so the new d, the pivot, is positive and every
+    sign reads as the true one.
+    """
+    prow = tableau[r]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        prow = tableau[r] = [-v for v in prow]
+    for i, row in enumerate(tableau):
+        if i != r:
+            f = row[col]
+            if f:
+                tableau[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                tableau[i] = [p * a // d for a in row]
     basis[r] = col
+    return p
 
 
-def _optimize(tableau, basis):
-    """Bland-rule simplex on a tableau whose last row is the objective; False if unbounded."""
+def _optimize(tableau, basis, d):
+    """Bland-rule simplex on a tableau over d whose last row is the
+    objective; the final d, or None if unbounded."""
     while True:
-        enter = next((j for j, v in enumerate(tableau[-1][0][:-1]) if v > 0), -1)
+        enter = next((j for j, v in enumerate(tableau[-1][:-1]) if v > 0), -1)
         if enter < 0:
-            return True
+            return d
         leave = -1
         for i in range(len(basis)):
-            row = tableau[i][0]
+            row = tableau[i]
             a, b = row[enter], row[-1]
             # b / a < best_b / best_a, or a tie broken by the smaller basic index
             if a > 0 and (leave < 0 or b * best_a < best_b * a
                           or b * best_a == best_b * a and basis[i] < basis[leave]):
                 leave, best_a, best_b = i, a, b
         if leave < 0:
-            return False
-        _pivot(tableau, basis, leave, enter)
+            return None
+        d = _pivot(tableau, basis, d, leave, enter)
 
 
-def _objective_row(cost, tableau, basis):
-    """cost's reduced costs and minus its value at the basis, as an integer row."""
-    row, den = _integer_row(cost)
+def _objective_row(cost, tableau, basis, d):
+    """d times the integer cost's reduced costs, then minus d times its
+    value, at the basis of a tableau over d."""
+    row = [d * c for c in cost]
     for i, b in enumerate(basis):
-        if row[b]:
-            row, den = _eliminate(row, den, tableau[i][0], b)
-    return row, den
+        if cost[b]:
+            row = [v - cost[b] * a for v, a in zip(row, tableau[i])]
+    return row
 
 
 def _start(tableau, start, n):
     """Pivot column start[i] into row i by Gauss-Jordan, with no ratio test;
-    the basis, or ValueError if it is not a feasible one."""
+    the basis and the tableau's denominator, or ValueError if it is not a
+    feasible basis."""
     m = len(tableau)
     if (len(start) != m or len(set(start)) != m
             or any(type(j) is not int or not 0 <= j < n for j in start)):
         raise ValueError(f"start {start!r} is not {m} distinct columns of {n}")
-    basis = list(start)
+    basis, d = list(start), 1
     for i, j in enumerate(start):
-        if not tableau[i][0][j]:
+        if not tableau[i][j]:
             raise ValueError(f"start column {j} has a zero pivot in row {i}")
-        _pivot(tableau, basis, i, j)
-    if any(row[-1] < 0 for row, _ in tableau):
+        d = _pivot(tableau, basis, d, i, j)
+    if any(row[-1] < 0 for row in tableau):
         raise ValueError(f"start {start!r} is not a feasible basis")
-    return basis
+    return basis, d
 
 
 def solve_lp(rows, rhs, objective, dens=None, *, start=None):
@@ -118,9 +128,10 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
 
     With ``dens``, constraint i is ``(rows[i] / dens[i]).x = rhs[i] / dens[i]``
     for a positive int ``dens[i]``, so a caller that holds integer
-    numerators passes them as they are.  The row keeps that denominator in
-    the tableau: multiplying it through would change the phase-1 objective,
-    and with it the pivots Bland's rule makes.
+    numerators passes them as they are.  Phase 1 brings the rows to one
+    common denominator before it adds the artificial columns: multiplying
+    each row through by its own would change the phase-1 objective, and
+    with it the pivots Bland's rule makes.
     With ``start``, a list naming one column per row whose basic solution
     is feasible, phase 1 is skipped: column start[i] is pivoted into row i
     and phase 2 runs from there.  A start that is not distinct columns in
@@ -129,11 +140,11 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     Returns ``(status, x, value, reduced)``, all but status None unless
     optimal, each of the last three as integers over a positive ``int``
     denominator.  ``x`` is ``(nums, den)``: ``x[j] = nums[j] / den``, where
-    ``den`` is the lcm of the basic rows' denominators.  ``value`` is
-    ``(num, den)`` and ``reduced`` is ``(nums, den)``, both over the
-    objective row's denominator: ``nums[j] / den <= 0`` is the reduced cost
-    of column j, and where column j is the unit vector of row i it is minus
-    row i's optimal dual.  Neither pair need be in lowest terms.
+    ``den`` is the tableau's common denominator.  ``value`` is ``(num, den)``
+    and ``reduced`` is ``(nums, den)``, both over that denominator times the
+    lcm of the objective's denominators: ``nums[j] / den <= 0`` is the
+    reduced cost of column j, and where column j is the unit vector of row
+    i it is minus row i's optimal dual.  No pair need be in lowest terms.
     A number that is not an exact rational raises ``TypeError``.
     """
     m, n = len(rows), len(objective)
@@ -143,36 +154,44 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
         raise TypeError(f"row denominators {dens!r} are not {m} positive ints")
     tableau = [_integer_row([*rows[i], rhs[i]], dens[i]) for i in range(m)]
     if start is not None:
-        basis = _start(tableau, start, n)
+        # scaling a row moves neither a basic solution nor a reduced cost
+        tableau = [row for row, _ in tableau]
+        basis, d = _start(tableau, start, n)
     else:
-        for i, (row, den) in enumerate(tableau):
+        # over one common denominator the artificial columns are the unit
+        # columns, and weigh alike in the phase-1 objective
+        common = lcm(*(den for _, den in tableau))
+        tableau = [row if den == common else [v * (common // den) for v in row]
+                   for row, den in tableau]
+        for i, row in enumerate(tableau):
             if row[-1] < 0:
                 row = [-v for v in row]
-            row[n:n] = [den if j == i else 0 for j in range(m)]
-            tableau[i] = (row, den)
+            row[n:n] = [1 if j == i else 0 for j in range(m)]
+            tableau[i] = row
         basis = [n + i for i in range(m)]
 
-        tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis))
-        _optimize(tableau, basis)
-        if tableau.pop()[0][-1] > 0:
+        tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis, 1))
+        d = _optimize(tableau, basis, 1)
+        if tableau.pop()[-1] > 0:
             return INFEASIBLE, None, None, None
 
         # Drive leftover artificials out of the basis; a row that keeps one is redundant.
         for i in range(m):
             if basis[i] >= n:
-                j = next((j for j in range(n) if tableau[i][0][j]), -1)
+                j = next((j for j in range(n) if tableau[i][j]), -1)
                 if j >= 0:
-                    _pivot(tableau, basis, i, j)
+                    d = _pivot(tableau, basis, d, i, j)
         keep = [i for i in range(m) if basis[i] < n]
         basis = [basis[i] for i in keep]
-        tableau = [(tableau[i][0][:n] + tableau[i][0][-1:], tableau[i][1]) for i in keep]
+        tableau = [tableau[i][:n] + tableau[i][-1:] for i in keep]
 
-    tableau.append(_objective_row([*objective, 0], tableau, basis))
-    if not _optimize(tableau, basis):
+    cost, scale = over_lcm([*objective, 0])
+    tableau.append(_objective_row(cost, tableau, basis, d))
+    d = _optimize(tableau, basis, d)
+    if d is None:
         return UNBOUNDED, None, None, None
-    obj, oden = tableau.pop()
-    xden = lcm(*(den for _, den in tableau))
+    obj = tableau.pop()
     x = [0] * n
-    for (row, den), b in zip(tableau, basis):
-        x[b] = row[-1] * (xden // den)
-    return OPTIMAL, (x, xden), (-obj[-1], oden), (obj[:-1], oden)
+    for row, b in zip(tableau, basis):
+        x[b] = row[-1]
+    return OPTIMAL, (x, d), (-obj[-1], d * scale), (obj[:-1], d * scale)

@@ -58,9 +58,9 @@ def test_exact_fractions_survive():
     assert status == OPTIMAL
     assert value == F(1)
     assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)
-    # x comes back as integers over the lcm of the basic rows' denominators,
-    # the value over the objective row's, not necessarily in lowest terms
-    assert result[1:3] == (([4, 4, 0, 0], 8), (4, 4))
+    # x and the value come back as integers over the tableau's denominator,
+    # 8 = det [[3, 1], [1, 3]] of the optimal basis, not in lowest terms
+    assert result[1:3] == (([4, 4, 0, 0], 8), (8, 8))
     costs, den = result[3]
     # the reduced costs come back as integers over one positive denominator
     assert den > 0 and all(type(v) is int and v <= 0 for v in costs)
@@ -121,6 +121,17 @@ def test_row_denominators_match_oracle(lp, data):
     # the rows divided out, so the same pivots and the same answer
     rows, rhs, objective = lp
     dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+    assert rational_result(solve_lp(rows, rhs, objective, dens)) == oracle_solve_lp(
+        *rational_lp(rows, rhs, objective, dens))
+
+
+@pytest.mark.parametrize("rows, rhs, objective, dens", [
+    ([[2, -1, -1], [-2, 1, -1]], [-2, -2], [-1, 0, 0], [3, 2]),
+    ([[1, 1, 0], [-2, -1, 2]], [1, 0], [0, 0, 0], [1, 3]),
+])
+def test_phase_one_weighs_rows_alike(rows, rhs, objective, dens):
+    # rows over different denominators: an artificial column scaled by its
+    # own row's denominator would change phase 1's pivots, and the answer
     assert rational_result(solve_lp(rows, rhs, objective, dens)) == oracle_solve_lp(
         *rational_lp(rows, rhs, objective, dens))
 
