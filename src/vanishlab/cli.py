@@ -301,11 +301,20 @@ def cmd_counterexample(args, out):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process; it holds no per-call state."""
+    """The argument parser, built once per process; it holds no per-call state.
+
+    ``parser.leaves`` maps the words that name each leaf command, such as
+    ``("polytope",)`` or ``("case", "phi")``, to the parser of that leaf.
+    """
     parser = _Parser(prog="vanishlab",
                      description="Exact checks for vanishing of powers of "
                                  "constant-coefficient differential operators.")
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def leaf(group, *words, **kwargs):
+        p = parser.leaves[words] = group.add_parser(words[-1], **kwargs)
+        return p
 
     def common(p, vars_default=None, precision=False, horizon=True):
         if vars_default is not None:
@@ -318,28 +327,28 @@ def build_parser():
             p.add_argument("-D", "--precision", type=int, default=12)
         p.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT)
 
-    p = sub.add_parser("vanish", help="per-m vanishing profile")
+    p = leaf(sub, "vanish", help="per-m vanishing profile")
     common(p, vars_default="x,y")
     p.add_argument("--op", required=True, help="operator, e.g. 'dx*dy'")
     p.add_argument("--p", required=True, help="polynomial P ('-' reads stdin)")
     p.add_argument("--g", help="multiplier g (default 1)")
     p.set_defaults(func=cmd_vanish)
 
-    p = sub.add_parser("polytope", help="orthant queries on a V-rep polytope")
+    p = leaf(sub, "polytope", help="orthant queries on a V-rep polytope")
     common(p, horizon=False)
     p.add_argument("--sigma", required=True, help="generators, e.g. '(-2,1);(1,-2)'")
     p.add_argument("--beta", help="translation point for the move-away bound")
     p.add_argument("--point", help="membership query point")
     p.set_defaults(func=cmd_polytope)
 
-    p = sub.add_parser("density", help="ray search through supports of powers")
+    p = leaf(sub, "density", help="ray search through supports of powers")
     common(p, vars_default="x,y")
     p.add_argument("--p", required=True)
     p.add_argument("--u", required=True, help="rational point, e.g. '(1/2,1/2)'")
     p.add_argument("--homogeneous", action="store_true")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("dk", help="constant-term scan against Poly(f)")
+    p = leaf(sub, "dk", help="constant-term scan against Poly(f)")
     common(p, vars_default="x,y")
     p.add_argument("--f", required=True)
     p.set_defaults(func=cmd_dk)
@@ -347,7 +356,7 @@ def build_parser():
     p = sub.add_parser("case", help="proved-case checkers")
     which = p.add_subparsers(dest="which", required=True)
     for name in ("one-var", "phi", "monomial", "two-monomial"):
-        q = which.add_parser(name)
+        q = leaf(which, "case", name)
         common(q, vars_default="x" if name == "one-var" else "x,y")
         if name == "phi":
             q.add_argument("--phi", required=True, help="Phi as an operator in d<y>")
@@ -356,21 +365,42 @@ def build_parser():
             q.add_argument("--op", required=True)
             q.add_argument("--p", required=True)
         q.add_argument("--g")
-        q.set_defaults(func=cmd_case)
+        q.set_defaults(func=cmd_case, which=name)
 
     p = sub.add_parser("counterexample", help="series-scale counterexamples")
     which = p.add_subparsers(dest="which", required=True)
     for name in ("ddv", "dk"):
-        q = which.add_parser(name)
+        q = leaf(which, "counterexample", name)
         common(q, precision=True)
-        q.set_defaults(func=cmd_counterexample)
+        q.set_defaults(func=cmd_counterexample, which=name)
 
     return parser
 
 
-def main(argv=None):
+def parse_request(argv):
+    """The namespace of one request's words: the full parser's, less ``command``.
+
+    Words that begin with a leaf command's name (one word, or two for
+    ``case`` and ``counterexample``) go straight to that leaf's parser, to
+    which the full parser would hand the same remaining words; arguments
+    the leaf does not know are the full parser's "unrecognized arguments"
+    error.  Anything else (no command, an unknown one, -h, ``case`` alone)
+    goes through the full parser, which prints the help or the error.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    for size in (1, 2):
+        leaf = parser.leaves.get(tuple(argv[:size]))
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[size:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    """Serve one request, ``sys.argv[1:]`` when argv is None; the exit code."""
+    args = parse_request(sys.argv[1:] if argv is None else list(argv))
     out = Emitter(args.format)
     try:
         if "horizon" in args and args.horizon is None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import powers
-from .polytopes import contains_point, newton_polytope
+from .polytopes import in_polytope, newton_polytope
 from .simplex import exact, over_lcm
 
 FOUND = "found"
@@ -57,7 +57,7 @@ def ray_hits_support(p, u, horizon):
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     u = tuple(Fraction(exact(v)) for v in u)
-    if contains_point(newton_polytope(p), u) is None:
+    if not in_polytope(newton_polytope(p), u):
         raise ValueError("u must lie in the Newton polytope of P")
     hit = _ray(u)
     hits = []
@@ -109,7 +109,7 @@ def dk_check(f, horizon):
     terms = [f_m.constant_term() for f_m in powers(f, horizon)]
     first_nonzero = next((m for m, c in enumerate(terms, start=1) if c), None)
     origin = (0,) * f.arity
-    zero_in = contains_point(newton_polytope(f), origin) is not None
+    zero_in = in_polytope(newton_polytope(f), origin)
     if first_nonzero is not None:
         verdict = HYPOTHESIS_FAILS
     elif zero_in:

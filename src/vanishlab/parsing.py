@@ -174,21 +174,12 @@ def parse_fraction(src):
     return Fraction(_coordinate(src))
 
 
-# a point of integers with no blanks inside, as the CLI prints points:
-# int() reads each part as _coordinate does, and every other point,
-# blanks included, goes through _coordinate
-_INTEGERS = re.compile(r"-?\d+(?:,-?\d+)*")
-
-
 def parse_point(src):
     """Parse "(a,b,...)": an ``int`` for each integral component, a `Fraction` for p/q."""
     src = src.strip()
     if src.startswith("(") and src.endswith(")"):
         src = src[1:-1]
-    parts = src.split(",")
-    if _INTEGERS.fullmatch(src):
-        return tuple(map(int, parts))
-    return tuple(map(_coordinate, parts))
+    return tuple(map(_coordinate, src.split(",")))
 
 
 def parse_generators(src):

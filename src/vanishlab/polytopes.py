@@ -6,12 +6,14 @@ or H-representation is ever computed.
 
 A polytope stores its generators once, as integer numerators over one
 positive common denominator; integer generators are kept as they are.
-The LPs are built from those integers and reach the simplex as integer
-rows over their own denominators, and the simplex answers in integers
-too.  Every check of an answer (weights, a witness point, a separation
-certificate) cross-multiplies integers, and a `Fraction` is built only for
-a coordinate of the answer that is returned: the weights, the points, and
-c and delta.
+The membership and difference LPs are built from those integers and reach
+the simplex as integer rows over their own denominators; the orthant LP's
+start tableau is written down from them in closed form and goes straight
+to phase 2.  The simplex answers in integers too.  Every check of an
+answer (weights, a witness point, a separation certificate)
+cross-multiplies integers, and a `Fraction` is built only for a
+coordinate of the answer that is returned: the weights, the points, and c
+and delta.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .simplex import OPTIMAL, exact, over_lcm, solve_lp
+from .simplex import OPTIMAL, exact, over_lcm, phase_two, solve_lp
 
 
 class RationalPolytope:
@@ -165,12 +167,15 @@ def _fractions(nums, den):
     return tuple(Fraction(v, den) for v in nums)
 
 
-def contains_point(polytope, point):
-    """Exact membership test; returns convex coefficients or None.
+def _is_convex(weights, den):
+    """Whether integer weights over den > 0 are >= 0 and sum to 1."""
+    return sum(weights) == den and all(v >= 0 for v in weights)
 
-    The coefficients come from the first basic feasible solution under
-    Bland ordering, so they are deterministic but not canonical.
-    """
+
+def _weights(polytope, point):
+    """Convex weights of the generators that give the point, as integer
+    numerators over one positive denominator, checked; None if the point is
+    outside."""
     point = [exact(v) for v in point]
     if len(point) != polytope.arity:
         raise ValueError("arity mismatch")
@@ -189,7 +194,84 @@ def contains_point(polytope, point):
     status, x, _, _ = solve_lp(rows, rhs, [0] * k, dens)
     if status != OPTIMAL:
         return None
-    return _fractions(*x)
+    # sum(lambda_j u_j) = point / (xden * den) = point, cross-multiplied
+    lam, xden = x
+    if _is_convex(lam, xden) and all(
+            c * v.denominator == v.numerator * xden * den
+            for c, v in zip(_combination(lam, polytope), point)):
+        return lam, xden
+    raise RuntimeError(f"the membership LP gave no valid answer for {point} in {polytope}")
+
+
+def contains_point(polytope, point):
+    """Exact membership test; returns convex coefficients or None.
+
+    The coefficients come from the first basic feasible solution under
+    Bland ordering, so they are deterministic but not canonical.  They are
+    checked in integers (nonnegative, summing to 1, combining to the point)
+    before they are built as `Fraction`s.
+    """
+    weights = _weights(polytope, point)
+    return None if weights is None else _fractions(*weights)
+
+
+def in_polytope(polytope, point):
+    """Whether the point lies in the polytope: `contains_point`'s LP and its
+    check, with no coefficient built."""
+    return _weights(polytope, point) is not None
+
+
+def _orthant_tableau(polytope):
+    """The tableau of the orthant LP at its start basis, written down in
+    closed form, as `phase_two` takes it: ``(tableau, basis, d)``.
+
+    The columns are lambda_1..lambda_k, t+, t-, s_1..s_n; the rows are the
+    coordinate rows ``sum_j lambda_j g_j[i] - den*t - den*s_i = 0`` over the
+    generators' numerators g_j, then ``sum lambda = 1``.  The start basis is
+    the best generator: j* maximizes min(g_j) and i* is where g_j* takes
+    it, lowest indices first, m = g_j*[i*].  Row i* holds t+ (t- if m < 0,
+    sign -1), every other coordinate row i its surplus s_i, and the sum row
+    lambda_j*.  The basis has |det| = den^n, so with d = den^n and
+    f = den^(n - 1) the tableau (d times its true entries) is, with
+    every entry not named 0:
+
+    - row i != i*: lambda_j f((g_j*[i] - m) - (g_j[i] - g_j[i*])),
+      s_i d, s_i* -d, right-hand side f(g_j*[i] - m);
+    - row i*: lambda_j sign*f(m - g_j[i*]), t+ sign*d, t- -sign*d,
+      s_i* sign*d, right-hand side sign*f*m;
+    - the sum row: d on every lambda, right-hand side d;
+    - the objective row (maximize t+ - t-): lambda_j f(g_j[i*] - m),
+      s_i* -d, and last -f*m, minus d times the start value m / den.
+    """
+    nums, den = polytope.nums, polytope.den
+    n, k = polytope.arity, len(nums)
+    mins = [min(g) for g in nums]
+    best = max(range(k), key=mins.__getitem__)
+    top, m = nums[best], mins[best]
+    low = top.index(m)
+    f = den ** (n - 1)
+    d = f * den
+    sign = 1 if m >= 0 else -1
+    at_low = [g[low] for g in nums]
+    zeros = [0] * (2 + n)
+    tableau = []
+    for i in range(n):
+        if i == low:
+            sf, sd = sign * f, sign * d
+            row = [sf * (m - v) for v in at_low] + zeros + [sf * m]
+            row[k], row[k + 1], row[k + 2 + i] = sd, -sd, sd
+        else:
+            gap = top[i] - m
+            row = [f * (gap - g[i] + v) for g, v in zip(nums, at_low)] + zeros + [f * gap]
+            row[k + 2 + i], row[k + 2 + low] = d, -d
+        tableau.append(row)
+    tableau.append([d] * k + zeros + [d])
+    objective = [f * (v - m) for v in at_low] + zeros + [-f * m]
+    objective[k + 2 + low] = -d
+    tableau.append(objective)
+    basis = [k + 2 + i for i in range(n)] + [best]
+    basis[low] = k if sign > 0 else k + 1
+    return tableau, basis, d
 
 
 def orthant_meet(polytope):
@@ -205,25 +287,12 @@ def orthant_meet(polytope):
 
     The simplex starts at the best single generator u_j*, the one whose
     smallest coordinate u_j*,i* is largest: lambda_j* = 1, t = u_j*,i* and
-    s_i = u_j*,i - t >= 0 is a feasible basis, so there is no phase 1.
+    s_i = u_j*,i - t >= 0 is a feasible basis, so there is no phase 1.  Its
+    tableau is written down (`_orthant_tableau`), and `phase_two` runs
+    from it.
     """
-    nums, den = polytope.nums, polytope.den
-    n = polytope.arity
-    k = len(nums)
-    # maximize t over {lambda >= 0, sum lambda = 1, sum lambda_j u_j - t*1 - s = 0, s >= 0}
-    # columns: lambda_1..lambda_k, t+, t-, s_1..s_n; coordinate rows are over den
-    rows = [[g[i] for g in nums] + [-den, den] + [-den if r == i else 0 for r in range(n)]
-            for i in range(n)]
-    rows.append([1] * k + [0] * (2 + n))
-    objective = [0] * k + [1, -1] + [0] * n
-    # the lowest-index maximizer j* of min(u_j) and the lowest-index minimizer i* of u_j*
-    mins = [min(g) for g in nums]
-    best = max(range(k), key=mins.__getitem__)
-    low = nums[best].index(mins[best])
-    start = [k + 2 + i for i in range(n)] + [best]
-    start[low] = k if mins[best] >= 0 else k + 1
-    status, x, t, reduced = solve_lp(rows, [0] * n + [1], objective, [den] * n + [1],
-                                     start=start)
+    k = len(polytope.nums)
+    status, x, t, reduced = phase_two(*_orthant_tableau(polytope))
     if status == OPTIMAL:
         (xn, xden), (tn, tden) = x, t
         if tn < 0:
@@ -237,8 +306,8 @@ def orthant_meet(polytope):
             # lambda = xn / xden and the point sum(lambda_j u_j) = point / (xden * den)
             lam = xn[:k]
             point = _combination(lam, polytope)
-            if sum(lam) == xden and all(v >= 0 for v in (*lam, *point)):
-                return Witness(point=_fractions(point, xden * den))
+            if _is_convex(lam, xden) and all(v >= 0 for v in point):
+                return Witness(point=_fractions(point, xden * polytope.den))
     raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
 
 
@@ -268,6 +337,8 @@ def difference_decomposition(a, b, w):
 
     The pair is whatever basic solution Bland's rule reaches first; the
     decomposition is not canonical.  Returns None when w is not in A - B.
+    Both weight vectors are checked in integers (nonnegative, each summing
+    to 1, u - v = w) before the pair is built as `Fraction`s.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
@@ -290,5 +361,11 @@ def difference_decomposition(a, b, w):
     if status != OPTIMAL:
         return None
     xn, xden = x
-    return (_fractions(_combination(xn[:ka], a), xden * a.den),
-            _fractions(_combination(xn[ka:], b), xden * b.den))
+    la, lb = xn[:ka], xn[ka:]
+    u, v = _combination(la, a), _combination(lb, b)
+    # u - v = (sa * u - sb * v) / (xden * den) = w, cross-multiplied
+    if _is_convex(la, xden) and _is_convex(lb, xden) and all(
+            (sa * p - sb * q) * c.denominator == c.numerator * xden * den
+            for p, q, c in zip(u, v, w)):
+        return _fractions(u, xden * a.den), _fractions(v, xden * b.den)
+    raise RuntimeError(f"the difference LP gave no valid answer for {w} in {a} - {b}")

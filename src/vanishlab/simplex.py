@@ -11,8 +11,8 @@ and the ratio test compares by cross-multiplication.  The answer comes
 back in integers as well, numerators over d.  So no Fraction is built
 here: rational input is read through its numerators and denominators, and
 a caller that holds integer numerators hands them over with each row's
-denominator.  A caller that knows a feasible basis names it, and phase 1
-is skipped.
+denominator.  A caller that can write down the tableau of a feasible
+basis hands it to `phase_two`, and phase 1 is skipped.
 """
 from __future__ import annotations
 
@@ -105,25 +105,7 @@ def _objective_row(cost, tableau, basis, d):
     return row
 
 
-def _start(tableau, start, n):
-    """Pivot column start[i] into row i by Gauss-Jordan, with no ratio test;
-    the basis and the tableau's denominator, or ValueError if it is not a
-    feasible basis."""
-    m = len(tableau)
-    if (len(start) != m or len(set(start)) != m
-            or any(type(j) is not int or not 0 <= j < n for j in start)):
-        raise ValueError(f"start {start!r} is not {m} distinct columns of {n}")
-    basis, d = list(start), 1
-    for i, j in enumerate(start):
-        if not tableau[i][j]:
-            raise ValueError(f"start column {j} has a zero pivot in row {i}")
-        d = _pivot(tableau, basis, d, i, j)
-    if any(row[-1] < 0 for row in tableau):
-        raise ValueError(f"start {start!r} is not a feasible basis")
-    return basis, d
-
-
-def solve_lp(rows, rhs, objective, dens=None, *, start=None):
+def solve_lp(rows, rhs, objective, dens=None):
     """Maximize objective.x subject to rows.x = rhs, x >= 0.
 
     With ``dens``, constraint i is ``(rows[i] / dens[i]).x = rhs[i] / dens[i]``
@@ -132,11 +114,6 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     common denominator before it adds the artificial columns: multiplying
     each row through by its own would change the phase-1 objective, and
     with it the pivots Bland's rule makes.
-    With ``start``, a list naming one column per row whose basic solution
-    is feasible, phase 1 is skipped: column start[i] is pivoted into row i
-    and phase 2 runs from there.  A start that is not distinct columns in
-    range, meets a zero pivot or gives a negative basic value raises
-    ``ValueError``; there is no fallback.
     Returns ``(status, x, value, reduced)``, all but status None unless
     optimal, each of the last three as integers over a positive ``int``
     denominator.  ``x`` is ``(nums, den)``: ``x[j] = nums[j] / den``, where
@@ -153,45 +130,66 @@ def solve_lp(rows, rhs, objective, dens=None, *, start=None):
     elif any(type(d) is not int or d < 1 for d in dens) or len(dens) != m:
         raise TypeError(f"row denominators {dens!r} are not {m} positive ints")
     tableau = [_integer_row([*rows[i], rhs[i]], dens[i]) for i in range(m)]
-    if start is not None:
-        # scaling a row moves neither a basic solution nor a reduced cost
-        tableau = [row for row, _ in tableau]
-        basis, d = _start(tableau, start, n)
-    else:
-        # over one common denominator the artificial columns are the unit
-        # columns, and weigh alike in the phase-1 objective
-        common = lcm(*(den for _, den in tableau))
-        tableau = [row if den == common else [v * (common // den) for v in row]
-                   for row, den in tableau]
-        for i, row in enumerate(tableau):
-            if row[-1] < 0:
-                row = [-v for v in row]
-            row[n:n] = [1 if j == i else 0 for j in range(m)]
-            tableau[i] = row
-        basis = [n + i for i in range(m)]
+    # over one common denominator the artificial columns are the unit
+    # columns, and weigh alike in the phase-1 objective
+    common = lcm(*(den for _, den in tableau))
+    tableau = [row if den == common else [v * (common // den) for v in row]
+               for row, den in tableau]
+    for i, row in enumerate(tableau):
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[n:n] = [1 if j == i else 0 for j in range(m)]
+        tableau[i] = row
+    basis = [n + i for i in range(m)]
 
-        tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis, 1))
-        d = _optimize(tableau, basis, 1)
-        if tableau.pop()[-1] > 0:
-            return INFEASIBLE, None, None, None
+    tableau.append(_objective_row([0] * n + [-1] * m + [0], tableau, basis, 1))
+    d = _optimize(tableau, basis, 1)
+    if tableau.pop()[-1] > 0:
+        return INFEASIBLE, None, None, None
 
-        # Drive leftover artificials out of the basis; a row that keeps one is redundant.
-        for i in range(m):
-            if basis[i] >= n:
-                j = next((j for j in range(n) if tableau[i][j]), -1)
-                if j >= 0:
-                    d = _pivot(tableau, basis, d, i, j)
-        keep = [i for i in range(m) if basis[i] < n]
-        basis = [basis[i] for i in keep]
-        tableau = [tableau[i][:n] + tableau[i][-1:] for i in keep]
+    # Drive leftover artificials out of the basis; a row that keeps one is redundant.
+    for i in range(m):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if tableau[i][j]), -1)
+            if j >= 0:
+                d = _pivot(tableau, basis, d, i, j)
+    keep = [i for i in range(m) if basis[i] < n]
+    basis = [basis[i] for i in keep]
+    tableau = [tableau[i][:n] + tableau[i][-1:] for i in keep]
 
     cost, scale = over_lcm([*objective, 0])
     tableau.append(_objective_row(cost, tableau, basis, d))
+    status, x, value, reduced = phase_two(tableau, basis, d)
+    if status != OPTIMAL:
+        return status, x, value, reduced
+    # phase_two answers for the integer cost, which is scale times the objective
+    return status, x, (value[0], value[1] * scale), (reduced[0], reduced[1] * scale)
+
+
+def phase_two(tableau, basis, d):
+    """Phase 2 of the simplex from a feasible basis the caller writes down.
+
+    The tableau contract: ``tableau`` is m constraint rows and then the
+    objective row, each a list of ints, n columns and then the right-hand
+    side.  Column ``basis[i]`` is basic in row i.  With A the integer
+    constraint matrix (right-hand side included) and B its basis columns,
+    every constraint row is d times the row of B^-1 A, for d = |det B| > 0,
+    so the basic column of row i is d times the unit vector and the
+    Bareiss pivots divide exactly.  The basis is feasible: every
+    right-hand side is >= 0.  The objective row is d times the reduced
+    costs of an integer objective at that basis, and then minus d times
+    its value.  ``tableau`` and ``basis`` are changed in place.
+
+    Returns ``(status, x, value, reduced)`` as `solve_lp` does, ``UNBOUNDED``
+    or ``OPTIMAL``, with every denominator the final d: ``x`` as
+    ``(nums, den)``, ``value`` as ``(num, den)`` and ``reduced`` as
+    ``(nums, den)``, the last two for the integer objective.
+    """
     d = _optimize(tableau, basis, d)
     if d is None:
         return UNBOUNDED, None, None, None
     obj = tableau.pop()
-    x = [0] * n
+    x = [0] * (len(obj) - 1)
     for row, b in zip(tableau, basis):
         x[b] = row[-1]
-    return OPTIMAL, (x, d), (-obj[-1], d * scale), (obj[:-1], d * scale)
+    return OPTIMAL, (x, d), (-obj[-1], d), (obj[:-1], d)

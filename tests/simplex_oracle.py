@@ -4,9 +4,12 @@ This is the two-phase Bland-rule solver that `vanishlab.simplex` replaced
 with an integer tableau: it rebuilds `Fraction` rows on every pivot and
 recomputes each reduced cost from scratch.  It shares no code with the
 library, so the tests can require that `vanishlab.simplex.solve_lp` returns
-exactly the same ``(status, x, value, reduced)`` on every LP, with or without
-a start basis (``rational_result`` reads the library's integer answers,
-numerators over a denominator, as the `Fraction`s this solver returns).
+exactly the same ``(status, x, value, reduced)`` on every LP
+(``rational_result`` reads the library's integer answers, numerators over a
+denominator, as the `Fraction`s this solver returns).  Given a start basis
+it pivots that basis in by Gauss-Jordan and runs phase 2 from there, the
+reference for `vanishlab.simplex.phase_two` and for the orthant LP's
+start tableau, which the library writes down in closed form.
 """
 
 from fractions import Fraction
@@ -73,6 +76,19 @@ def _start_basis(rows, rhs, start, n):
     if any(r[-1] < 0 for r in tableau):
         raise ValueError("infeasible start basis")
     return tableau, basis
+
+
+def start_tableau(rows, rhs, objective, start):
+    """``(tableau, basis, objective row)`` at the start basis, in `Fraction`s:
+    the constraint rows after the Gauss-Jordan pivots, then the reduced
+    costs followed by minus the objective value; ValueError unless the
+    basis exists and is feasible."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    objective = [Fraction(v) for v in objective]
+    tableau, basis = _start_basis(rows, [Fraction(v) for v in rhs], start, len(objective))
+    value = sum(objective[b] * row[-1] for b, row in zip(basis, tableau))
+    reduced = [_reduced_cost(tableau, basis, objective, j) for j in range(len(objective))]
+    return tableau, basis, reduced + [-value]
 
 
 def solve_lp(rows, rhs, objective, start=None):
@@ -159,3 +175,29 @@ def rational_result(result):
         assert all(type(v) is int for v in nums) and type(den) is int and den > 0
     return (status, [Fraction(v, x[1]) for v in x[0]], Fraction(*value),
             [Fraction(v, reduced[1]) for v in reduced[0]])
+
+
+def orthant_lp(gens):
+    """The orthant LP of `vanishlab.polytopes.orthant_meet` in `Fraction`s:
+    maximize t+ - t- over lambda_1..lambda_k, t+, t-, s_1..s_n subject to
+    sum_j lambda_j g_j[i] - t+ + t- - s_i = 0 and sum lambda = 1."""
+    n, k = len(gens[0]), len(gens)
+    rows = [[Fraction(g[i]) for g in gens] + [Fraction(-1), Fraction(1)]
+            + [Fraction(-int(r == i)) for r in range(n)] for i in range(n)]
+    rows.append([Fraction(1)] * k + [Fraction(0)] * (2 + n))
+    return (rows, [Fraction(0)] * n + [Fraction(1)],
+            [Fraction(0)] * k + [Fraction(1), Fraction(-1)] + [Fraction(0)] * n)
+
+
+def orthant_start(gens):
+    """The orthant LP's start basis, from the `Fraction` generators: j* has
+    the largest smallest coordinate and i* is where u_j* takes it, lowest
+    indices first; row i* holds t+ (t-, if u_j*,i* < 0), row i != i* its
+    surplus s_i, and the sum row lambda_j*."""
+    n, k = len(gens[0]), len(gens)
+    gens = [tuple(map(Fraction, g)) for g in gens]
+    best = max(range(k), key=lambda j: (min(gens[j]), -j))
+    low = min(range(n), key=lambda i: (gens[best][i], i))
+    start = [k + 2 + i for i in range(n)] + [best]
+    start[low] = k if gens[best][low] >= 0 else k + 1
+    return start

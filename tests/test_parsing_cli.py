@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parsing_oracle
-from vanishlab.cli import build_parser, main
+from vanishlab.cli import build_parser, main, parse_request
 from vanishlab.parsing import (
     ParseError,
     parse_fraction,
@@ -492,8 +494,123 @@ class TestCli:
         assert first == second
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("x*y"))
         code, out, _ = run(capsys, "vanish", "--op", "dx^2", "--p", "-",
                            "-M", "3", "--format", "structured")
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# Leaf dispatch: a request that names a leaf command is parsed by that leaf's
+# parser alone, and every answer is the full parser's
+
+SIGMA = "--sigma=(-1,0);(0,-1)"
+LEAVES = [("vanish",), ("polytope",), ("density",), ("dk",), ("case", "one-var"),
+          ("case", "phi"), ("case", "monomial"), ("case", "two-monomial"),
+          ("counterexample", "ddv"), ("counterexample", "dk")]
+DISPATCH_ARGVS = [
+    ["no-such-command"], [], ["case"], ["case", "nope"], ["counterexample"],
+    ["polytope", SIGMA, "--bogus"],
+    ["polytope", SIGMA, "-M", "3"],
+    ["case", "phi", "--phi=dy^2", "--f=y", "extra"],
+    ["counterexample", "ddv", "--bogus", "x"],
+    ["-h"], ["--help"], ["polytope", "-h"], ["case", "phi", "-h"], ["counterexample", "dk", "--he"],
+    ["polytope", SIGMA, "--form", "structured"],
+    ["polytope"], ["polytope", "--", SIGMA], ["--format", "text", "polytope", SIGMA],
+    ["vanish", "--op=dx", "--p=x", "--format", "json"],
+    ["case", "one-var", "--", "x"],
+    ["case", "two-monomial", "--op", "dx^2 + dy^3", "--p", "x*y", "-M", "4", "--g", "x"],
+    ["counterexample", "ddv", "-M", "3", "-D", "4", "--format=structured"],
+    ["density", "--p", "x + y", "--u", "(1/2,1/2)", "--homogeneous"],
+]
+
+
+def parsed(parse, argv):
+    """What parse gives for argv: its namespace less ``command``, or its
+    exit code, with what it printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {k: v for k, v in vars(parse(list(argv))).items() if k != "command"}
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+WORDS = st.sampled_from(["vanish", "polytope", "density", "dk", "case", "counterexample",
+                         "one-var", "phi", "ddv", "nope", "-h", "--he", "--", "-M", "3",
+                         "--form", "--format", "structured", "text", SIGMA, "--sigma",
+                         "(1/2)", "--op=dx", "--p=x", "--f", "y", "--bogus", "-D", "x,y"])
+
+
+class TestLeafDispatch:
+    def test_leaves_are_recorded(self):
+        parser = build_parser()
+        assert sorted(parser.leaves) == sorted(LEAVES)
+        # the parser is built once per process and reused by every request
+        misses = build_parser.cache_info().misses
+        assert main(["polytope", SIGMA]) == 0
+        assert build_parser() is parser and build_parser.cache_info().misses == misses
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_same_as_full_parser(self, argv):
+        assert parsed(parse_request, argv) == parsed(build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.sampled_from(LEAVES + [()]), words=st.lists(WORDS, max_size=6))
+    def test_random_words_same_as_full_parser(self, head, words):
+        argv = [*head, *words]
+        assert parsed(parse_request, argv) == parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["polytope", SIGMA, "--bogus"], "vanishlab: error: unrecognized arguments: --bogus\n"),
+        (["case", "phi", "--phi=dy^2", "--f=y", "extra"],
+         "vanishlab: error: unrecognized arguments: extra\n"),
+        (["counterexample", "ddv", "--bogus", "x"],
+         "vanishlab: error: unrecognized arguments: --bogus x\n"),
+        ([], "vanishlab: error: the following arguments are required: command\n"),
+        (["case"], "vanishlab case: error: the following arguments are required: which\n"),
+        (["polytope"], "vanishlab polytope: error: the following arguments are required: --sigma\n"),
+    ])
+    def test_usage_errors(self, argv, err, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["no-such-command"], "vanishlab: error: argument command: invalid choice: "),
+        (["case", "nope"], "vanishlab case: error: argument which: invalid choice: "),
+    ])
+    def test_unknown_commands(self, argv, prefix, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == "" and err.startswith(prefix)
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: vanishlab "),
+        (["polytope", "-h"], "usage: vanishlab polytope "),
+        (["case", "phi", "--help"], "usage: vanishlab case phi "),
+    ])
+    def test_help(self, argv, usage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and out.startswith(usage) and err == ""
+
+    def test_abbreviated_option(self, capsys):
+        assert run(capsys, "polytope", SIGMA, "--form", "structured") == run(
+            capsys, "polytope", SIGMA, "--format", "structured")
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        # the console script calls main() with no argument
+        expected = run(capsys, "polytope", SIGMA, "--format", "structured")
+        monkeypatch.setattr("sys.argv", ["vanishlab", "polytope", SIGMA, "--format", "structured"])
+        assert main() == 0
+        assert capsys.readouterr() == expected[1:]
+        monkeypatch.setattr("sys.argv", ["vanishlab", "polytope", SIGMA, "--bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == "vanishlab: error: unrecognized arguments: --bogus\n"

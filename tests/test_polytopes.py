@@ -3,14 +3,21 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vanishlab.polytopes
 from counting import fractions_built
 from fm_oracle import hull_meets_orthant
 from paper_oracle import same_set, scale_translate
-from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
+from simplex_oracle import (
+    orthant_lp,
+    orthant_start,
+    rational_lp,
+    rational_result,
+    solve_lp as oracle_solve_lp,
+    start_tableau,
+)
 from vanishlab.parsing import parse_poly
 from vanishlab.simplex import OPTIMAL, UNBOUNDED
 from vanishlab.polytopes import (
@@ -19,6 +26,7 @@ from vanishlab.polytopes import (
     Witness,
     contains_point,
     difference_decomposition,
+    in_polytope,
     minkowski_diff,
     moveaway_bound,
     newton_polytope,
@@ -116,20 +124,24 @@ class TestOrthantMeet:
         ([(-1, 2), (2, -1), (-3, -3), (1, 1), (0, 5)], Witness),
     ])
     def test_one_lp_per_query(self, gens, kind, monkeypatch):
-        solve_lp = vanishlab.polytopes.solve_lp
-        calls = []
+        # one phase 2 from the written-down start tableau, and no solve_lp
+        phase_two = vanishlab.polytopes.phase_two
+        calls, solves = [], []
 
-        def counting(*args, **kwargs):
-            calls.append((args, kwargs))
-            return solve_lp(*args, **kwargs)
+        def counting(tableau, basis, d):
+            calls.append(([list(row) for row in tableau], list(basis), d))
+            return phase_two(tableau, basis, d)
 
-        monkeypatch.setattr(vanishlab.polytopes, "solve_lp", counting)
+        monkeypatch.setattr(vanishlab.polytopes, "phase_two", counting)
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp", lambda *args: solves.append(args))
         assert isinstance(orthant_meet(RationalPolytope(gens)), kind)
-        assert len(calls) == 1
-        (rows, *_), kwargs = calls[0]
-        assert len(rows) == len(gens[0]) + 1
-        # the only keyword is the start basis, one column per row
-        assert list(kwargs) == ["start"] and len(kwargs["start"]) == len(rows)
+        assert len(calls) == 1 and solves == []
+        (tableau, basis, d), = calls
+        # n + 1 constraint rows and the objective row, one basic column per
+        # constraint row, over k + 2 + n columns and the right-hand side
+        n, k = len(gens[0]), len(gens)
+        assert len(tableau) == n + 2 and len(basis) == n + 1 and d == 1
+        assert all(len(row) == k + 2 + n + 1 for row in tableau)
 
     @pytest.mark.parametrize("gens, tamper", [
         # a certificate whose margin is too large: the value (num, den) doubled
@@ -143,9 +155,9 @@ class TestOrthantMeet:
         ([(-1, 2), (2, -1)], lambda s, x, v, r: (s, ([x[1], 0, *x[0][2:]], x[1]), v, r)),
     ], ids=["certificate", "witness", "status", "negative-weight", "negative-point"])
     def test_invalid_answer_raises(self, gens, tamper, monkeypatch):
-        solve_lp = vanishlab.polytopes.solve_lp
-        monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
-                            lambda *args, **kwargs: tamper(*solve_lp(*args, **kwargs)))
+        phase_two = vanishlab.polytopes.phase_two
+        monkeypatch.setattr(vanishlab.polytopes, "phase_two",
+                            lambda *args: tamper(*phase_two(*args)))
         with pytest.raises(RuntimeError):
             orthant_meet(RationalPolytope(gens))
 
@@ -275,6 +287,70 @@ class TestDifferenceDecomposition:
             assert tuple(x - y for x, y in zip(u, v)) == w
 
 
+class TestCheckedWeights:
+    # the membership and difference LPs' weights are checked in integers
+    # before any Fraction is built: a wrong answer from the simplex raises
+    @pytest.mark.parametrize("gens, point, tamper", [
+        # weights that sum to 2
+        ([(0, 0), (2, 0), (0, 2)], (F(1) / 2, F(1) / 2),
+         lambda s, x, v, r: (s, ([2 * c for c in x[0]], x[1]), v, r)),
+        # all the weight on (0, 0): convex, but another point
+        ([(0, 0), (2, 0), (0, 2)], (F(1) / 2, F(1) / 2),
+         lambda s, x, v, r: (s, ([x[1], 0, 0], x[1]), v, r)),
+        # weights 1, -1 and 1: they sum to 1 and give the point (1, 0)
+        ([(0, 0), (1, 0), (2, 0)], (1, 0), lambda s, x, v, r: (s, ([x[1], -x[1], x[1]], x[1]), v, r)),
+    ], ids=["sum", "point", "negative-weight"])
+    def test_membership_answer_checked(self, gens, point, tamper, monkeypatch):
+        sigma = RationalPolytope(gens)
+        assert in_polytope(sigma, point)
+        solve_lp = vanishlab.polytopes.solve_lp
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
+                            lambda *args: tamper(*solve_lp(*args)))
+        with pytest.raises(RuntimeError):
+            contains_point(sigma, point)
+        with pytest.raises(RuntimeError):
+            in_polytope(sigma, point)
+
+    @pytest.mark.parametrize("ga, gb, w, tamper", [
+        # B's weight is 2: v = 2 * (0, 0) still gives u - v = w
+        ([(2, 0), (0, 2)], [(0, 0)], (1, 1),
+         lambda s, x, v, r: (s, ([*x[0][:2], 2 * x[1]], x[1]), v, r)),
+        # u = (0, 2) and v = (1, 1): each convex, but u - v = (-1, 1)
+        ([(2, 0), (0, 2)], [(1, 1)], (1, -1), lambda s, x, v, r: (s, ([0, x[1], x[1]], x[1]), v, r)),
+        # A's weights 1, -1 and 1 give u = (1, 0), and u - v = w
+        ([(0, 0), (1, 0), (2, 0)], [(0, 0)], (1, 0),
+         lambda s, x, v, r: (s, ([x[1], -x[1], x[1], x[1]], x[1]), v, r)),
+    ], ids=["sum", "point", "negative-weight"])
+    def test_difference_answer_checked(self, ga, gb, w, tamper, monkeypatch):
+        a, b = RationalPolytope(ga), RationalPolytope(gb)
+        assert difference_decomposition(a, b, w) is not None
+        solve_lp = vanishlab.polytopes.solve_lp
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
+                            lambda *args: tamper(*solve_lp(*args)))
+        with pytest.raises(RuntimeError):
+            difference_decomposition(a, b, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_in_polytope_is_contains_point(self, data):
+        gens = data.draw(generator_lists())
+        sigma = RationalPolytope(gens)
+        if data.draw(st.booleans()):
+            point = data.draw(st.sampled_from(gens))
+        else:
+            point = data.draw(st.tuples(*[COORDS] * sigma.arity))
+        assert in_polytope(sigma, point) == (contains_point(sigma, point) is not None)
+
+    def test_in_polytope_builds_no_fraction(self):
+        # on integer input the LP and its check run in integers, and no
+        # weight is built
+        tri = RationalPolytope([(0, 0), (2, 0), (0, 2)])
+        assert fractions_built(lambda: in_polytope(tri, (1, 1))) == (True, 0)
+        assert fractions_built(lambda: in_polytope(tri, (3, 0))) == (False, 0)
+        with pytest.raises(ValueError, match="arity"):
+            in_polytope(tri, (1,))
+
+
 class TestNoFloats:
     # every geometry entry point takes exact rationals only; a float used to
     # be stored as its binary expansion, 0.1 as 3602879701896397/2**55
@@ -334,28 +410,6 @@ def tied_generator_lists(draw, n=None, max_size=12):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
 
 
-def fraction_orthant_lp(gens):
-    n, k = len(gens[0]), len(gens)
-    rows = [[F(g[i]) for g in gens] + [F(-1), F(1)] + [F(-int(r == i)) for r in range(n)]
-            for i in range(n)]
-    rows.append([F(1)] * k + [F(0)] * (2 + n))
-    return rows, [F(0)] * n + [F(1)], [F(0)] * k + [F(1), F(-1)] + [F(0)] * n
-
-
-def fraction_orthant_start(gens):
-    """The orthant LP's start basis, from the Fraction generators: j* has
-    the largest smallest coordinate and i* is where u_j* takes it, lowest
-    indices first; row i* holds t+ (t-, if u_j*,i* < 0), row i != i* its
-    surplus s_i, and the sum row lambda_j*."""
-    n, k = len(gens[0]), len(gens)
-    gens = [tuple(map(F, g)) for g in gens]
-    best = max(range(k), key=lambda j: (min(gens[j]), -j))
-    low = min(range(n), key=lambda i: (gens[best][i], i))
-    start = [k + 2 + i for i in range(n)] + [best]
-    start[low] = k if gens[best][low] >= 0 else k + 1
-    return start
-
-
 def fraction_membership_lp(gens, point):
     k = len(gens)
     rows = [[F(g[i]) for g in gens] for i in range(len(point))] + [[F(1)] * k]
@@ -371,42 +425,81 @@ def fraction_difference_lp(ga, gb, w):
 
 def sent_lps(monkeypatch):
     """Record, as Fraction LPs, every LP the polytope layer hands solve_lp,
-    with its keyword arguments and the result solve_lp returned for it."""
+    with the result solve_lp returned for it."""
     solve_lp = vanishlab.polytopes.solve_lp
     sent = []
 
-    def recording(rows, rhs, objective, dens=None, **kwargs):
-        result = solve_lp(rows, rhs, objective, dens, **kwargs)
-        sent.append((rational_lp(rows, rhs, objective, dens), kwargs, result))
+    def recording(rows, rhs, objective, dens=None):
+        result = solve_lp(rows, rhs, objective, dens)
+        sent.append((rational_lp(rows, rhs, objective, dens), result))
         return result
 
     monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
     return sent
 
 
-def assert_sent(sent, expected, **kwargs):
-    """The one LP sent is ``expected`` with the keywords ``kwargs``, and the
-    oracle, given the same start, returns exactly the same answer."""
-    (lp, sent_kwargs, result), = sent
+def assert_sent(sent, expected):
+    """The one LP sent is ``expected``, and the oracle returns exactly the
+    same answer for it."""
+    (lp, result), = sent
     assert lp == expected
-    assert sent_kwargs == kwargs
-    assert rational_result(result) == oracle_solve_lp(*expected, **kwargs)
+    assert rational_result(result) == oracle_solve_lp(*expected)
     sent.clear()
     return result
 
 
+@st.composite
+def start_polytopes(draw):
+    """Generators in Q^1..Q^6, with p/q coordinates, duplicates and ties for
+    j* and i*, moved so that the start's m = min(u_j*) is negative, zero or
+    positive: adding one constant to every coordinate keeps j* and i*."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.one_of(generator_lists(n, max_size=8), tied_generator_lists(n, max_size=8)))
+    m = max(min(map(F, g)) for g in gens)
+    target = draw(st.sampled_from([Fraction(-3, 2), F(-1), F(0), Fraction(2, 3), F(2)]))
+    return [tuple(F(v) - m + target for v in g) for g in gens]
+
+
 class TestIntegerRows:
+    @settings(max_examples=300, deadline=None)
+    @given(start_polytopes())
+    @example([(Fraction(-1, 2),)])
+    @example([(0, 0)])
+    @example([(3, Fraction(1, 3), 2)])
+    @example([(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)])
+    def test_closed_form_start_tableau(self, gens):
+        # the tableau orthant_meet writes down is, entry for entry, d = den^n
+        # times the oracle's Gauss-Jordan tableau at the oracle's start,
+        # objective row included
+        sigma = RationalPolytope(gens)
+        tableau, basis, d = vanishlab.polytopes._orthant_tableau(sigma)
+        assert d == sigma.den ** sigma.arity
+        want, want_basis, objective_row = start_tableau(*orthant_lp(gens), orthant_start(gens))
+        assert basis == want_basis
+        assert all(type(v) is int for row in tableau for v in row)
+        assert [[Fraction(v, d) for v in row] for row in tableau] == want + [objective_row]
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(generator_lists(), tied_generator_lists()))
     def test_orthant_meet(self, gens):
-        # the start is the test's own, the answer the oracle's with that
-        # start, and t the two-phase oracle's: the optimal value is unique
-        # even where the optimum is tied
+        # phase 2 from the written-down start gives the oracle's answer from
+        # the oracle's start, and t the two-phase oracle's: the optimal value
+        # is unique even where the optimum is tied
+        phase_two = vanishlab.polytopes.phase_two
+        results = []
+
+        def recording(*args):
+            results.append(phase_two(*args))
+            return results[-1]
+
         with pytest.MonkeyPatch.context() as mp:
             sent = sent_lps(mp)
+            mp.setattr(vanishlab.polytopes, "phase_two", recording)
             meet = orthant_meet(RationalPolytope(gens))
-        lp = fraction_orthant_lp(gens)
-        result = assert_sent(sent, lp, start=fraction_orthant_start(gens))
+        lp = orthant_lp(gens)
+        result, = results
+        assert sent == []
+        assert rational_result(result) == oracle_solve_lp(*lp, start=orthant_start(gens))
         status, _, t, _ = rational_result(result)
         assert status == OPTIMAL
         assert t == oracle_solve_lp(*lp)[2]
@@ -465,25 +558,6 @@ class TestIntegerRows:
                                    tied_generator_lists(n, max_size=8)))
         meet = orthant_meet(RationalPolytope(gens))
         assert isinstance(meet, Witness) == hull_meets_orthant(sorted(set(gens)))
-
-    @pytest.mark.parametrize("gens", [[(-2, 1), (1, -2)], [(1, 2, 3), (-1, 0, 2), (3, -1, 0)]])
-    def test_orthant_bad_start_raises(self, gens):
-        lp = fraction_orthant_lp(gens)
-        n, k = len(gens[0]), len(gens)
-        good = fraction_orthant_start(gens)
-        # t+ and t- are parallel columns: t- has nothing left once t+ is basic
-        singular = [k, k + 1] + good[2:]
-        # generator 0 with a coordinate other than its smallest as t:
-        # the surplus of its smallest coordinate comes out negative
-        low = min(range(n), key=lambda i: gens[0][i])
-        other = (low + 1) % n
-        infeasible = [k + 2 + i for i in range(n)] + [0]
-        infeasible[other] = k if gens[0][other] >= 0 else k + 1
-        for start, match in ((singular, "zero pivot"), (infeasible, "feasible")):
-            with pytest.raises(ValueError, match=match):
-                vanishlab.polytopes.solve_lp(*lp, start=start)
-            with pytest.raises(ValueError):
-                oracle_solve_lp(*lp, start=start)
 
     def test_storage(self):
         sigma = RationalPolytope([(Fraction(1, 2), -1), (Fraction(-5, 4), Fraction(2, 3))])

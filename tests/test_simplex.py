@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,15 @@ from hypothesis import strategies as st
 import vanishlab.polytopes
 from counting import fractions_built
 from golden_corpus import CORPUS, run
-from simplex_oracle import rational_lp, rational_result, solve_lp as oracle_solve_lp
-from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from simplex_oracle import (
+    orthant_lp,
+    orthant_start,
+    rational_lp,
+    rational_result,
+    solve_lp as oracle_solve_lp,
+    start_tableau,
+)
+from vanishlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, phase_two, solve_lp
 
 
 def F(v):
@@ -178,88 +186,116 @@ def test_rejects_floats():
 
 def test_golden_corpus_lps_match_oracle(monkeypatch):
     # the LPs the CLI really sends: replay the golden corpus through cli.main
-    # with the polytope layer's solve_lp recording every call
+    # with the polytope layer's solve_lp recording every call, and each
+    # orthant query recording its polytope and the answer of its phase 2
     monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
-    seen = []
+    seen, orthant = [], []
 
-    def recording(rows, rhs, objective, dens=None, **kwargs):
-        args = rational_lp(rows, rhs, objective, dens)
-        result = solve_lp(rows, rhs, objective, dens, **kwargs)
-        seen.append((args, kwargs, result))
+    def recording(rows, rhs, objective, dens=None):
+        result = solve_lp(rows, rhs, objective, dens)
+        seen.append((rational_lp(rows, rhs, objective, dens), result))
+        return result
+
+    orthant_tableau = vanishlab.polytopes._orthant_tableau
+
+    def recording_tableau(polytope):
+        orthant.append([polytope])
+        return orthant_tableau(polytope)
+
+    def recording_phase_two(tableau, basis, d):
+        result = phase_two(tableau, basis, d)
+        orthant[-1].append(result)
         return result
 
     monkeypatch.setattr(vanishlab.polytopes, "solve_lp", recording)
+    monkeypatch.setattr(vanishlab.polytopes, "_orthant_tableau", recording_tableau)
+    monkeypatch.setattr(vanishlab.polytopes, "phase_two", recording_phase_two)
     entries = json.loads(CORPUS.read_text())
     for entry in entries:
         assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
-    # every polytope request solves at least its orthant LP
-    assert len(seen) >= sum(e["argv"][0] == "polytope" for e in entries) > 0
-    for args, kwargs, result in seen:
-        assert rational_result(result) == oracle_solve_lp(*args, **kwargs)
+    # every polytope request answers its orthant query, and the --point ones
+    # solve a membership LP
+    assert len(orthant) >= sum(e["argv"][0] == "polytope" for e in entries) > 0
+    assert len(seen) >= sum(any(a.startswith("--point") for a in e["argv"]) for e in entries) > 0
+    for args, result in seen:
+        assert rational_result(result) == oracle_solve_lp(*args)
+    for polytope, result in orthant:
+        gens = polytope.generators
+        assert rational_result(result) == oracle_solve_lp(*orthant_lp(gens),
+                                                          start=orthant_start(gens))
 
 
 # ---------------------------------------------------------------------------
-# A start basis named by the caller: pivoted in without phase 1, then the
-# same phase 2 as the oracle with the same start
+# Phase 2 from a basis the caller writes down, against the oracle's phase 2
+# from the same start, pivoted in by Gauss-Jordan
+
+def integer_row(values):
+    """Exact rationals times the lcm of their denominators: integers."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+def determinant(matrix):
+    """The determinant of a square matrix of exact rationals, by elimination."""
+    rows, det = [[Fraction(v) for v in row] for row in matrix], Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
 
 @settings(max_examples=400, deadline=None)
 @given(lps(), st.data())
 def test_start_matches_oracle(lp, data):
-    # any distinct columns, one per row: the library raises exactly when the
-    # oracle finds the basis singular or infeasible, and agrees otherwise
+    # any distinct columns, one per row, that the oracle pivots in as a
+    # feasible basis: written down as phase_two's contract asks, d = |det B|
+    # times the oracle's tableau for the integer rows, it is all integers,
+    # and phase 2 from it gives the oracle's answer from the same start
     rows, rhs, objective = lp
     n = len(objective)
     if len(rows) > n:
         return
     start = data.draw(st.permutations(range(n)))[:len(rows)]
-    dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows), max_size=len(rows)))
+    ints = [integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    rows, rhs, cost = [r[:-1] for r in ints], [r[-1] for r in ints], integer_row([*objective, 0])[:-1]
     try:
-        want = oracle_solve_lp(*rational_lp(rows, rhs, objective, dens), start=start)
+        tableau, basis, objective_row = start_tableau(rows, rhs, cost, start)
     except ValueError:
-        with pytest.raises(ValueError):
-            solve_lp(rows, rhs, objective, dens, start=start)
-    else:
-        assert rational_result(solve_lp(rows, rhs, objective, dens, start=start)) == want
+        return
+    d = abs(determinant([[row[j] for j in start] for row in rows]))
+    written = [[v * d for v in row] for row in tableau + [objective_row]]
+    assert all(v.denominator == 1 for row in written for v in row)
+    result = phase_two([[int(v) for v in row] for row in written], basis, int(d))
+    assert rational_result(result) == oracle_solve_lp(rows, rhs, cost, start=start)
 
 
 # x0 + x1 = 1, 2*x0 + 2*x1 + x2 = 3: columns 0 and 1 are parallel
 START_ROWS, START_OBJECTIVE = [[1, 1, 0], [2, 2, 1]], [0, 1, 1]
 
 
-@pytest.mark.parametrize("start", [
-    [1, 1],         # a repeated column
-    [0],            # too few columns
-    [0, 1, 2],      # too many
-    [0, 3],         # out of range
-    [-1, 0],        # out of range
-    [True, 2],      # not an int
-])
-def test_malformed_start_raises(start):
-    with pytest.raises(ValueError, match="distinct columns"):
-        solve_lp(START_ROWS, [1, 3], START_OBJECTIVE, start=start)
-
-
-@pytest.mark.parametrize("rhs, start, match", [
-    # x1 has nothing left in row 1 once x0 is basic in row 0
-    ([1, 3], [0, 1], "zero pivot"),
-    # x2 is not in row 0: columns are not reordered to find a pivot
-    ([1, 3], [2, 0], "zero pivot"),
-    # x0 = 1 leaves x2 = 1 - 2 = -1
-    ([1, 1], [0, 2], "feasible"),
-])
-def test_singular_or_infeasible_start_raises(rhs, start, match):
-    with pytest.raises(ValueError, match=match):
-        solve_lp(START_ROWS, rhs, START_OBJECTIVE, start=start)
-    with pytest.raises(ValueError):
-        oracle_solve_lp(START_ROWS, rhs, START_OBJECTIVE, start=start)
-
-
 def test_start_skips_phase_one():
-    # x0 = 1, x2 = 1 is feasible, and phase 2 moves from it to the same
-    # optimum the two phases reach (it is unique here)
-    result = solve_lp(START_ROWS, [1, 3], START_OBJECTIVE, start=[0, 2])
+    # x0 = 1, x2 = 1 is feasible, |det B| = 1, and its tableau is
+    # x0 + x1 = 1, x2 = 1 with reduced costs (0, 1, 0) and value 1: phase 2
+    # moves from it to the same optimum the two phases reach (it is unique here)
+    assert start_tableau(START_ROWS, [1, 3], START_OBJECTIVE, [0, 2]) == (
+        [[1, 1, 0, 1], [0, 0, 1, 1]], [0, 2], [0, 1, 0, -1])
+    result = phase_two([[1, 1, 0, 1], [0, 0, 1, 1], [0, 1, 0, -1]], [0, 2], 1)
     assert result == solve_lp(START_ROWS, [1, 3], START_OBJECTIVE)
     assert rational_result(result)[:3] == (OPTIMAL, [0, 1, 1], 2)
+
+
+def test_phase_two_unbounded():
+    # x0 - x1 = 0 from x0 basic: x1 enters and no row limits it
+    assert phase_two([[1, -1, 0], [0, 1, 0]], [0], 1) == (UNBOUNDED, None, None, None)
+    assert oracle_solve_lp([[1, -1]], [0], [1, 0], start=[0])[0] == UNBOUNDED
 
 
 def test_answers_are_integers():
