@@ -409,17 +409,29 @@ class CounterexampleReport:
         return all(ok for _, checks in self.rows for _, ok in checks)
 
 
-def _exp_poly(scale, depth):
-    """``scale * e^y`` in two variables, cut after y^depth: the integers
-    scale * depth!/j! over depth!, in canonical storage."""
-    top = factorial(depth)
-    nums = {(0, j): scale * (top // factorial(j)) for j in range(depth + 1)}
-    return LaurentPoly._from_integers(2, nums, top)
+def _is_scaled_exp(body, scale, depth):
+    """Whether ``body`` is exactly ``scale * e^y`` cut after y^depth: one term
+    at each (0, j), j = 0..depth, and nothing else, with ``n_j * j! == scale *
+    den`` for its numerator n_j over ``den``."""
+    nums = dict(body.integer_items())
+    if len(nums) != depth + 1:
+        return False
+    target = scale * body.den
+    j_factorial = 1
+    for j in range(depth + 1):
+        n = nums.get((0, j))
+        if n is None or n * j_factorial != target:
+            return False
+        j_factorial *= j + 1
+    return True
 
 
 def _exp_series(depth):
-    """e^y as a series truncated in y at ``depth``, built in closed form."""
-    return TruncSeries._from_cut(_exp_poly(1, depth), 1, depth)
+    """e^y as a series truncated in y at ``depth``, built in closed form: the
+    integers depth!/j! over depth!, in canonical storage."""
+    top = factorial(depth)
+    nums = {(0, j): top // factorial(j) for j in range(depth + 1)}
+    return TruncSeries._from_cut(LaurentPoly._from_integers(2, nums, top), 1, depth)
 
 
 def counterexample_ddv(horizon, precision=12):
@@ -444,8 +456,8 @@ def counterexample_ddv(horizon, precision=12):
         r3 = apply(op_m, p_m * x)
         checks = (
             ("L^m(P^m) = 0", r1.body.is_zero),
-            ("L^m(P^{m+1}) = (m+1)! e^y", r2.body == _exp_poly(factorial(m + 1), depth)),
-            ("L^m(P^m x) = m*m! e^y", r3.body == _exp_poly(m * factorial(m), depth)),
+            ("L^m(P^{m+1}) = (m+1)! e^y", _is_scaled_exp(r2.body, factorial(m + 1), depth)),
+            ("L^m(P^m x) = m*m! e^y", _is_scaled_exp(r3.body, m * factorial(m), depth)),
             ("result free of x", r2.body.degree_in(0) == 0 and r3.body.degree_in(0) == 0),
         )
         rows.append((m, checks))

@@ -257,6 +257,29 @@ class TestSeriesCounterexampleKernels:
             assert (e.body, e.var) == (summed.body, summed.var)
             assert e.degree == depth
 
+    @pytest.mark.parametrize("scale", [1, 2, 6, 18])
+    @pytest.mark.parametrize("depth", [0, 1, 5, 9])
+    def test_scaled_exp_check(self, scale, depth):
+        # scale * e^y cut after y^depth: the sum of scale * y^j / j!
+        exact = {(0, j): Fraction(scale, factorial(j)) for j in range(depth + 1)}
+        assert cases._is_scaled_exp(LaurentPoly(2, exact), scale, depth)
+        assert not cases._is_scaled_exp(LaurentPoly(2, exact), scale + 1, depth)
+        assert not cases._is_scaled_exp(LaurentPoly(2, exact), scale, depth + 1)
+        for j in range(depth + 1):
+            # one coefficient off; y^j missing; y^j missing and an x term in its place
+            off = dict(exact)
+            off[(0, j)] += Fraction(1, 7 * factorial(depth))
+            missing = {e: c for e, c in exact.items() if e != (0, j)}
+            swapped = dict(missing)
+            swapped[(1, j)] = exact[(0, j)]
+            for wrong in (off, missing, swapped):
+                assert not cases._is_scaled_exp(LaurentPoly(2, wrong), scale, depth)
+        for extra in ((1, 0), (1, depth), (-1, 0), (0, depth + 1), (0, -1)):
+            # every right term and one more, an x term or a y^j out of range
+            more = dict(exact)
+            more[extra] = Fraction(scale)
+            assert not cases._is_scaled_exp(LaurentPoly(2, more), scale, depth)
+
     @pytest.mark.parametrize("delta", [1, -1])
     @pytest.mark.parametrize("j", range(1, 11))
     def test_a_wrong_exp_numerator_fails(self, monkeypatch, j, delta):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parsing_oracle
+from golden_corpus import CORPUS
+from vanishlab import cli
 from vanishlab.cli import build_parser, main, parse_request
 from vanishlab.parsing import (
     ParseError,
@@ -522,6 +525,19 @@ DISPATCH_ARGVS = [
     ["case", "two-monomial", "--op", "dx^2 + dy^3", "--p", "x*y", "-M", "4", "--g", "x"],
     ["counterexample", "ddv", "-M", "3", "-D", "4", "--format=structured"],
     ["density", "--p", "x + y", "--u", "(1/2,1/2)", "--homogeneous"],
+    # spellings the option table must either refuse or read as argparse does
+    ["counterexample", "ddv", "-M3"], ["counterexample", "ddv", "-M=3"],
+    ["counterexample", "ddv", "--horizon=3", "-D", "5"], ["counterexample", "ddv", "--hor", "3"],
+    ["counterexample", "ddv", "-M", "-3"], ["counterexample", "ddv", "-M"],
+    ["counterexample", "dk", "-M", "x"],
+    ["vanish", "--op", "-dx", "--p=x"], ["vanish", "--op=dx", "--p", "-"],
+    ["vanish", "--op=dx", "--p="], ["vanish", "--op=dx", "--p==x"], ["vanish", "--op=dx", "--p=--"],
+    ["vanish", "--op=dx", "--p=x", "-M", "3", "--horizon", "4", "--p", "y"],
+    ["vanish", "--op=dx", "--p=x", "--vars", "x,y"],
+    ["polytope", SIGMA, "--format=json"], ["polytope", SIGMA, "--format", ""],
+    ["density", "--p=x", "--u=(1,1)", "--homogeneous", "--homogeneous"],
+    ["density", "--p=x", "--u=(1,1)", "--homogeneous=1"],
+    ["density", "--p=x", "--u=(1,1)", "--homogeneous", "1"],
 ]
 
 
@@ -540,7 +556,10 @@ def parsed(parse, argv):
 WORDS = st.sampled_from(["vanish", "polytope", "density", "dk", "case", "counterexample",
                          "one-var", "phi", "ddv", "nope", "-h", "--he", "--", "-M", "3",
                          "--form", "--format", "structured", "text", SIGMA, "--sigma",
-                         "(1/2)", "--op=dx", "--p=x", "--f", "y", "--bogus", "-D", "x,y"])
+                         "(1/2)", "--op=dx", "--p=x", "--f", "y", "--bogus", "-D", "x,y",
+                         "-M3", "-M=3", "--horizon=3", "--hor", "-3", "--op", "-dx", "--p", "-",
+                         "--p=", "--p==x", "--p=--", "--format=json", "--homogeneous",
+                         "--homogeneous=1", "--u=(1,1)"])
 
 
 class TestLeafDispatch:
@@ -598,6 +617,73 @@ class TestLeafDispatch:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 0 and out.startswith(usage) and err == ""
+
+    @pytest.mark.parametrize("argv, served", [
+        (["counterexample", "ddv", "--horizon=3", "-D", "5", "--format", "structured"], True),
+        (["counterexample", "ddv", "-M", "3", "--horizon", "4"], True),
+        (["vanish", "--op=dx", "--p="], True),
+        (["vanish", "--op=dx", "--p==x"], True),
+        (["vanish", "--op=-dx", "--p", "x"], True),
+        (["density", "--p=x", "--u=(1,1)", "--homogeneous"], True),
+        (["counterexample", "ddv", "-M3"], False),
+        (["counterexample", "ddv", "-M=3"], False),
+        (["counterexample", "ddv", "--hor", "3"], False),
+        (["counterexample", "ddv", "-M", "-3"], False),
+        (["counterexample", "ddv", "-M", "x"], False),
+        (["counterexample", "ddv", "--", "-M", "3"], False),
+        (["counterexample", "ddv", "-h"], False),
+        (["vanish", "--op", "-dx", "--p=x"], False),
+        (["vanish", "--op=dx", "--p", "-"], False),
+        (["vanish", "--op=dx", "--p=--"], False),
+        (["vanish", "--op=dx"], False),
+        (["polytope", SIGMA, "--format=json"], False),
+        (["density", "--p=x", "--u=(1,1)", "--homogeneous=1"], False),
+        (["density", "--p=x", "--u=(1,1)", "--homogeneous", "1"], False),
+    ])
+    def test_option_table_serves_plain_spellings_only(self, argv, served):
+        size = 2 if argv[0] in ("case", "counterexample") else 1
+        args = cli._parse_plain(build_parser().leaves[tuple(argv[:size])], argv[size:])
+        assert (args is not None) == served
+        if served:
+            assert parsed(lambda _: args, argv) == parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("words, served", [
+        ([], True), (["--n=3"], True), (["-n", "4", "--n", "5"], True), (["--pick", "b"], True),
+        (["--pick=a"], True), (["--flag"], True), (["--flag", "--n= 6 ", "--flag"], True),
+        (["--pick=c"], False), (["--n=x"], False), (["--n", "-1"], False),
+    ])
+    def test_option_table_fills_defaults_as_argparse(self, words, served):
+        # a string default goes through the action's type, and set_defaults
+        # values fill what no action set (a given option beats them), in
+        # argparse's order
+        leaf = cli._Parser(prog="leaf")
+        leaf.add_argument("-n", "--n", type=int, default="7")
+        leaf.add_argument("--pick", choices=["a", "b"], default="a")
+        leaf.add_argument("--flag", action="store_true")
+        leaf.set_defaults(func=len, which="leaf", pick="b")
+        args = cli._parse_plain(leaf, words)
+        assert (args is not None) == served
+        if served:
+            full = leaf.parse_known_args(words)
+            assert full[1] == [] and list(vars(args).items()) == list(vars(full[0]).items())
+
+    @pytest.mark.parametrize("kwargs", [{"action": "append"}, {"action": "count"},
+                                        {"action": "store_const", "const": 1}, {"nargs": "?"}])
+    def test_option_table_refuses_options_it_cannot_read(self, kwargs):
+        with pytest.raises(ValueError, match="option table"):
+            cli._Parser(prog="leaf").add_argument("--x", **kwargs)
+
+    def test_option_table_serves_the_golden_corpus(self, monkeypatch):
+        # every corpus request is read from its leaf's option table, with the
+        # full parser's namespace, and no argparse parse runs
+        argvs = [e["argv"] for e in json.loads(CORPUS.read_text())]
+        full = [parsed(build_parser().parse_args, argv) for argv in argvs]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("argparse parsed a golden-corpus request")
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", fail)
+        assert [parsed(parse_request, argv) for argv in argvs] == full
 
     def test_abbreviated_option(self, capsys):
         assert run(capsys, "polytope", SIGMA, "--form", "structured") == run(
