@@ -11,7 +11,14 @@ from fractions import Fraction
 from itertools import pairwise
 from math import factorial, floor
 
-from .diffops import DiffOp, VanishingProfile, apply, profile_scan, vanishing_profile
+from .diffops import (
+    DiffOp,
+    VanishingProfile,
+    apply,
+    check_horizon,
+    profile_scan,
+    vanishing_profile,
+)
 from .poly import LaurentPoly, TruncSeries, powers
 from .polytopes import (
     Witness,
@@ -54,12 +61,6 @@ class CaseVerdict:
     @property
     def confirmed(self):
         return self.status == CONFIRMED
-
-
-def _check_horizon(horizon):
-    # a scan over no m at all would report "all checks pass" vacuously
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
 
 
 def _verify_tail(profile, start):
@@ -173,7 +174,7 @@ def _phi_bound(phi, f, g, checks, notes):
 
 def phi_case_check(phi, f, g, horizon=8):
     """Case Lambda = d_x - Phi(d_y) with P the flow of f under Phi."""
-    _check_horizon(horizon)
+    check_horizon(horizon)
     if phi.arity != 1:
         raise ValueError("Phi must be a one-variable symbol")
     if g.arity != 2:
@@ -344,7 +345,7 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
     if not a or not b:
         raise ValueError("both coefficients must be nonzero")
 
-    _check_horizon(horizon)
+    check_horizon(horizon)
     op = DiffOp(LaurentPoly(len(alpha), {alpha: a}) + LaurentPoly(len(beta), {beta: b}))
     # the support formula on m <= 5, and degree separation: each individual
     # d^{k alpha + l beta} P^m vanishes whenever Lambda^m P^m does
@@ -382,7 +383,7 @@ def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
     alpha, beta = p.exponents()
     if sum(alpha) == sum(beta):
         raise ValueError("|alpha| must differ from |beta|")
-    _check_horizon(horizon)
+    check_horizon(horizon)
     entries = []
     support_ok = True
     for entry, _, p_m in profile_scan(op, p, g, horizon):
@@ -440,7 +441,7 @@ def counterexample_ddv(horizon, precision=12):
     Verifies, exactly per truncation: the powers hypothesis holds, yet
     L^m(P^{m+1}) = (m+1)! e^y and L^m(P^m x) = m*m! e^y for every m.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     if precision < horizon + 2:
         raise ValueError("precision must be at least horizon + 2")
     e = _exp_series(precision)
@@ -470,7 +471,7 @@ def counterexample_dk(horizon, precision=12):
     The constant term of f^m x is read as the coefficient of f^m at
     x^{-1} y^0, which f^m knows because its degree is precision - m >= 0.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     if precision < horizon:
         raise ValueError("precision must be at least the horizon")
     e = _exp_series(precision)

@@ -4,14 +4,14 @@ Exit codes: 0 confirmed/consistent, 1 a hypothesis or check failed,
 2 inconclusive at the horizon, 3 usage or parse errors.  The only
 environment override is VANISHLAB_HORIZON.
 
-argparse is the one definition of every option.  A request that names a
-leaf command in plain spellings (``--opt=value``, ``--opt value`` or ``-M
-value`` with a value word that does not start with ``-``, a store-true flag
-alone) is read from that leaf's own option table, which holds the actions
-its ``add_argument`` calls returned; every other request (help, an unknown,
-abbreviated or joined option, ``--``, a value word that starts with ``-``, a
-bad value, a missing option) goes to argparse, which prints the help or the
-error.
+argparse is the one definition of every option, and a request takes one
+of two paths.  One that names a leaf command in plain spellings
+(``--opt=value``, ``--opt value`` or ``-M value`` with a value word that
+does not start with ``-``, a store-true flag alone) is read from that
+leaf's option table, the actions its ``add_argument`` calls returned; any
+other (help, an unknown, abbreviated or joined option, ``--``, a value word
+that starts with ``-``, a bad value, a missing option) goes to the full
+parser, which prints the help or the error.
 """
 from __future__ import annotations
 
@@ -40,14 +40,16 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that exits 3 on a usage error.
 
     ``options`` maps each option string to the action that ``add_argument``
-    returned for it, and ``preset`` holds the ``set_defaults`` values: the
-    table `_parse_plain` reads.  It reads one value or a store-true flag per
-    option, so an option of another kind is refused when it is added.
+    returned for it, ``blank`` is the namespace, as a dict, of a request
+    that gives no option, and ``required`` holds the actions every request
+    must give: the table `_parse_plain` reads.  It reads one value or a
+    store-true flag per option and converts no default, so an option of
+    another kind, or a string default with a ``type``, is refused when it is
+    added.
     """
 
     def __init__(self, *args, **kwargs):
         self.options = {}
-        self.preset = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
@@ -55,14 +57,23 @@ class _Parser(argparse.ArgumentParser):
         kind = kwargs.get("action", "store")
         if kind == "help":
             return action
-        if kind not in ("store", "store_true") or "nargs" in kwargs:
+        if (kind not in ("store", "store_true") or "nargs" in kwargs
+                or isinstance(action.default, str) and action.type is not None):
             raise ValueError(f"the option table cannot read {action.option_strings}")
         self.options.update(dict.fromkeys(action.option_strings, action))
+        self._record()
         return action
 
     def set_defaults(self, **kwargs):
         super().set_defaults(**kwargs)
-        self.preset.update(kwargs)
+        self._record()
+
+    def _record(self):
+        # argparse's order: the action defaults, then the other set_defaults values
+        actions = self.options.values()
+        blank = {action.dest: action.default for action in actions}
+        self.blank = blank | {k: v for k, v in self._defaults.items() if k not in blank}
+        self.required = {action for action in actions if action.required}
 
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
@@ -414,18 +425,17 @@ def build_parser():
 
 
 def _parse_plain(leaf, words):
-    """The namespace ``leaf.parse_known_args(words)`` gives when every word
-    is a plain spelling of one of the leaf's options; None for any other words.
+    """The namespace ``leaf.parse_args(words)`` gives when every word is a
+    plain spelling of one of the leaf's options; None for any other words.
 
     The plain spellings are ``--opt=value``, ``--opt value`` and ``-M value``
     where the value word does not start with ``-``, and a store-true flag
     with no ``=``.  A value is converted by the action's ``type`` and checked
     against its ``choices``, the last value of a repeated option wins, and
-    the defaults are filled as argparse fills them: action defaults (a
-    string one through ``type``), then the ``set_defaults`` values.  A
-    conversion or choice failure, a missing required option, an explicit
-    value ``--`` (which argparse versions read differently) and every other
-    word give None, and argparse then parses the words or reports the error.
+    the given values overlay a copy of ``leaf.blank``.  A conversion or
+    choice failure, a missing required option, an explicit value ``--``
+    (which argparse versions read differently) and every other word give
+    None, and the full parser then parses the request or reports the error.
     """
     options = leaf.options
     given = {}
@@ -449,49 +459,33 @@ def _parse_plain(leaf, words):
             if action.choices is not None and value not in action.choices:
                 return None
             given[action] = value
-        fields = {}
-        for action in options.values():
-            if action in given:
-                value = given[action]
-            elif action.required:
-                return None
-            elif isinstance(action.default, str) and action.type is not None:
-                value = action.type(action.default)
-            else:
-                value = action.default
-            fields[action.dest] = value
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         # the errors argparse turns into "invalid <type> value"
         return None
-    for dest, value in leaf.preset.items():
-        fields.setdefault(dest, value)
+    if not leaf.required <= given.keys():
+        return None
     args = argparse.Namespace()
-    vars(args).update(fields)  # Namespace(**fields) sets them one by one, at twice the cost
+    fields = vars(args)
+    fields.update(leaf.blank)  # a copy: main sets args.horizon on it
+    for action, value in given.items():
+        fields[action.dest] = value
     return args
 
 
 def parse_request(argv):
-    """The namespace of one request's words: the full parser's, less ``command``.
+    """The namespace of one request's words.
 
     Words that begin with a leaf command's name (one word, or two for
-    ``case`` and ``counterexample``) are read from that leaf's option table
-    by `_parse_plain` when they are all plain spellings; otherwise they go
-    to the leaf's parser, to which the full parser would hand the same
-    remaining words, and arguments the leaf does not know are the full
-    parser's "unrecognized arguments" error.  Anything else (no command, an
-    unknown one, -h, ``case`` alone) goes through the full parser, which
-    prints the help or the error.
+    ``case`` and ``counterexample``) and go on in plain spellings are read
+    from that leaf's option table by `_parse_plain`, which gives the full
+    parser's namespace less ``command``.  Every other request goes to the
+    full parser, which gives its namespace or prints the help or the error.
     """
     parser = build_parser()
     for size in (1, 2):
         leaf = parser.leaves.get(tuple(argv[:size]))
-        if leaf is not None:
-            args = _parse_plain(leaf, argv[size:])
-            if args is not None:
-                return args
-            args, extras = leaf.parse_known_args(argv[size:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = None if leaf is None else _parse_plain(leaf, argv[size:])
+        if args is not None:
             return args
     return parser.parse_args(argv)
 

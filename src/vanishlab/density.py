@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .diffops import check_horizon
 from .poly import powers
 from .polytopes import in_polytope, newton_polytope
 from .simplex import exact, over_lcm
@@ -54,8 +55,7 @@ class RaySearchReport:
 
 def ray_hits_support(p, u, horizon):
     """Scan Supp(P^m) for lattice points on the ray through u, m = 1..horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_horizon(horizon)
     u = tuple(Fraction(exact(v)) for v in u)
     if not in_polytope(newton_polytope(p), u):
         raise ValueError("u must lie in the Newton polytope of P")
@@ -76,8 +76,7 @@ def homogeneous_density(p, u, horizon):
     with the degree-md hyperplane, which holds Supp(P^m), to the single
     point m*u: these are the m of the ray search's hits.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_horizon(horizon)
     degrees = {sum(e) for e in p.exponents()}
     if len(degrees) != 1:
         raise ValueError("P must be homogeneous")
@@ -104,8 +103,7 @@ def dk_check(f, horizon):
     """
     if f.is_zero:
         raise ValueError("f must be nonzero")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_horizon(horizon)
     terms = [f_m.constant_term() for f_m in powers(f, horizon)]
     first_nonzero = next((m for m, c in enumerate(terms, start=1) if c), None)
     origin = (0,) * f.arity

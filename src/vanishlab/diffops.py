@@ -161,10 +161,16 @@ def profile_scan(op, p, g, horizon):
         ), sym_m, p_m
 
 
-def vanishing_profile(op, p, g=None, horizon=8):
-    """Scan m = 1..horizon and record both vanishing sequences."""
+def check_horizon(horizon):
+    """Refuse a horizon below 1: a scan over no m at all would report
+    "all checks pass" vacuously."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+
+
+def vanishing_profile(op, p, g=None, horizon=8):
+    """Scan m = 1..horizon and record both vanishing sequences."""
+    check_horizon(horizon)
     if p.is_zero:
         raise ValueError("P must be nonzero")
     if g is None:

@@ -169,11 +169,6 @@ def _coordinate(src):
     return Fraction(int(num), den)
 
 
-def parse_fraction(src):
-    """``int`` or ``int/int`` with a positive denominator, whitespace around allowed."""
-    return Fraction(_coordinate(src))
-
-
 def parse_point(src):
     """Parse "(a,b,...)": an ``int`` for each integral component, a `Fraction` for p/q."""
     src = src.strip()

@@ -39,6 +39,23 @@ def test_every_exported_name_has_a_library_caller():
     assert sorted(set(vanishlab.__all__) - imported) == []
 
 
+def test_every_module_function_has_a_library_reference():
+    # the module-level twin of the rule above: a function that no library
+    # code names serves only the tests, and belongs in a test oracle module
+    defined, named = [], set()
+    for name, node in library_nodes():
+        if isinstance(node, ast.Module):
+            defined += [(name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif name != "__init__.py":
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert [f"{name}:{function}" for name, function in defined if function not in named] == []
+
+
 def test_only_poly_reads_terms():
     # ``terms`` builds a Fraction for every coefficient on each read: the
     # library reads the integer storage ``nums``/``den`` instead

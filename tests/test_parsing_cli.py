@@ -14,7 +14,6 @@ from vanishlab import cli
 from vanishlab.cli import build_parser, main, parse_request
 from vanishlab.parsing import (
     ParseError,
-    parse_fraction,
     parse_generators,
     parse_operator,
     parse_point,
@@ -96,19 +95,20 @@ class TestParsing:
         assert parse_point("(1/2,-3)") == (Fraction(1, 2), Fraction(-3))
         assert parse_generators("(-2,1);(1,-2)") == [
             (Fraction(-2), Fraction(1)), (Fraction(1), Fraction(-2))]
-        assert parse_fraction("-7/3") == Fraction(-7, 3)
+        assert parse_point("-7/3") == (Fraction(-7, 3),)
         with pytest.raises(ValueError):
-            parse_fraction("0.5")
+            parse_point("0.5")
         with pytest.raises(ValueError, match="zero denominator"):
-            parse_fraction("-3/00")
+            parse_point("-3/00")
 
     @pytest.mark.parametrize("src, value", [
         ("007", Fraction(7)), ("-0", Fraction(0)), (" 2/4 ", Fraction(1, 2)),
         ("-7/3", Fraction(-7, 3)), ("12/1", Fraction(12)),
     ])
     def test_fraction_accepts(self, src, value):
-        got = parse_fraction(src)
-        assert type(got) is Fraction and got == value
+        # a one-coordinate point: an int for integral text, a Fraction for p/q
+        got = parse_point(src)
+        assert got == (value,) and type(got[0]) is (Fraction if "/" in src else int)
 
     @pytest.mark.parametrize("src, message", [
         ("3/0", "zero denominator"), ("1/-2", "not an exact fraction"),
@@ -118,7 +118,7 @@ class TestParsing:
     ])
     def test_fraction_rejects(self, src, message):
         with pytest.raises(ValueError, match=message):
-            parse_fraction(src)
+            parse_point(src)
 
     # an int for integral text, a Fraction where the text is p/q
     @pytest.mark.parametrize("src, value", [
@@ -504,8 +504,9 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# Leaf dispatch: a request that names a leaf command is parsed by that leaf's
-# parser alone, and every answer is the full parser's
+# Leaf dispatch: a request that names a leaf command in plain spellings is read
+# from that leaf's option table, any other goes to the full parser, and every
+# answer is the full parser's
 
 SIGMA = "--sigma=(-1,0);(0,-1)"
 LEAVES = [("vanish",), ("polytope",), ("density",), ("dk",), ("case", "one-var"),
@@ -590,6 +591,11 @@ class TestLeafDispatch:
         ([], "vanishlab: error: the following arguments are required: command\n"),
         (["case"], "vanishlab case: error: the following arguments are required: which\n"),
         (["polytope"], "vanishlab polytope: error: the following arguments are required: --sigma\n"),
+        (["case", "phi", "--phi=dy^2"],
+         "vanishlab case phi: error: the following arguments are required: --f\n"),
+        (["counterexample", "dk", "-M", "x"],
+         "vanishlab counterexample dk: error: argument -M/--horizon: invalid int value: 'x'\n"),
+        (["polytope", SIGMA, "-M", "3"], "vanishlab: error: unrecognized arguments: -M 3\n"),
     ])
     def test_usage_errors(self, argv, err, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -653,11 +659,10 @@ class TestLeafDispatch:
         (["--pick=c"], False), (["--n=x"], False), (["--n", "-1"], False),
     ])
     def test_option_table_fills_defaults_as_argparse(self, words, served):
-        # a string default goes through the action's type, and set_defaults
-        # values fill what no action set (a given option beats them), in
-        # argparse's order
+        # set_defaults values fill what no action set (a given option beats
+        # them), in argparse's order
         leaf = cli._Parser(prog="leaf")
-        leaf.add_argument("-n", "--n", type=int, default="7")
+        leaf.add_argument("-n", "--n", type=int, default=7)
         leaf.add_argument("--pick", choices=["a", "b"], default="a")
         leaf.add_argument("--flag", action="store_true")
         leaf.set_defaults(func=len, which="leaf", pick="b")
@@ -668,7 +673,8 @@ class TestLeafDispatch:
             assert full[1] == [] and list(vars(args).items()) == list(vars(full[0]).items())
 
     @pytest.mark.parametrize("kwargs", [{"action": "append"}, {"action": "count"},
-                                        {"action": "store_const", "const": 1}, {"nargs": "?"}])
+                                        {"action": "store_const", "const": 1}, {"nargs": "?"},
+                                        {"type": int, "default": "7"}])
     def test_option_table_refuses_options_it_cannot_read(self, kwargs):
         with pytest.raises(ValueError, match="option table"):
             cli._Parser(prog="leaf").add_argument("--x", **kwargs)
