@@ -14,7 +14,9 @@ the series counterexamples at their precision edges and at M=10/D=20,
 polytope queries on the edges of the orthant LP's start basis, and the
 homogeneous density search, the operator-monomial, two-monomial-P and
 fractional-symbol case paths, and the spellings of points that reach the
-polytope layer as integers or as fractions.  Only valid inputs are recorded.
+polytope layer as integers or as fractions, the flow case with P = 0,
+Phi = 0 and g = 0, and a profile whose products take poly._reach's bound.
+Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -142,6 +144,16 @@ SPELLINGS = [
     ["case", "two-monomial", "--op=1/2*dx^2 - 2/3*dy^3", "--p=x*y", "--g=x + y", "-M", "5"],
 ]
 
+# the flow case's early exits (P = 0, Phi = 0, g = 0), and a profile whose
+# summed reaches would widen the packed-key layout, so its products take
+# the tighter bound of poly._reach
+EDGES = [
+    ["case", "phi", "--phi=dy^2", "--f=0", "-M", "3"],
+    ["case", "phi", "--phi=0", "--f=y", "--g=x^2*y", "-M", "4"],
+    ["case", "phi", "--phi=dy^2", "--f=y", "--g=0", "-M", "3"],
+    ["vanish", "--vars", "x,y", "--op=dx", "--p=x+y^9000", "-M", "2"],
+]
+
 NAMES = ("x", "y", "z")
 
 
@@ -265,7 +277,8 @@ def requests():
               for which in ("ddv", "dk") for m in range(1, 9)]
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
-            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS]
+            + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
+            + EDGES]
 
 
 def run(argv):
