@@ -58,10 +58,6 @@ class CaseVerdict:
             return INCONCLUSIVE
         return CONFIRMED
 
-    @property
-    def confirmed(self):
-        return self.status == CONFIRMED
-
 
 def _verify_tail(profile, start):
     """Split the profile entries with m >= start into verified m's and residuals."""
@@ -74,16 +70,15 @@ def _verify_tail(profile, start):
 # ---------------------------------------------------------------------------
 # One-variable case (exponential expansions)
 
-def one_var_check(lam, p, g, horizon=8):
+def one_var_check(op, p, g, horizon=8):
     """n = 1: bound deg(g)/(m1 - deg P) with m1 the order of the symbol at 0."""
-    if lam.arity != 1 or p.arity != 1 or g.arity != 1:
+    if op.arity != 1 or p.arity != 1 or g.arity != 1:
         raise ValueError("one_var_check requires one-variable inputs")
-    if lam.is_zero:
+    if op.symbol.is_zero:
         raise ValueError("operator symbol must be nonzero")
     if p.is_zero:
         raise ValueError("P must be nonzero")
-    op = DiffOp(lam)
-    m1 = lam.min_exponent(0)
+    m1 = op.symbol.min_exponent(0)
     d = p.degree_in(0)
     dg = g.degree_in(0)  # None when g = 0
     profile = vanishing_profile(op, p, g, horizon)
@@ -181,8 +176,7 @@ def phi_case_check(phi, f, g, horizon=8):
         raise ValueError("g must live in two variables")
     p = phi_flow(phi, f)
     if p.is_zero:
-        return CaseVerdict(case="phi", checks=(("P nonzero", True),),
-                           bound=Fraction(0), verified=tuple(range(1, horizon + 1)),
+        return CaseVerdict(case="phi", bound=Fraction(0), verified=tuple(range(1, horizon + 1)),
                            notes=("P = 0; everything vanishes identically",))
     lam = DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - _phi_operator(phi).symbol)
     profile = vanishing_profile(lam, p, g, horizon)
@@ -328,25 +322,20 @@ def _sigma_criterion(case, op, p, g, profile, checks):
     )
 
 
-def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
-    """Case Lambda = a*d^alpha + b*d^beta with |alpha| != |beta|, P homogeneous."""
-    alpha = tuple(int(v) for v in alpha)
-    beta = tuple(int(v) for v in beta)
-    if sum(alpha) == sum(beta):
-        raise ValueError("|alpha| must differ from |beta|")
-    if any(v < 0 for v in alpha + beta):
-        raise ValueError("exponents must be in N^n")
+def two_monomial_check(op, p, g, horizon=8):
+    """Case Lambda = a*d^alpha + b*d^beta with |alpha| != |beta|, P homogeneous.
+
+    Any other symbol takes the mirrored case, P a sum of two monomials.
+    """
+    exponents = op.symbol.exponents()
+    if len(exponents) != 2 or sum(exponents[0]) == sum(exponents[1]):
+        return _two_monomial_p(op, p, g, horizon)
+    alpha, beta = exponents
     if p.is_zero or not p.is_homogeneous():
         raise ValueError("P must be nonzero and homogeneous")
     if not p.is_holomorphic():
         raise ValueError("P must have support in N^n")
-    a = Fraction(a)
-    b = Fraction(b)
-    if not a or not b:
-        raise ValueError("both coefficients must be nonzero")
-
     check_horizon(horizon)
-    op = DiffOp(LaurentPoly(len(alpha), {alpha: a}) + LaurentPoly(len(beta), {beta: b}))
     # the support formula on m <= 5, and degree separation: each individual
     # d^{k alpha + l beta} P^m vanishes whenever Lambda^m P^m does
     entries = []
@@ -366,7 +355,7 @@ def two_monomial_check(a, alpha, b, beta, p, g, horizon=8):
     return _sigma_criterion("two-monomial", op, p, g, profile, checks)
 
 
-def homogeneous_two_monomial_p_check(op, p, g, horizon=8):
+def _two_monomial_p(op, p, g, horizon):
     """Mirror case: P = a z^alpha + b z^beta, |alpha| != |beta|, homogeneous symbol."""
     if not op.symbol.is_homogeneous() or op.symbol.is_zero:
         raise ValueError("operator symbol must be nonzero and homogeneous")

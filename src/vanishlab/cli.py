@@ -290,37 +290,21 @@ def _multiplier(args, names):
 
 def cmd_case(args, out):
     names = _split_vars(args.vars)
-    horizon = args.horizon
-    if args.which == "one-var":
-        if len(names) != 1:
-            raise ValueError("the one-variable case needs exactly one variable")
-        lam = parse_operator(_read_arg(args.op), names).symbol
-        p = parse_poly(_read_arg(args.p), names)
-        g = _multiplier(args, names)
-        verdict = cases.one_var_check(lam, p, g, horizon)
-    elif args.which == "phi":
+    if args.which == "phi":
         if len(names) != 2:
             raise ValueError("the phi case needs exactly two variables")
         phi = parse_operator(_read_arg(args.phi), [names[1]]).symbol
         f = parse_poly(_read_arg(args.f), names)
-        g = _multiplier(args, names)
-        verdict = cases.phi_case_check(phi, f, g, horizon)
-    elif args.which == "monomial":
+        verdict = cases.phi_case_check(phi, f, _multiplier(args, names), args.horizon)
+    else:
+        if args.which == "one-var" and len(names) != 1:
+            raise ValueError("the one-variable case needs exactly one variable")
+        # looked up per request, so that a rebound checker is the one called
+        check = {"one-var": cases.one_var_check, "monomial": cases.monomial_case_check,
+                 "two-monomial": cases.two_monomial_check}[args.which]
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
-        g = _multiplier(args, names)
-        verdict = cases.monomial_case_check(op, p, g, horizon)
-    else:  # two-monomial
-        op = parse_operator(_read_arg(args.op), names)
-        p = parse_poly(_read_arg(args.p), names)
-        g = _multiplier(args, names)
-        exponents = op.symbol.exponents()
-        if len(exponents) == 2 and not op.symbol.is_homogeneous():
-            alpha, beta = exponents
-            a, b = op.symbol.coeff(alpha), op.symbol.coeff(beta)
-            verdict = cases.two_monomial_check(a, alpha, b, beta, p, g, horizon)
-        else:
-            verdict = cases.homogeneous_two_monomial_p_check(op, p, g, horizon)
+        verdict = check(op, p, _multiplier(args, names), args.horizon)
     out.record("subcommand", f"case {args.which}")
     return _emit_verdict(verdict, out)
 
@@ -494,6 +478,12 @@ def main(argv=None):
     """Serve one request, ``sys.argv[1:]`` when argv is None; the exit code."""
     args = parse_request(sys.argv[1:] if argv is None else list(argv))
     out = Emitter(args.format)
+    # exact numbers have any length: lift CPython's limit on int <-> str
+    # conversion (3.11+, 3.10.7+) while the request is served, and restore it
+    # for a caller in the same process
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if "horizon" in args and args.horizon is None:
             args.horizon = _default_horizon()
@@ -501,6 +491,9 @@ def main(argv=None):
     except (ParseError, ValueError) as exc:
         print(f"vanishlab: error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

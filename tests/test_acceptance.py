@@ -10,6 +10,7 @@ from fractions import Fraction
 from fm_oracle import hull_meets_orthant
 from paper_oracle import binomial_gap_check, scale_translate
 from vanishlab.cases import (
+    CONFIRMED,
     counterexample_ddv,
     counterexample_dk,
     one_var_check,
@@ -157,8 +158,8 @@ def test_criterion_6_one_var_random():
         p = LaurentPoly(1, p_terms)
         dg = rng.randrange(7)
         g = LaurentPoly(1, {(dg,): Fraction(rng.choice([1, 2]))})
-        verdict = one_var_check(lam, p, g, horizon=10)
-        assert verdict.confirmed, (lam, p, g, verdict)
+        verdict = one_var_check(DiffOp(lam), p, g, horizon=10)
+        assert verdict.status == CONFIRMED, (lam, p, g, verdict)
         assert verdict.bound == Fraction(dg, m1 - p.degree_in(0))
     report(6, "one-variable case confirmed on 50 random (symbol, P, g) triples, M = 10")
 
@@ -185,7 +186,7 @@ def test_criterion_7_phi_case_random():
         if g.is_zero:
             continue
         verdict = phi_case_check(phi, f, g, horizon=10)
-        assert verdict.confirmed, (phi, f, g, verdict)
+        assert verdict.status == CONFIRMED, (phi, f, g, verdict)
         d = f.degree_in(1)
         expected = Fraction(order * g.degree_in(0) + g.degree_in(1), order - d)
         assert verdict.bound == expected

@@ -9,10 +9,10 @@ from kernel_oracle import series_exp
 from paper_oracle import binomial_gap_check
 from vanishlab import cases
 from vanishlab.cases import (
+    CONFIRMED,
     CaseVerdict,
     counterexample_ddv,
     counterexample_dk,
-    homogeneous_two_monomial_p_check,
     monomial_case_check,
     one_var_check,
     phi_case_check,
@@ -32,37 +32,41 @@ def lp2(src):
     return parse_poly(src, ["x", "y"])
 
 
+def op1(src):
+    return parse_operator(src, ["x"])
+
+
 def op2(src):
     return parse_operator(src, ["x", "y"])
 
 
 class TestOneVar:
     def test_confirmed_example(self):
-        verdict = one_var_check(lp1("x^2"), lp1("x"), lp1("x^3"))
-        assert verdict.confirmed
+        verdict = one_var_check(op1("dx^2"), lp1("x"), lp1("x^3"))
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 3
         assert verdict.verified == (4, 5, 6, 7, 8)
 
     def test_zero_g(self):
-        verdict = one_var_check(lp1("x^2"), lp1("x"), LaurentPoly.zero(1))
-        assert verdict.confirmed
+        verdict = one_var_check(op1("dx^2"), lp1("x"), LaurentPoly.zero(1))
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 0
 
     def test_degree_violation(self):
         # deg P = order of the symbol: hypothesis must fail
-        verdict = one_var_check(lp1("x"), lp1("x"), lp1("1"), horizon=6)
+        verdict = one_var_check(op1("dx"), lp1("x"), lp1("1"), horizon=6)
         assert verdict.status == "hypothesis-fails"
 
     def test_rich_symbol(self):
         # symbol x^2(1 + x): order at 0 is 2, same bound as x^2 alone
-        verdict = one_var_check(lp1("x^2 + x^3"), lp1("x"), lp1("x^2"), horizon=8)
-        assert verdict.confirmed
+        verdict = one_var_check(op1("dx^2 + dx^3"), lp1("x"), lp1("x^2"), horizon=8)
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 2
         assert verdict.verified == (3, 4, 5, 6, 7, 8)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
-            one_var_check(lp2("x"), lp2("x"), lp2("1"))
+            one_var_check(op2("dx"), lp2("x"), lp2("1"))
 
 
 class TestPhiCase:
@@ -95,13 +99,13 @@ class TestPhiCase:
 
     def test_confirmed(self):
         verdict = phi_case_check(lp1("x^2"), lp2("y"), lp2("x^2*y"), horizon=8)
-        assert verdict.confirmed
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 5
 
     def test_phi_zero(self):
         # Lambda = d_x, P = f(y): vanishing exactly for m > deg_x g
         verdict = phi_case_check(LaurentPoly.zero(1), lp2("y^3"), lp2("x^2"), horizon=8)
-        assert verdict.confirmed
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 2
         assert verdict.verified == (3, 4, 5, 6, 7, 8)
 
@@ -113,7 +117,7 @@ class TestPhiCase:
 
     def test_linear_term_removed_by_coordinate_change(self):
         verdict = phi_case_check(lp1("x + x^2"), lp2("y"), lp2("x*y"), horizon=8)
-        assert verdict.confirmed
+        assert verdict.status == CONFIRMED
         assert any("coordinate change" in note for note in verdict.notes)
 
     def test_order_not_above_degree(self):
@@ -142,7 +146,7 @@ class TestBinomialGap:
 class TestMonomialCase:
     def test_p_monomial_confirmed(self):
         verdict = monomial_case_check(op2("dx^2"), lp2("x*y"), lp2("x^3"), horizon=8)
-        assert verdict.confirmed
+        assert verdict.status == CONFIRMED
         assert verdict.bound == 4
         assert not verdict.anomalies
 
@@ -153,7 +157,7 @@ class TestMonomialCase:
     def test_operator_monomial_variant(self):
         verdict = monomial_case_check(op2("dx^3"), lp2("x*y + y^2"), lp2("x"), horizon=8)
         assert any("operator-monomial" in n for n in verdict.notes)
-        assert verdict.confirmed
+        assert verdict.status == CONFIRMED
         assert not verdict.anomalies
 
     def test_rejects_two_nonmonomials(self):
@@ -163,23 +167,18 @@ class TestMonomialCase:
 
 class TestTwoMonomial:
     def test_confirmed(self):
-        verdict = two_monomial_check(1, (2, 0), 1, (0, 3), lp2("x*y"), lp2("1"), horizon=8)
-        assert verdict.confirmed
+        verdict = two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=8)
+        assert verdict.status == CONFIRMED
         assert not verdict.anomalies
 
-    def test_rejects_equal_total_degree(self):
-        with pytest.raises(ValueError):
-            two_monomial_check(1, (2, 0), 1, (0, 2), lp2("x*y"), lp2("1"))
-
-    def test_zero_coefficient_rejected(self):
-        # the CLI passes the two nonzero coefficients of a two-term symbol
-        for a, b in ((1, 0), (0, 1), (0, 0)):
-            with pytest.raises(ValueError, match="both coefficients must be nonzero"):
-                two_monomial_check(a, (2, 0), b, (0, 3), lp2("x*y"), lp2("1"), horizon=8)
+    def test_equal_total_degree_takes_two_monomial_p(self):
+        # a homogeneous two-term symbol is the mirrored case's operator
+        verdict = two_monomial_check(op2("dx^2 + dy^2"), lp2("x*y"), lp2("1"))
+        assert verdict.case == "two-monomial-P"
 
     def test_witness_predicts_failure(self):
         # Lambda = d_x + d_y^2, P = x^2 y: the difference polytope meets the orthant
-        verdict = two_monomial_check(1, (1, 0), 1, (0, 2), lp2("x^2*y"), lp2("1"), horizon=6)
+        verdict = two_monomial_check(op2("dx + dy^2"), lp2("x^2*y"), lp2("1"), horizon=6)
         assert verdict.status in ("hypothesis-fails", "inconclusive")
 
     def test_each_power_built_once(self, monkeypatch):
@@ -189,21 +188,19 @@ class TestTwoMonomial:
         mul = LaurentPoly.__mul__
         monkeypatch.setattr(LaurentPoly, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
-        verdict = two_monomial_check(1, (2, 0), 1, (0, 3), lp2("x*y"), lp2("1"), horizon=8)
-        assert verdict.confirmed
+        verdict = two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=8)
+        assert verdict.status == CONFIRMED
         assert len(products) == 22
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_non_positive_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be >= 1"):
-            two_monomial_check(1, (2, 0), 1, (0, 3), lp2("x*y"), lp2("1"), horizon=horizon)
+            two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=horizon)
         with pytest.raises(ValueError, match="horizon must be >= 1"):
-            homogeneous_two_monomial_p_check(op2("dx*dy"), lp2("x^2*y + y^2"), lp2("1"),
-                                             horizon=horizon)
+            two_monomial_check(op2("dx*dy"), lp2("x^2*y + y^2"), lp2("1"), horizon=horizon)
 
     def test_mirror_two_monomial_p(self):
-        verdict = homogeneous_two_monomial_p_check(op2("dx*dy"), lp2("x^2*y + y^2"),
-                                                   lp2("1"), horizon=8)
+        verdict = two_monomial_check(op2("dx*dy"), lp2("x^2*y + y^2"), lp2("1"), horizon=8)
         assert isinstance(verdict, CaseVerdict)
         assert verdict.case == "two-monomial-P"
 

@@ -39,13 +39,27 @@ def test_every_exported_name_has_a_library_caller():
     assert sorted(set(vanishlab.__all__) - imported) == []
 
 
+# methods that no library code names, because they are called from outside it
+CALLED_FROM_OUTSIDE = {
+    # argparse calls it on every usage error
+    "cli.py:_Parser.error",
+    # the public way to re-check a certificate that a caller holds
+    "polytopes.py:SeparationCertificate.verify",
+}
+
+
 def test_every_module_function_has_a_library_reference():
-    # the module-level twin of the rule above: a function that no library
-    # code names serves only the tests, and belongs in a test oracle module
+    # the module-level twin of the rule above, which also holds for the
+    # methods and properties of every class (bar the dunder methods that
+    # Python calls): a function that no library code names serves only the
+    # tests, and belongs in a test oracle module
     defined, named = [], set()
     for name, node in library_nodes():
         if isinstance(node, ast.Module):
             defined += [(name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            defined += [(name, f"{c.name}.{f.name}") for c in node.body
+                        if isinstance(c, ast.ClassDef) for f in c.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
         elif name != "__init__.py":
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -53,7 +67,11 @@ def test_every_module_function_has_a_library_reference():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    assert [f"{name}:{function}" for name, function in defined if function not in named] == []
+    unnamed = {f"{name}:{function}" for name, function in defined
+               if function.rpartition(".")[2] not in named}
+    assert sorted(unnamed - CALLED_FROM_OUTSIDE) == []
+    # an entry that the library names again, or that is gone, leaves the list
+    assert CALLED_FROM_OUTSIDE <= unnamed
 
 
 def test_only_poly_reads_terms():

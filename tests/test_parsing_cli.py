@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,16 @@ def kv_lines(out):
     return dict(line.split("=", 1) for line in out.strip().splitlines() if "=" in line)
 
 
+def long_str(n):
+    """``str(n)`` for an int n >= 0 of any length, made 1000 digits at a time
+    so that no conversion meets CPython's limit on int -> str (4300 digits)."""
+    text = ""
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        text = f"{low:01000d}" + text
+    return f"{n}" + text
+
+
 class TestCli:
     def test_vanish_failure_exit_code(self, capsys):
         code, out, _ = run(capsys, "vanish", "--op", "dx*dy", "--p", "x^2 + y^2",
@@ -488,6 +499,34 @@ class TestCli:
         assert kv["case"] == "two-monomial-P"
         assert kv["bound"] == "1"
         assert kv["status"] == "confirmed"
+
+    def test_numbers_past_the_int_str_limit(self, capsys):
+        # a residual of 6000 digits and a coordinate of 5000 print whole:
+        # main lifts CPython's limit on int <-> str conversion for the request
+        # and restores it on the way out
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        n = int("7" * 3000)
+        code, out, err = run(capsys, "vanish", "--vars", "x", "--op=dx", f"--p={n}*x",
+                             "-M", "2", "--format", "structured")
+        assert (code, err) == (1, "")
+        assert out == "".join(f"{line}\n" for line in [
+            "subcommand=vanish", "horizon=2",
+            "m1.pp_zero=false", "m1.ppg_zero=false",
+            f"m1.pp_residual={n}", f"m1.ppg_residual={n}",
+            "m2.pp_zero=false", "m2.ppg_zero=false",
+            f"m2.pp_residual={long_str(2 * n * n)}", f"m2.ppg_residual={long_str(2 * n * n)}",
+            "verdict=hypothesis-fails", "first_failure=1"])
+        nines = "9" * 5000
+        assert run(capsys, "polytope", f"--sigma=({nines})", "--format", "structured") == (
+            0, f"subcommand=polytope\nkind=witness\nwitness=({nines})\n", "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_interpreter_without_an_int_str_limit(self, capsys, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out, _ = run(capsys, "polytope", "--sigma=(-2,1);(1,-2)", "--format", "structured")
+        assert code == 0
+        assert kv_lines(out)["kind"] == "certificate"
 
     def test_determinism(self, capsys):
         argv = ["polytope", "--sigma", "(-2,1);(1,-2);(-1,-1)", "--beta", "(2,2)",
