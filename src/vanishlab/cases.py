@@ -6,10 +6,11 @@ a structured verdict.  Verdicts are horizon-bounded by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import pairwise
 from math import factorial, floor
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .diffops import (
     DiffOp,
@@ -38,13 +39,12 @@ INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 # Verdict record
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     case: str
     checks: tuple = ()                      # (name, bool) pairs
     bound: Fraction | None = None
     verified: tuple = ()                    # m values that vanished past the bound
-    residuals: dict = field(default_factory=dict)  # m -> residual text
+    residuals: dict = MappingProxyType({})  # m -> residual text; read-only default
     anomalies: tuple = ()
     notes: tuple = ()
 
@@ -367,8 +367,8 @@ def _two_monomial_p(op, p, g, horizon):
         raise ValueError("P must have support in N^n")
     if p.is_monomial():
         verdict = monomial_case_check(op, p, g, horizon)
-        return replace(verdict, case="two-monomial-P",
-                       notes=verdict.notes + ("single monomial routed to the monomial case",))
+        note = "single monomial routed to the monomial case"
+        return verdict._replace(case="two-monomial-P", notes=verdict.notes + (note,))
     alpha, beta = p.exponents()
     if sum(alpha) == sum(beta):
         raise ValueError("|alpha| must differ from |beta|")
@@ -387,8 +387,7 @@ def _two_monomial_p(op, p, g, horizon):
 # ---------------------------------------------------------------------------
 # Counterexamples at truncated-series scale
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     name: str
     horizon: int
     precision: int

@@ -6,8 +6,8 @@ only ever report "inconclusive at horizon", never failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diffops import check_horizon
 from .poly import powers
@@ -41,11 +41,10 @@ def _ray(direction):
     return test
 
 
-@dataclass(frozen=True)
-class RaySearchReport:
+class RaySearchReport(NamedTuple):
     u: tuple
     horizon: int
-    hits: tuple = field(default_factory=tuple)  # (m, exponent vector) pairs
+    hits: tuple = ()  # (m, exponent vector) pairs
     verdict: str = INCONCLUSIVE
 
     @property
@@ -85,8 +84,7 @@ def homogeneous_density(p, u, horizon):
     return [m for m, _ in ray_hits_support(p, u, horizon).hits]
 
 
-@dataclass(frozen=True)
-class ConstantTermReport:
+class ConstantTermReport(NamedTuple):
     horizon: int
     constant_terms: tuple       # Fraction per m = 1..horizon
     first_nonzero: int | None

@@ -1,8 +1,8 @@
 """Constant-coefficient differential operators and vanishing profiles."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import perm, prod
+from typing import NamedTuple
 
 from .poly import LaurentPoly, TruncSeries, powers
 
@@ -103,8 +103,7 @@ def apply(op, operand):
     return _apply_to_poly(op, operand)
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     m: int
     pp_zero: bool
     ppg_zero: bool
@@ -112,8 +111,7 @@ class ProfileEntry:
     ppg_residual: LaurentPoly | None = None
 
 
-@dataclass(frozen=True)
-class VanishingProfile:
+class VanishingProfile(NamedTuple):
     """Per-m record of whether L^m(P^m) and L^m(P^m g) vanish, up to a horizon.
 
     A clean profile is only ever "verified up to M"; no finite horizon can
@@ -121,7 +119,7 @@ class VanishingProfile:
     """
 
     horizon: int
-    entries: tuple[ProfileEntry, ...] = field(default_factory=tuple)
+    entries: tuple[ProfileEntry, ...] = ()
 
     @property
     def first_pp_failure(self):

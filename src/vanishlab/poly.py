@@ -247,7 +247,9 @@ class LaurentPoly:
 
     def coeff(self, expo):
         expo = tuple(expo)
-        if len(expo) != self.arity or max(map(abs, expo)) > self.reach:
+        if len(expo) != self.arity:
+            raise ValueError(f"exponent {expo} has arity {len(expo)}, expected {self.arity}")
+        if max(map(abs, expo)) > self.reach:
             return Fraction(0)
         n = self.nums.get(sum(map(lshift, expo, self.layout.shifts)), 0)
         return Fraction(n, self.den) if n else Fraction(0)
@@ -507,11 +509,12 @@ class TruncSeries:
 
     def coeff(self, expo):
         """The coefficient at ``expo``; ValueError past the degree, where the
-        series does not know it."""
+        series does not know it, and on an exponent of the wrong arity."""
+        expo = tuple(expo)
+        value = self.body.coeff(expo)
         if expo[self.var] > self.degree:
-            raise ValueError(f"exponent {tuple(expo)} lies past the truncation degree "
-                             f"{self.degree}")
-        return self.body.coeff(expo)
+            raise ValueError(f"exponent {expo} lies past the truncation degree {self.degree}")
+        return value
 
     def constant_term(self):
         return self.coeff((0,) * self.arity)

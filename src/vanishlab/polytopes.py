@@ -17,10 +17,10 @@ and delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .simplex import OPTIMAL, exact, over_lcm, phase_two, solve_lp
 
@@ -83,15 +83,13 @@ class RationalPolytope:
         return f"RationalPolytope[{pts}]"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A rational point of the polytope inside the nonnegative orthant."""
 
     point: tuple
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """A normalized nonnegative functional with c.u <= -delta on every generator.
 
     Existence is equivalent to the polytope missing the nonnegative orthant.

@@ -1,8 +1,19 @@
 """Rules every module of the library keeps."""
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import vanishlab
+from vanishlab.cases import CaseVerdict, CounterexampleReport
+from vanishlab.density import ConstantTermReport, RaySearchReport
+from vanishlab.diffops import ProfileEntry, VanishingProfile
+from vanishlab.poly import LaurentPoly
+from vanishlab.polytopes import SeparationCertificate, Witness
 
 
 def library_nodes():
@@ -45,6 +56,8 @@ CALLED_FROM_OUTSIDE = {
     "cli.py:_Parser.error",
     # the public way to re-check a certificate that a caller holds
     "polytopes.py:SeparationCertificate.verify",
+    # the public Fraction view; no library code may read it
+    "polytopes.py:RationalPolytope.generators",
 }
 
 
@@ -52,8 +65,10 @@ def test_every_module_function_has_a_library_reference():
     # the module-level twin of the rule above, which also holds for the
     # methods and properties of every class (bar the dunder methods that
     # Python calls): a function that no library code names serves only the
-    # tests, and belongs in a test oracle module
-    defined, named = [], set()
+    # tests, and belongs in a test oracle module.  A method or property is
+    # referenced only by an attribute access: a bare name such as a
+    # parameter that shares its name does not reach it
+    defined, named, attributes = [], set(), set()
     for name, node in library_nodes():
         if isinstance(node, ast.Module):
             defined += [(name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
@@ -64,11 +79,12 @@ def test_every_module_function_has_a_library_reference():
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    named |= attributes
     unnamed = {f"{name}:{function}" for name, function in defined
-               if function.rpartition(".")[2] not in named}
+               if function.rpartition(".")[2] not in (attributes if "." in function else named)}
     assert sorted(unnamed - CALLED_FROM_OUTSIDE) == []
     # an entry that the library names again, or that is gone, leaves the list
     assert CALLED_FROM_OUTSIDE <= unnamed
@@ -127,3 +143,72 @@ def test_simplex_builds_no_fraction():
              and (isinstance(node.func, ast.Name) and node.func.id == "Fraction"
                   or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")]
     assert calls == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # a CLI run starts by importing the package and building the parser:
+    # the records are NamedTuples, so neither dataclasses nor the inspect
+    # tree it pulls in (ast, dis, tokenize, ...) is loaded, which keeps
+    # about 1 MB off every run's peak RSS.  A module that the interpreter
+    # already holds at start-up (a site hook's import) is not the package's
+    src = str(Path(vanishlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "heavy = {'dataclasses', 'inspect'} - set(sys.modules)\n"
+            "import vanishlab, vanishlab.cli\n"
+            "vanishlab.cli.build_parser()\n"
+            "print(' '.join(sorted(heavy & set(sys.modules))))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.split() == []
+
+
+# each result record with a value for every field, in field order
+RECORDS = [
+    (ProfileEntry, dict(m=2, pp_zero=True, ppg_zero=False, pp_residual=None,
+                        ppg_residual=LaurentPoly(2, {(1, 0): 3}))),
+    (VanishingProfile, dict(horizon=1, entries=(ProfileEntry(1, True, True),))),
+    (CaseVerdict, dict(case="monomial", checks=(("P monomial", True),), bound=Fraction(3, 2),
+                       verified=(2, 3), residuals={4: "x"}, anomalies=(), notes=("n",))),
+    (CounterexampleReport, dict(name="ddv", horizon=1, precision=3,
+                                rows=((1, (("L^m(P^m) = 0", True),)),))),
+    (RaySearchReport, dict(u=(Fraction(1, 2), Fraction(1)), horizon=2, hits=((2, (1, 2)),),
+                           verdict="found")),
+    (ConstantTermReport, dict(horizon=2, constant_terms=(Fraction(0), Fraction(1)),
+                              first_nonzero=2, zero_in_polytope=True,
+                              verdict="hypothesis-fails")),
+    (Witness, dict(point=(Fraction(2, 3), Fraction(0)))),
+    (SeparationCertificate, dict(c=(Fraction(1), Fraction(0)), delta=Fraction(1, 2))),
+]
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_contract(cls, fields):
+    # the result records are immutable values with a readable repr
+    record = cls(**fields)
+    first = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, first, fields[first])
+    twin = cls(**fields)
+    assert twin == record
+    if all(map(_hashable, fields.values())):
+        assert hash(twin) == hash(record)
+    assert repr(record) == (f"{cls.__name__}("
+                            + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
+    if cls is CaseVerdict:
+        # the default residuals are one read-only empty mapping: a write
+        # fails, so nothing can leak from one verdict into another
+        bare, other = CaseVerdict("phi"), CaseVerdict("monomial")
+        assert len(bare.residuals) == 0
+        with pytest.raises(TypeError):
+            bare.residuals[1] = "leak"
+        assert len(other.residuals) == 0

@@ -52,6 +52,17 @@ class TestBasics:
         q = lp("1 + x^-1", arity=1) ** 2
         assert q.coeff((-1,)) == 2
 
+    def test_coeff_refuses_an_exponent_of_the_wrong_arity(self):
+        # a short or long exponent names no monomial: it is an error, not a 0
+        # coefficient, for a polynomial and a series of that body alike
+        p = LaurentPoly(2, {(0, 1): 1})
+        for reader in (p, TruncSeries(p, 1, 3)):
+            with pytest.raises(ValueError, match=r"exponent \(0,\) has arity 1, expected 2"):
+                reader.coeff((0,))
+            with pytest.raises(ValueError, match="has arity 3, expected 2"):
+                reader.coeff((0, 1, 0))
+            assert reader.coeff((0, 1)) == 1
+
     def test_holomorphic_part(self):
         assert lp("x^-1*y + x*y").holomorphic_part() == lp("x*y")
         assert lp("x^-1 + x^-2*y").holomorphic_part().is_zero
