@@ -45,10 +45,13 @@ README = [
     ["counterexample", "ddv", "-M", "6", "-D", "12"],
 ]
 
-# the monomial and two-monomial checkers' witness notes
+# the monomial and two-monomial checkers' witness notes; the last one's
+# orthant weights are split over two generators of Sigma, so its witness
+# pair is built from two (A, B) generator pairs
 WITNESS = [
     ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6"],
     ["case", "monomial", "--op=dx^2 + dy^2", "--p=x*y", "-M", "4"],
+    ["case", "two-monomial", "--op=dx + dx^2", "--p=x^3 + x*y^2", "-M", "4"],
 ]
 
 # polytope queries whose orthant LP has tied optima: a witness, and a
