@@ -12,7 +12,6 @@ from .polytopes import (
     SeparationCertificate,
     Witness,
     contains_point,
-    difference_decomposition,
     minkowski_diff,
     moveaway_bound,
     newton_polytope,
@@ -29,7 +28,6 @@ __all__ = [
     "Witness",
     "apply",
     "contains_point",
-    "difference_decomposition",
     "minkowski_diff",
     "moveaway_bound",
     "newton_polytope",

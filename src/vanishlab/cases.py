@@ -23,11 +23,11 @@ from .diffops import (
 from .poly import LaurentPoly, TruncSeries, powers
 from .polytopes import (
     Witness,
-    difference_decomposition,
     minkowski_diff,
     moveaway_bound,
     newton_polytope,
     orthant_meet,
+    witness_pair,
 )
 
 CONFIRMED = "confirmed"
@@ -82,15 +82,11 @@ def one_var_check(op, p, g, horizon=8):
     d = p.degree_in(0)
     dg = g.degree_in(0)  # None when g = 0
     profile = vanishing_profile(op, p, g, horizon)
-    hyp_ok = profile.first_pp_failure is None
     deg_ok = d <= m1 - 1
-    checks = [
-        ("power-vanishing hypothesis up to horizon", hyp_ok),
+    checks = (
+        ("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None),
         ("deg P <= order(symbol at 0) - 1", deg_ok),
-    ]
-    anomalies = []
-    if hyp_ok and not deg_ok and horizon >= 3:
-        anomalies.append("hypothesis held through horizon yet degree bound violated")
+    )
     bound = None
     verified, residuals = (), {}
     if deg_ok:
@@ -98,11 +94,10 @@ def one_var_check(op, p, g, horizon=8):
         verified, residuals = _verify_tail(profile, floor(bound) + 1)
     return CaseVerdict(
         case="one-var",
-        checks=tuple(checks),
+        checks=checks,
         bound=bound,
         verified=verified,
         residuals=residuals,
-        anomalies=tuple(anomalies),
     )
 
 
@@ -113,6 +108,11 @@ def _phi_operator(phi):
     """Lift a one-variable symbol Phi(xi) to Phi(d_y) on two variables."""
     nums = {(0, k): n for (k,), n in phi.integer_items()}
     return DiffOp(LaurentPoly._from_integers(2, nums, phi.den))
+
+
+def _flow_operator(phi_op):
+    """Lambda = d_x - Phi(d_y), from Phi(d_y)."""
+    return DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - phi_op.symbol)
 
 
 def phi_flow(phi, f):
@@ -140,8 +140,7 @@ def phi_flow(phi, f):
         if cur.is_zero:
             break
         total = total + LaurentPoly.variable(2, 0, k) * cur * Fraction(1, factorial(k))
-    lam = DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - phi_op.symbol)
-    if not apply(lam, total).is_zero:
+    if not apply(_flow_operator(phi_op), total).is_zero:
         raise RuntimeError("the flow does not solve (d_x - Phi(d_y)) P = 0")
     return total
 
@@ -178,8 +177,7 @@ def phi_case_check(phi, f, g, horizon=8):
     if p.is_zero:
         return CaseVerdict(case="phi", bound=Fraction(0), verified=tuple(range(1, horizon + 1)),
                            notes=("P = 0; everything vanishes identically",))
-    lam = DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - _phi_operator(phi).symbol)
-    profile = vanishing_profile(lam, p, g, horizon)
+    profile = vanishing_profile(_flow_operator(_phi_operator(phi)), p, g, horizon)
     checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
     notes = []
     bound = _phi_bound(phi, f, g, checks, notes)
@@ -299,11 +297,9 @@ def _sigma_criterion(case, op, p, g, profile, checks):
     meet = orthant_meet(sigma)
     if isinstance(meet, Witness):
         checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", False))
-        pair = difference_decomposition(poly_p, poly_lambda, meet.point)
-        if pair is not None:
-            u, v = pair
-            notes.append(f"witness pair u={_point_str(u)} >= v={_point_str(v)} "
-                         "predicts a hypothesis failure at some m")
+        u, v = witness_pair(poly_p, poly_lambda, meet)
+        notes.append(f"witness pair u={_point_str(u)} >= v={_point_str(v)} "
+                     "predicts a hypothesis failure at some m")
         if profile.first_pp_failure is None:
             notes.append("no failure observed up to horizon; it must occur beyond it")
         return CaseVerdict(case=case, checks=tuple(checks), notes=tuple(notes))

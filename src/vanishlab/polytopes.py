@@ -6,14 +6,14 @@ or H-representation is ever computed.
 
 A polytope stores its generators once, as integer numerators over one
 positive common denominator; integer generators are kept as they are.
-The membership and difference LPs are built from those integers and reach
-the simplex as integer rows over their own denominators; the orthant LP's
-start tableau is written down from them in closed form and goes straight
-to phase 2.  The simplex answers in integers too.  Every check of an
-answer (weights, a witness point, a separation certificate)
+The membership LP is built from those integers and reaches the simplex
+as integer rows over their own denominators; the orthant LP's start
+tableau is written down from them in closed form and goes straight to
+phase 2.  The simplex answers in integers too.  Every check of an answer
+(weights, a witness point, a witness pair, a separation certificate)
 cross-multiplies integers, and a `Fraction` is built only for a
-coordinate of the answer that is returned: the weights, the points, and c
-and delta.
+coordinate of the answer that is returned: the nonzero weights, the
+points, and c and delta.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .simplex import OPTIMAL, exact, over_lcm, phase_two, solve_lp
+
+_ZERO = Fraction(0)
 
 
 class RationalPolytope:
@@ -84,9 +86,11 @@ class RationalPolytope:
 
 
 class Witness(NamedTuple):
-    """A rational point of the polytope inside the nonnegative orthant."""
+    """A rational point of the polytope inside the nonnegative orthant, and
+    the convex weights on the polytope's generators that give it."""
 
     point: tuple
+    weights: tuple
 
 
 class SeparationCertificate(NamedTuple):
@@ -136,16 +140,27 @@ def newton_polytope(poly):
     return RationalPolytope(sorted(poly.exponents()))
 
 
-def minkowski_diff(a, b):
-    """All pairwise generator differences: the Minkowski difference hull."""
+def _differences(a, b):
+    """sa, sb and the differences sa * u - sb * v of A's and B's integer rows,
+    over lcm(a.den, b.den) = sa * a.den, each mapped to the indices (i, j) of
+    the first pair (u, v) that gives it."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    # integer differences over den; sorting and deduplicating them is the
-    # same as for the rational differences, since den > 0
     den = lcm(a.den, b.den)
     sa, sb = den // a.den, den // b.den
-    rows = sorted({tuple(sa * u - sb * v for u, v in zip(ga, gb))
-                   for ga in a.nums for gb in b.nums})
+    first = {}
+    for i, ga in enumerate(a.nums):
+        for j, gb in enumerate(b.nums):
+            first.setdefault(tuple(sa * u - sb * v for u, v in zip(ga, gb)), (i, j))
+    return sa, sb, first
+
+
+def minkowski_diff(a, b):
+    """All pairwise generator differences: the Minkowski difference hull."""
+    sa, sb, first = _differences(a, b)
+    # integer differences over den > 0 sort as the rational differences do
+    den = sa * a.den
+    rows = sorted(first)
     # den over the common factor of every difference is the lcm of their
     # denominators, the den the rational differences would be stored over
     g = gcd(den, *(v for row in rows for v in row)) if den > 1 else 1
@@ -281,7 +296,8 @@ def orthant_meet(polytope):
     primal lambda as its convex weights.  Otherwise the reduced costs of
     the surplus columns give the SeparationCertificate c, and delta = -t
     is its largest margin.  Either answer is checked in integers, and only
-    the answer returned is built as `Fraction`s.
+    the answer returned is built as `Fraction`s, a zero weight as one
+    shared `Fraction(0)`.
 
     The simplex starts at the best single generator u_j*, the one whose
     smallest coordinate u_j*,i* is largest: lambda_j* = 1, t = u_j*,i* and
@@ -305,7 +321,8 @@ def orthant_meet(polytope):
             lam = xn[:k]
             point = _combination(lam, polytope)
             if _is_convex(lam, xden) and all(v >= 0 for v in point):
-                return Witness(point=_fractions(point, xden * polytope.den))
+                return Witness(point=_fractions(point, xden * polytope.den),
+                               weights=tuple(Fraction(v, xden) if v else _ZERO for v in lam))
     raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
 
 
@@ -330,40 +347,23 @@ def moveaway_bound(beta, polytope, certificate):
     return max(1, q * sum(map(mul, cn, bn)) // (l * lb * p) + 1)
 
 
-def difference_decomposition(a, b, w):
-    """Split a rational w in A - B as u - v with u in A, v in B, both rational.
-
-    The pair is whatever basic solution Bland's rule reaches first; the
-    decomposition is not canonical.  Returns None when w is not in A - B.
-    Both weight vectors are checked in integers (nonnegative, each summing
-    to 1, u - v = w) before the pair is built as `Fraction`s.
-    """
-    if a.arity != b.arity:
-        raise ValueError("arity mismatch")
-    w = [exact(v) for v in w]
-    ka, kb = len(a.nums), len(b.nums)
-    den = lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    # coordinate row i is (a.nums, -b.nums)[.][i] / den = w[i], over den * w[i]'s denominator
-    rows, rhs, dens = [], [], []
-    for i, v in enumerate(w):
-        fa, fb = sa * v.denominator, -sb * v.denominator
-        rows.append([g[i] * fa for g in a.nums] + [g[i] * fb for g in b.nums])
-        rhs.append(v.numerator * den)
-        dens.append(den * v.denominator)
-    rows.append([1] * ka + [0] * kb)
-    rows.append([0] * ka + [1] * kb)
-    rhs += [1, 1]
-    dens += [1, 1]
-    status, x, _, _ = solve_lp(rows, rhs, [0] * (ka + kb), dens)
-    if status != OPTIMAL:
-        return None
-    xn, xden = x
-    la, lb = xn[:ka], xn[ka:]
-    u, v = _combination(la, a), _combination(lb, b)
-    # u - v = (sa * u - sb * v) / (xden * den) = w, cross-multiplied
-    if _is_convex(la, xden) and _is_convex(lb, xden) and all(
-            (sa * p - sb * q) * c.denominator == c.numerator * xden * den
-            for p, q, c in zip(u, v, w)):
-        return _fractions(u, xden * a.den), _fractions(v, xden * b.den)
-    raise RuntimeError(f"the difference LP gave no valid answer for {w} in {a} - {b}")
+def witness_pair(a, b, witness):
+    """A pair u in A, v in B whose difference is the point of a Witness of
+    minkowski_diff(a, b): each generator of A - B puts its weight on the
+    first (A-generator, B-generator) pair whose difference it is.  The pair
+    is checked in integers (convex weights, one per generator, u - v the
+    point) before it is built as `Fraction`s; RuntimeError if it fails."""
+    sa, sb, first = _differences(a, b)
+    pairs = [first[row] for row in sorted(first)]
+    wn, l = over_lcm(witness.weights)
+    on_a, on_b = [0] * len(a.nums), [0] * len(b.nums)
+    for (i, j), w in zip(pairs, wn):
+        on_a[i] += w
+        on_b[j] += w
+    u, v = _combination(on_a, a), _combination(on_b, b)
+    # u - v = (sa * u - sb * v) / (l * sa * a.den) is the point, cross-multiplied
+    if len(wn) == len(pairs) and _is_convex(wn, l) and all(
+            (sa * p - sb * q) * c.denominator == c.numerator * l * sa * a.den
+            for p, q, c in zip(u, v, witness.point)):
+        return _fractions(u, l * a.den), _fractions(v, l * b.den)
+    raise RuntimeError(f"the weights of {witness} give no pair in {a} - {b}")

@@ -1,9 +1,12 @@
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import vanishlab.polytopes
 
 from kernel_oracle import series_exp
 from paper_oracle import binomial_gap_check
@@ -19,9 +22,11 @@ from vanishlab.cases import (
     phi_flow,
     two_monomial_check,
 )
-from vanishlab.diffops import DiffOp
+from vanishlab.cli import main
+from vanishlab.diffops import DiffOp, vanishing_profile
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
+from vanishlab.polytopes import in_polytope, minkowski_diff, newton_polytope, orthant_meet
 
 
 def lp1(src):
@@ -38,6 +43,9 @@ def op1(src):
 
 def op2(src):
     return parse_operator(src, ["x", "y"])
+
+
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 
 
 class TestOneVar:
@@ -67,6 +75,24 @@ class TestOneVar:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             one_var_check(op2("dx"), lp2("x"), lp2("1"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_degree_at_least_the_order_fails_at_m_1(self, data):
+        # with m1 the order of the symbol at 0 and d = deg P >= m1, the
+        # lowest-order term of L sends P to a polynomial of degree d - m1
+        # with a nonzero top coefficient, and every other term lowers the
+        # degree further: L(P) != 0, so no anomaly can follow a clean scan
+        symbol = data.draw(st.dictionaries(st.tuples(st.integers(0, 4)), COEFFS,
+                                           min_size=1, max_size=3))
+        m1 = min(symbol)[0]
+        d = data.draw(st.integers(m1, m1 + 3))
+        terms = data.draw(st.dictionaries(st.tuples(st.integers(0, d - 1)), COEFFS, max_size=3)
+                          if d else st.just({}))
+        terms[(d,)] = data.draw(COEFFS)
+        profile = vanishing_profile(DiffOp(LaurentPoly(1, symbol)), LaurentPoly(1, terms),
+                                    lp1("1"), 2)
+        assert profile.first_pp_failure == 1
 
 
 class TestPhiCase:
@@ -165,6 +191,27 @@ class TestMonomialCase:
             monomial_case_check(op2("dx + dy"), lp2("x + y"), lp2("1"))
 
 
+@st.composite
+def exponents_of_degree(draw, n, degree):
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
+def two_monomial_requests(draw):
+    """(op, P) of either two-monomial path: two monomials of different total
+    degree, and a nonzero homogeneous polynomial, in two or three variables."""
+    n = draw(st.integers(2, 3))
+    d1, d2 = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    two = {draw(exponents_of_degree(n, d1)): draw(COEFFS),
+           draw(exponents_of_degree(n, d2)): draw(COEFFS)}
+    homogeneous = draw(st.dictionaries(exponents_of_degree(n, draw(st.integers(1, 3))), COEFFS,
+                                       min_size=1, max_size=3))
+    if draw(st.booleans()):
+        two, homogeneous = homogeneous, two
+    return DiffOp(LaurentPoly(n, two)), LaurentPoly(n, homogeneous)
+
+
 class TestTwoMonomial:
     def test_confirmed(self):
         verdict = two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=8)
@@ -203,6 +250,49 @@ class TestTwoMonomial:
         verdict = two_monomial_check(op2("dx*dy"), lp2("x^2*y + y^2"), lp2("1"), horizon=8)
         assert isinstance(verdict, CaseVerdict)
         assert verdict.case == "two-monomial-P"
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_monomial_requests())
+    def test_witness_pair_note(self, request):
+        # the printed pair: u in Poly(P), v in Poly(Lambda), u - v the
+        # orthant LP's witness, and so u >= v
+        op, p = request
+        verdict = two_monomial_check(op, p, LaurentPoly(p.arity, {(0,) * p.arity: 1}), horizon=2)
+        notes = [re.fullmatch(r"witness pair u=\((.*)\) >= v=\((.*)\) predicts a hypothesis "
+                              r"failure at some m", note) for note in verdict.notes]
+        pairs = [note.groups() for note in notes if note]
+        assume(pairs)
+        (u, v), = [tuple(tuple(map(Fraction, side.split(","))) for side in pair)
+                   for pair in pairs]
+        poly_p, poly_lambda = newton_polytope(p), newton_polytope(op.symbol)
+        assert in_polytope(poly_p, u) and in_polytope(poly_lambda, v)
+        assert tuple(a - b for a, b in zip(u, v)) == orthant_meet(
+            minkowski_diff(poly_p, poly_lambda)).point
+        assert all(a >= b for a, b in zip(u, v))
+
+    REQUEST = ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6",
+               "--format", "structured"]
+
+    def test_witness_request_solves_one_lp(self, monkeypatch, capsys):
+        # the orthant LP runs in phase_two; the pair comes from its weights,
+        # so no LP reaches solve_lp
+        def refuse(*args):
+            raise AssertionError("solve_lp was called")
+
+        monkeypatch.setattr(vanishlab.polytopes, "solve_lp", refuse)
+        assert main(self.REQUEST) == 1
+        assert ("note=witness pair u=(2,1) >= v=(1,0) predicts a hypothesis failure at some m"
+                in capsys.readouterr().out.splitlines())
+
+    def test_tampered_weights_raise_before_printing(self, monkeypatch, capsys):
+        # Sigma = {(1,1), (2,-1)} and the witness (1,1) has the weights (1, 0):
+        # reversed, they are convex but give (2,-1)
+        meet = cases.orthant_meet
+        monkeypatch.setattr(cases, "orthant_meet", lambda sigma: meet(sigma)._replace(
+            weights=tuple(reversed(meet(sigma).weights))))
+        with pytest.raises(RuntimeError):
+            main(self.REQUEST)
+        assert capsys.readouterr().out == ""
 
 
 class TestCounterexamples:

@@ -178,7 +178,7 @@ RECORDS = [
     (ConstantTermReport, dict(horizon=2, constant_terms=(Fraction(0), Fraction(1)),
                               first_nonzero=2, zero_in_polytope=True,
                               verdict="hypothesis-fails")),
-    (Witness, dict(point=(Fraction(2, 3), Fraction(0)))),
+    (Witness, dict(point=(Fraction(2, 3), Fraction(0)), weights=(Fraction(1, 3), Fraction(2, 3)))),
     (SeparationCertificate, dict(c=(Fraction(1), Fraction(0)), delta=Fraction(1, 2))),
 ]
 

@@ -25,12 +25,12 @@ from vanishlab.polytopes import (
     SeparationCertificate,
     Witness,
     contains_point,
-    difference_decomposition,
     in_polytope,
     minkowski_diff,
     moveaway_bound,
     newton_polytope,
     orthant_meet,
+    witness_pair,
 )
 
 
@@ -173,16 +173,22 @@ class TestOrthantMeet:
     ])
     def test_fractions_only_for_the_answer(self, gens, kind):
         # on an integer polytope the LP and every check run in integers: the
-        # only Fractions are the answer's, a witness's n coordinates or a
+        # only Fractions are the answer's, a witness's n coordinates and its
+        # nonzero weights (the zeros share one Fraction(0)), or a
         # certificate's n coordinates of c and its delta
         sigma = RationalPolytope(gens)
         meet, built = fractions_built(lambda: orthant_meet(sigma))
         assert isinstance(meet, kind)
-        assert built == sigma.arity + (kind is SeparationCertificate)
+        if kind is Witness:
+            assert len(meet.weights) == len(gens)
+            assert built == sigma.arity + sum(1 for w in meet.weights if w)
+        else:
+            assert built == sigma.arity + 1
 
     def test_witness_maximizes_smallest_coordinate(self):
         sigma = RationalPolytope([(-1, -2), (2, 0), (0, 1), (0, 0), (-3, 2)])
-        assert orthant_meet(sigma) == Witness(point=(Fraction(2, 3), Fraction(2, 3)))
+        assert orthant_meet(sigma) == Witness(point=(Fraction(2, 3), Fraction(2, 3)),
+                                              weights=(0, Fraction(1, 3), Fraction(2, 3), 0, 0))
 
     def test_tampered_certificate_rejected(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
@@ -254,42 +260,53 @@ class TestMoveAway:
             moveaway_bound((3, 3), sigma, SeparationCertificate((F(1), F(0)), F(5)))
 
 
-class TestDifferenceDecomposition:
-    def test_roundtrip(self):
-        a = RationalPolytope([(2, 0), (0, 2)])
-        b = RationalPolytope([(1, 1)])
-        w = (1, -1)
-        pair = difference_decomposition(a, b, w)
-        assert pair is not None
-        u, v = pair
-        assert contains_point(a, u) is not None
-        assert contains_point(b, v) is not None
-        assert tuple(x - y for x, y in zip(u, v)) == (1, -1)
+class TestWitnessPair:
+    # Poly(P) and Poly(Lambda) for P = x^3 + x*y^2 and Lambda = d_x + d_x^2;
+    # A - B has the generators (-1,2), (0,2), (1,0), (2,0)
+    A, B = RationalPolytope([(1, 2), (3, 0)]), RationalPolytope([(1, 0), (2, 0)])
 
-    def test_outside(self):
-        a = RationalPolytope([(2, 0), (0, 2)])
-        b = RationalPolytope([(1, 1)])
-        assert difference_decomposition(a, b, (5, 5)) is None
+    def test_split_weights(self):
+        # the orthant LP puts 1/2 on (0,2) = (1,2) - (1,0) and on (2,0) =
+        # (3,0) - (1,0): u = (2,1) and v = (1,0), built as 2n Fractions
+        meet = orthant_meet(minkowski_diff(self.A, self.B))
+        assert meet == Witness(point=(1, 1), weights=(0, F(1) / 2, 0, F(1) / 2))
+        assert fractions_built(lambda: witness_pair(self.A, self.B, meet)) == (((2, 1), (1, 0)), 4)
 
-    def test_randomized_roundtrip(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            ga = [tuple(rng.randrange(-3, 4) for _ in range(2)) for _ in range(3)]
-            gb = [tuple(rng.randrange(-3, 4) for _ in range(2)) for _ in range(3)]
-            a, b = RationalPolytope(ga), RationalPolytope(gb)
-            # pick w as an actual difference of generators, so it must decompose
-            w = tuple(x - y for x, y in zip(ga[0], gb[0]))
-            pair = difference_decomposition(a, b, w)
-            assert pair is not None
-            u, v = pair
-            assert contains_point(a, u) is not None
-            assert contains_point(b, v) is not None
-            assert tuple(x - y for x, y in zip(u, v)) == w
+    @pytest.mark.parametrize("point, weights", [
+        # u - v is the point, but the weights sum to 2
+        ((2, 2), (0, 1, 0, 1)),
+        # -1/2, 1, 1/2 and 0 sum to 1 and give the point
+        ((1, 1), (-F(1) / 2, 1, F(1) / 2, 0)),
+        # convex, but they give (0, 2)
+        ((1, 1), (0, 1, 0, 0)),
+        # one weight more than A - B has generators
+        ((1, 1), (0, F(1) / 2, 0, F(1) / 2, 0)),
+    ], ids=["sum", "negative-weight", "point", "length"])
+    def test_weights_that_do_not_give_the_point_raise(self, point, weights):
+        with pytest.raises(RuntimeError):
+            witness_pair(self.A, self.B, Witness(point=point, weights=weights))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pair_lies_in_a_and_b(self, data):
+        # for any A and B, over mixed denominators, with B moved half the
+        # time so that A - B holds 0
+        n = data.draw(st.integers(1, 4))
+        ga = data.draw(generator_lists(n, max_size=5))
+        gb = data.draw(generator_lists(n, max_size=5))
+        if data.draw(st.booleans()):
+            gb = [tuple(F(v) - w + u for v, w, u in zip(g, gb[0], ga[0])) for g in gb]
+        a, b = RationalPolytope(ga), RationalPolytope(gb)
+        meet = orthant_meet(minkowski_diff(a, b))
+        if isinstance(meet, Witness):
+            u, v = witness_pair(a, b, meet)
+            assert in_polytope(a, u) and in_polytope(b, v)
+            assert tuple(p - q for p, q in zip(u, v)) == meet.point
 
 
 class TestCheckedWeights:
-    # the membership and difference LPs' weights are checked in integers
-    # before any Fraction is built: a wrong answer from the simplex raises
+    # the membership LP's weights are checked in integers before any
+    # Fraction is built: a wrong answer from the simplex raises
     @pytest.mark.parametrize("gens, point, tamper", [
         # weights that sum to 2
         ([(0, 0), (2, 0), (0, 2)], (F(1) / 2, F(1) / 2),
@@ -310,25 +327,6 @@ class TestCheckedWeights:
             contains_point(sigma, point)
         with pytest.raises(RuntimeError):
             in_polytope(sigma, point)
-
-    @pytest.mark.parametrize("ga, gb, w, tamper", [
-        # B's weight is 2: v = 2 * (0, 0) still gives u - v = w
-        ([(2, 0), (0, 2)], [(0, 0)], (1, 1),
-         lambda s, x, v, r: (s, ([*x[0][:2], 2 * x[1]], x[1]), v, r)),
-        # u = (0, 2) and v = (1, 1): each convex, but u - v = (-1, 1)
-        ([(2, 0), (0, 2)], [(1, 1)], (1, -1), lambda s, x, v, r: (s, ([0, x[1], x[1]], x[1]), v, r)),
-        # A's weights 1, -1 and 1 give u = (1, 0), and u - v = w
-        ([(0, 0), (1, 0), (2, 0)], [(0, 0)], (1, 0),
-         lambda s, x, v, r: (s, ([x[1], -x[1], x[1], x[1]], x[1]), v, r)),
-    ], ids=["sum", "point", "negative-weight"])
-    def test_difference_answer_checked(self, ga, gb, w, tamper, monkeypatch):
-        a, b = RationalPolytope(ga), RationalPolytope(gb)
-        assert difference_decomposition(a, b, w) is not None
-        solve_lp = vanishlab.polytopes.solve_lp
-        monkeypatch.setattr(vanishlab.polytopes, "solve_lp",
-                            lambda *args: tamper(*solve_lp(*args)))
-        with pytest.raises(RuntimeError):
-            difference_decomposition(a, b, w)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -377,12 +375,6 @@ class TestNoFloats:
             moveaway_bound((3, 3.0), self.SIGMA, cert)
         assert moveaway_bound((3, F(3)), self.SIGMA, cert) == 7
 
-    def test_difference_decomposition(self):
-        a = RationalPolytope([(2, 0), (0, 2)])
-        b = RationalPolytope([(1, 1)])
-        with pytest.raises(TypeError, match="exact rational"):
-            difference_decomposition(a, b, (0.0, 0))
-
 
 # ---------------------------------------------------------------------------
 # The integer rows the polytope layer sends against the Fraction rows it sent
@@ -414,13 +406,6 @@ def fraction_membership_lp(gens, point):
     k = len(gens)
     rows = [[F(g[i]) for g in gens] for i in range(len(point))] + [[F(1)] * k]
     return rows, [F(v) for v in point] + [F(1)], [F(0)] * k
-
-
-def fraction_difference_lp(ga, gb, w):
-    ka, kb = len(ga), len(gb)
-    rows = [[F(g[i]) for g in ga] + [-F(g[i]) for g in gb] for i in range(len(w))]
-    rows += [[F(1)] * ka + [F(0)] * kb, [F(0)] * ka + [F(1)] * kb]
-    return rows, [F(v) for v in w] + [F(1), F(1)], [F(0)] * (ka + kb)
 
 
 def sent_lps(monkeypatch):
@@ -527,25 +512,6 @@ class TestIntegerRows:
         if coeffs is not None:
             assert tuple(sum(c * F(g[i]) for c, g in zip(coeffs, gens))
                          for i in range(n)) == tuple(map(F, point))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_difference_decomposition(self, data):
-        n = data.draw(st.integers(1, 5))
-        ga, gb = data.draw(generator_lists(n)), data.draw(generator_lists(n))
-        if data.draw(st.booleans()):
-            w = tuple(F(u) - F(v) for u, v in zip(data.draw(st.sampled_from(ga)),
-                                                  data.draw(st.sampled_from(gb))))
-        else:
-            w = data.draw(st.tuples(*[COORDS] * n))
-        with pytest.MonkeyPatch.context() as mp:
-            sent = sent_lps(mp)
-            pair = difference_decomposition(RationalPolytope(ga), RationalPolytope(gb), w)
-        assert_sent(sent, fraction_difference_lp(ga, gb, w))
-        if pair is not None:
-            assert tuple(u - v for u, v in zip(*pair)) == tuple(map(F, w))
-            assert contains_point(RationalPolytope(ga), pair[0]) is not None
-            assert contains_point(RationalPolytope(gb), pair[1]) is not None
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
