@@ -490,6 +490,11 @@ class TestIntegerRows:
         assert t == oracle_solve_lp(*lp)[2]
         if isinstance(meet, Witness):
             assert t >= 0 and min(meet.point) == t
+            # the weights are convex, one per generator, and give the point
+            assert len(meet.weights) == len(gens)
+            assert sum(meet.weights) == 1 and min(meet.weights) >= 0
+            assert tuple(sum(w * F(g[i]) for w, g in zip(meet.weights, gens))
+                         for i in range(len(gens[0]))) == meet.point
         else:
             assert t < 0 and meet.delta == -t
 
