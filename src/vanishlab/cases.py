@@ -67,6 +67,23 @@ def _verify_tail(profile, start):
                       for entry in tail if not entry.ppg_zero}
 
 
+def _sigma_certificate(sigma, g, profile, checks, name):
+    """The polytope cases' one certificate step, on Sigma = Poly(P) - Poly(Lambda).
+
+    Asks `orthant_meet` once and appends ``(name, Sigma misses the orthant)``
+    to ``checks``.  Returns ``(meet, bound, verified, residuals)``: for a
+    certificate, the largest move-away bound over Supp g (1 when g has no
+    terms) and the profile's tail split at it; for a witness, None, () and {}.
+    """
+    meet = orthant_meet(sigma)
+    checks.append((name, not isinstance(meet, Witness)))
+    if isinstance(meet, Witness):
+        return meet, None, (), {}
+    bound = max((moveaway_bound(gamma, sigma, meet) for gamma in g.exponents()), default=1)
+    verified, residuals = _verify_tail(profile, bound)
+    return meet, Fraction(bound), verified, residuals
+
+
 # ---------------------------------------------------------------------------
 # One-variable case (exponential expansions)
 
@@ -209,6 +226,7 @@ def monomial_case_check(op, p, g, horizon=8):
     associated Laurent polynomial f, certifies disjointness of Poly(f) from
     the orthant, converts the certificate into a move-away bound, and
     cross-checks the polynomial route against the holomorphic route.
+    Poly(f) is Poly(P) - Poly(Lambda) in both variants.
     """
     if op.arity != p.arity or p.arity != g.arity:
         raise ValueError("arity mismatch")
@@ -240,39 +258,31 @@ def monomial_case_check(op, p, g, horizon=8):
         if hol_zero != profile.entries[m - 1].pp_zero:
             anomalies.append(f"holomorphic route disagrees with operator route at m={m}")
 
-    sigma = newton_polytope(f)
-    meet = orthant_meet(sigma)
+    meet, bound, verified, residuals = _sigma_certificate(
+        newton_polytope(f), g, profile, checks, "Poly(f) disjoint from the nonnegative orthant")
     notes = [f"variant: {variant}"]
-    if isinstance(meet, Witness):
-        checks.append(("Poly(f) disjoint from the nonnegative orthant", False))
+    if bound is None:
         notes.append("witness " + _point_str(meet.point)
                      + " predicts a hypothesis failure at some m")
-        return CaseVerdict(case="monomial", checks=tuple(checks),
-                           anomalies=tuple(anomalies), notes=tuple(notes))
-
-    checks.append(("Poly(f) disjoint from the nonnegative orthant", True))
-    bound = 1
-    for gamma in g.exponents():
-        bound = max(bound, moveaway_bound(gamma, sigma, meet))
-    # verify both routes on the tail, per monomial of g and for g as a whole
-    verified, residuals = _verify_tail(profile, bound)
-    for m, f_m in enumerate(f_powers, start=1):
-        if m < bound:
-            continue
-        op_m, p_m = op ** m, p ** m
-        for gamma in g.exponents():
-            mono = LaurentPoly.monomial(gamma)
-            direct = apply(op_m, p_m * mono).is_zero
-            holo = (mono * f_m).holomorphic_part().is_zero
-            if direct != holo:
-                anomalies.append(f"route disagreement at m={m}, gamma={gamma}")
-            elif not direct:
-                residuals.setdefault(m, f"nonzero on monomial {gamma}")
-    verified = tuple(m for m in verified if m not in residuals)
+    else:
+        # verify both routes on the tail, per monomial of g and for g as a whole
+        for m, f_m in enumerate(f_powers, start=1):
+            if m < bound:
+                continue
+            op_m, p_m = op ** m, p ** m
+            for gamma in g.exponents():
+                mono = LaurentPoly.monomial(gamma)
+                direct = apply(op_m, p_m * mono).is_zero
+                holo = (mono * f_m).holomorphic_part().is_zero
+                if direct != holo:
+                    anomalies.append(f"route disagreement at m={m}, gamma={gamma}")
+                elif not direct:
+                    residuals.setdefault(m, f"nonzero on monomial {gamma}")
+        verified = tuple(m for m in verified if m not in residuals)
     return CaseVerdict(
         case="monomial",
         checks=tuple(checks),
-        bound=Fraction(bound),
+        bound=bound,
         verified=verified,
         residuals=residuals,
         anomalies=tuple(anomalies),
@@ -287,97 +297,80 @@ def _combination_support(alpha, beta, m):
     return {tuple(k * a + (m - k) * b for a, b in zip(alpha, beta)) for k in range(m + 1)}
 
 
-def _sigma_criterion(case, op, p, g, profile, checks):
-    """Shared Poly(P) - Poly(Lambda) machinery for the two-monomial cases."""
-    notes = []
-    checks.append(("power-vanishing hypothesis up to horizon",
-                   profile.first_pp_failure is None))
-    poly_p, poly_lambda = newton_polytope(p), newton_polytope(op.symbol)
-    sigma = minkowski_diff(poly_p, poly_lambda)
-    meet = orthant_meet(sigma)
-    if isinstance(meet, Witness):
-        checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", False))
-        u, v = witness_pair(poly_p, poly_lambda, meet)
-        notes.append(f"witness pair u={_point_str(u)} >= v={_point_str(v)} "
-                     "predicts a hypothesis failure at some m")
-        if profile.first_pp_failure is None:
-            notes.append("no failure observed up to horizon; it must occur beyond it")
-        return CaseVerdict(case=case, checks=tuple(checks), notes=tuple(notes))
-    checks.append(("Poly(P) - Poly(Lambda) disjoint from the orthant", True))
-    bound = 1
-    for gamma in g.exponents():
-        bound = max(bound, moveaway_bound(gamma, sigma, meet))
-    verified, residuals = _verify_tail(profile, bound)
-    return CaseVerdict(
-        case=case,
-        checks=tuple(checks),
-        bound=Fraction(bound),
-        verified=verified,
-        residuals=residuals,
-        notes=tuple(notes),
-    )
-
-
 def two_monomial_check(op, p, g, horizon=8):
     """Case Lambda = a*d^alpha + b*d^beta with |alpha| != |beta|, P homogeneous.
 
-    Any other symbol takes the mirrored case, P a sum of two monomials.
+    Any other symbol takes the mirrored case, P = a z^alpha + b z^beta with
+    |alpha| != |beta| and a homogeneous symbol.
     """
     exponents = op.symbol.exponents()
-    if len(exponents) != 2 or sum(exponents[0]) == sum(exponents[1]):
-        return _two_monomial_p(op, p, g, horizon)
-    alpha, beta = exponents
-    if p.is_zero or not p.is_homogeneous():
+    mirrored = len(exponents) != 2 or sum(exponents[0]) == sum(exponents[1])
+    if mirrored:
+        if not op.symbol.is_homogeneous() or op.symbol.is_zero:
+            raise ValueError("operator symbol must be nonzero and homogeneous")
+        if p.is_zero:
+            raise ValueError("P must be nonzero")
+        if len(p.exponents()) > 2:
+            raise ValueError("P must be a sum of at most two monomials")
+    elif p.is_zero or not p.is_homogeneous():
         raise ValueError("P must be nonzero and homogeneous")
     if not p.is_holomorphic():
         raise ValueError("P must have support in N^n")
+    if mirrored:
+        if p.is_monomial():
+            verdict = monomial_case_check(op, p, g, horizon)
+            note = "single monomial routed to the monomial case"
+            return verdict._replace(case="two-monomial-P", notes=verdict.notes + (note,))
+        exponents = p.exponents()
+        if sum(exponents[0]) == sum(exponents[1]):
+            raise ValueError("|alpha| must differ from |beta|")
     check_horizon(horizon)
-    # the support formula on m <= 5, and degree separation: each individual
-    # d^{k alpha + l beta} P^m vanishes whenever Lambda^m P^m does
+    alpha, beta = exponents
+    # the support formula on m <= 5 (of Lambda^m, or of P^m when mirrored),
+    # and degree separation: each individual d^{k alpha + l beta} P^m vanishes
+    # whenever Lambda^m P^m does.  Neither can fail on a valid input, so both
+    # are cross-checks of the kernel: the exponents k*alpha + (m-k)*beta have
+    # distinct total degrees, so no term of the power cancels, and with P
+    # homogeneous each d^{k alpha + l beta} P^m is the part of Lambda^m P^m of
+    # one degree.
     entries = []
     support_ok = separated = True
     for entry, sym_m, p_m in profile_scan(op, p, g, horizon):
         entries.append(entry)
         support = _combination_support(alpha, beta, entry.m)
-        if entry.m <= 5 and set(sym_m.exponents()) != support:
+        if entry.m <= 5 and set((p_m if mirrored else sym_m).exponents()) != support:
             support_ok = False
-        if entry.pp_zero:
+        if not mirrored and entry.pp_zero:
             for mu in support:
                 if not apply(DiffOp._from_symbol(LaurentPoly.monomial(mu)), p_m).is_zero:
                     separated = False
-    checks = [("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok),
-              ("each d^{k*alpha+l*beta} P^m vanishes individually", separated)]
+    if mirrored:
+        checks = [("Supp(P^m) = {k*alpha + l*beta}", support_ok)]
+    else:
+        checks = [("Supp(Lambda^m) = {k*alpha + l*beta}", support_ok),
+                  ("each d^{k*alpha+l*beta} P^m vanishes individually", separated)]
     profile = VanishingProfile(horizon=horizon, entries=tuple(entries))
-    return _sigma_criterion("two-monomial", op, p, g, profile, checks)
-
-
-def _two_monomial_p(op, p, g, horizon):
-    """Mirror case: P = a z^alpha + b z^beta, |alpha| != |beta|, homogeneous symbol."""
-    if not op.symbol.is_homogeneous() or op.symbol.is_zero:
-        raise ValueError("operator symbol must be nonzero and homogeneous")
-    if p.is_zero:
-        raise ValueError("P must be nonzero")
-    if len(p.exponents()) > 2:
-        raise ValueError("P must be a sum of at most two monomials")
-    if not p.is_holomorphic():
-        raise ValueError("P must have support in N^n")
-    if p.is_monomial():
-        verdict = monomial_case_check(op, p, g, horizon)
-        note = "single monomial routed to the monomial case"
-        return verdict._replace(case="two-monomial-P", notes=verdict.notes + (note,))
-    alpha, beta = p.exponents()
-    if sum(alpha) == sum(beta):
-        raise ValueError("|alpha| must differ from |beta|")
-    check_horizon(horizon)
-    entries = []
-    support_ok = True
-    for entry, _, p_m in profile_scan(op, p, g, horizon):
-        entries.append(entry)
-        if entry.m <= 5 and set(p_m.exponents()) != _combination_support(alpha, beta, entry.m):
-            support_ok = False
-    checks = [("Supp(P^m) = {k*alpha + l*beta}", support_ok)]
-    profile = VanishingProfile(horizon=horizon, entries=tuple(entries))
-    return _sigma_criterion("two-monomial-P", op, p, g, profile, checks)
+    checks.append(("power-vanishing hypothesis up to horizon",
+                   profile.first_pp_failure is None))
+    poly_p, poly_lambda = newton_polytope(p), newton_polytope(op.symbol)
+    meet, bound, verified, residuals = _sigma_certificate(
+        minkowski_diff(poly_p, poly_lambda), g, profile, checks,
+        "Poly(P) - Poly(Lambda) disjoint from the orthant")
+    notes = []
+    if bound is None:
+        u, v = witness_pair(poly_p, poly_lambda, meet)
+        notes.append(f"witness pair u={_point_str(u)} >= v={_point_str(v)} "
+                     "predicts a hypothesis failure at some m")
+        if profile.first_pp_failure is None:
+            notes.append("no failure observed up to horizon; it must occur beyond it")
+    return CaseVerdict(
+        case="two-monomial-P" if mirrored else "two-monomial",
+        checks=tuple(checks),
+        bound=bound,
+        verified=verified,
+        residuals=residuals,
+        notes=tuple(notes),
+    )
 
 
 # ---------------------------------------------------------------------------

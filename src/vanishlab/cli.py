@@ -265,7 +265,7 @@ def _emit_verdict(verdict: CaseVerdict, out):
         out.text(f"  check: {name}: {'pass' if ok else 'FAIL'}")
     if verdict.bound is not None:
         out.record("bound", verdict.bound)
-        out.text(f"  bound B = {verdict.bound}; vanishing verified for B < m <= M")
+        out.text(f"  bound B = {verdict.bound}")
     if verdict.verified:
         out.record("verified", ",".join(str(m) for m in verdict.verified))
         out.text(f"  verified m: {list(verdict.verified)}")

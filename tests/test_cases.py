@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import vanishlab.polytopes
 
-from kernel_oracle import series_exp
+from kernel_oracle import fraction_apply, fraction_mul, series_exp
 from paper_oracle import binomial_gap_check
 from vanishlab import cases
 from vanishlab.cases import (
@@ -293,6 +293,80 @@ class TestTwoMonomial:
         with pytest.raises(RuntimeError):
             main(self.REQUEST)
         assert capsys.readouterr().out == ""
+
+
+def small_polys(n, max_terms=3):
+    """A nonzero polynomial of one to max_terms terms with exponents in {0..3}^n."""
+    expo = st.tuples(*[st.integers(0, 3)] * n)
+    return st.dictionaries(expo, COEFFS, min_size=1, max_size=max_terms).map(
+        lambda terms: LaurentPoly(n, terms))
+
+
+@st.composite
+def monomial_requests(draw):
+    """(op, P) of the monomial case in one to four variables: a monomial P and
+    a symbol of one to three terms, or the other way round."""
+    n = draw(st.integers(1, 4))
+    poly, mono = draw(small_polys(n)), draw(small_polys(n, 1))
+    if draw(st.booleans()):
+        poly, mono = mono, poly
+    return DiffOp(poly), mono
+
+
+def oracle_vanishes(op, p, g, m):
+    """Whether L^m(P^m g) = 0, recomputed with the dict-of-Fraction kernels."""
+    sym_m, ppg = {(0,) * p.arity: 1}, g.terms
+    for _ in range(m):
+        sym_m, ppg = fraction_mul(sym_m, op.symbol.terms), fraction_mul(ppg, p.terms)
+    return not fraction_apply(sym_m, ppg)
+
+
+class TestSigmaCertificate:
+    """Both polytope cases decide on Sigma = Poly(P) - Poly(Lambda) with one step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_requests())
+    def test_poly_f_is_sigma(self, request):
+        # the polytope the monomial checker certifies, Poly(f) with f as either
+        # variant builds it, is Poly(P) - Poly(Lambda): the same generators in
+        # the same order over the same denominator
+        op, p = request
+        asked, meet = [], cases.orthant_meet
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cases, "orthant_meet", lambda sigma: asked.append(sigma) or meet(sigma))
+            monomial_case_check(op, p, LaurentPoly.one(p.arity), horizon=1)
+        (poly_f,) = asked
+        sigma = minkowski_diff(newton_polytope(p), newton_polytope(op.symbol))
+        assert (poly_f.nums, poly_f.den) == (sigma.nums, sigma.den)
+
+    HORIZON = 4
+
+    def check_certified(self, verdict, op, p, g):
+        if verdict.bound is None:
+            return
+        assert not verdict.residuals and not verdict.anomalies
+        assert verdict.verified == tuple(range(int(verdict.bound), self.HORIZON + 1))
+        for m in verdict.verified:
+            assert oracle_vanishes(op, p, g, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_certified_monomial_verdicts(self, data):
+        op, p = data.draw(monomial_requests())
+        g = data.draw(small_polys(p.arity))
+        self.check_certified(monomial_case_check(op, p, g, self.HORIZON), op, p, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_certified_two_monomial_verdicts(self, data):
+        op, p = data.draw(two_monomial_requests())
+        g = data.draw(small_polys(p.arity))
+        verdict = two_monomial_check(op, p, g, self.HORIZON)
+        # the support and separation checks are kernel cross-checks: no
+        # valid input fails them
+        assert all(ok for name, ok in verdict.checks
+                   if name.startswith(("Supp(", "each d^")))
+        self.check_certified(verdict, op, p, g)
 
 
 class TestCounterexamples:

@@ -361,6 +361,31 @@ class TestCli:
         assert code == 0
         assert kv_lines(out)["status"] == "confirmed"
 
+    # the text output names the bound and the verified m, and claims no range:
+    # the certificate cases verify from m = B, the one-variable case from B + 1
+    TEXT_VERDICTS = [
+        (["case", "monomial", "--op=dx^3*dy", "--p=x^2+x*y+y^2", "--g=x^5*y", "-M", "8"],
+         "case monomial\n"
+         "  check: power-vanishing hypothesis up to horizon: pass\n"
+         "  check: Poly(f) disjoint from the nonnegative orthant: pass\n"
+         "  bound B = 6\n"
+         "  verified m: [6, 7, 8]\n"
+         "  note: variant: operator-monomial\n"
+         "  status: confirmed (verified up to horizon only)\n"),
+        (["case", "one-var", "--vars=x", "--op=dx^2", "--p=x", "--g=x^3"],
+         "case one-var\n"
+         "  check: power-vanishing hypothesis up to horizon: pass\n"
+         "  check: deg P <= order(symbol at 0) - 1: pass\n"
+         "  bound B = 3\n"
+         "  verified m: [4, 5, 6, 7, 8]\n"
+         "  status: confirmed (verified up to horizon only)\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, text", TEXT_VERDICTS, ids=["monomial", "one-var"])
+    def test_case_text_output(self, capsys, monkeypatch, argv, text):
+        monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
+        assert run(capsys, *argv) == (0, text, "")
+
     def test_counterexamples(self, capsys):
         code, out, _ = run(capsys, "counterexample", "ddv", "-M", "4", "-D", "10",
                            "--format", "structured")
