@@ -3,36 +3,46 @@
 Sparse Laurent polynomials and truncated series over Q, differential
 operator application, rational polytopes with LP separation certificates,
 density searches, and one checker per proved case of the conjecture.
+
+Importing the package loads none of its modules: an exported name, or a
+module named as an attribute (``vanishlab.poly``), is imported on first
+access (PEP 562), so a CLI request compiles only the modules it runs.
 """
 
-from .diffops import DiffOp, VanishingProfile, apply, vanishing_profile
-from .poly import LaurentPoly, TruncSeries
-from .polytopes import (
-    RationalPolytope,
-    SeparationCertificate,
-    Witness,
-    contains_point,
-    minkowski_diff,
-    moveaway_bound,
-    newton_polytope,
-    orthant_meet,
-)
+from importlib import import_module
 
-__all__ = [
-    "DiffOp",
-    "LaurentPoly",
-    "RationalPolytope",
-    "SeparationCertificate",
-    "TruncSeries",
-    "VanishingProfile",
-    "Witness",
-    "apply",
-    "contains_point",
-    "minkowski_diff",
-    "moveaway_bound",
-    "newton_polytope",
-    "orthant_meet",
-    "vanishing_profile",
-]
+# each exported name and the module that defines it
+_EXPORTS = {
+    "DiffOp": "diffops",
+    "LaurentPoly": "poly",
+    "RationalPolytope": "polytopes",
+    "SeparationCertificate": "polytopes",
+    "TruncSeries": "poly",
+    "VanishingProfile": "diffops",
+    "Witness": "polytopes",
+    "apply": "diffops",
+    "contains_point": "polytopes",
+    "minkowski_diff": "polytopes",
+    "moveaway_bound": "polytopes",
+    "newton_polytope": "polytopes",
+    "orthant_meet": "polytopes",
+    "vanishing_profile": "diffops",
+}
+_MODULES = ("cases", "cli", "density", "diffops", "parsing", "poly", "polytopes", "simplex")
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _MODULES:
+        # importing a submodule binds it on the package, so this runs once per module
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

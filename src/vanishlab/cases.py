@@ -23,6 +23,7 @@ from .diffops import (
 from .poly import LaurentPoly, TruncSeries, powers
 from .polytopes import (
     Witness,
+    _point_str,
     minkowski_diff,
     moveaway_bound,
     newton_polytope,
@@ -465,7 +466,3 @@ def counterexample_dk(horizon, precision=12):
         )
         rows.append((m, checks))
     return CounterexampleReport("dk", horizon, precision, tuple(rows))
-
-
-def _point_str(point):
-    return "(" + ",".join(str(v) for v in point) + ")"

@@ -12,6 +12,12 @@ leaf's option table, the actions its ``add_argument`` calls returned; any
 other (help, an unknown, abbreviated or joined option, ``--``, a value word
 that starts with ``-``, a bad value, a missing option) goes to the full
 parser, which prints the help or the error.
+
+The module imports only the standard library: each ``cmd_*`` imports the
+library modules it runs when it is called, so a request loads only what its
+subcommand needs (a ``polytope`` query never loads the polynomial kernel).
+Without a bytecode cache every module a run imports is compiled from source,
+which costs a small request more than its own work.
 """
 from __future__ import annotations
 
@@ -19,18 +25,6 @@ import argparse
 import functools
 import os
 import sys
-
-from . import cases, density
-from .cases import CaseVerdict, _point_str
-from .diffops import vanishing_profile
-from .parsing import ParseError, parse_generators, parse_operator, parse_point, parse_poly
-from .polytopes import (
-    RationalPolytope,
-    SeparationCertificate,
-    contains_point,
-    moveaway_bound,
-    orthant_meet,
-)
 
 TEXT = "text"
 STRUCTURED = "structured"
@@ -124,6 +118,9 @@ def _split_vars(spec):
 # ---------------------------------------------------------------------------
 
 def cmd_vanish(args, out):
+    from .diffops import vanishing_profile
+    from .parsing import parse_operator, parse_poly
+
     names = _split_vars(args.vars)
     op = parse_operator(_read_arg(args.op), names)
     p = parse_poly(_read_arg(args.p), names)
@@ -158,8 +155,7 @@ def cmd_vanish(args, out):
     return 2
 
 
-def _query_point(src, name, arity):
-    point = parse_point(src)
+def _query_point(point, name, arity):
     if len(point) != arity:
         raise ValueError(f"{name} has {len(point)} coordinates, the polytope lives in "
                          f"dimension {arity}")
@@ -167,11 +163,21 @@ def _query_point(src, name, arity):
 
 
 def cmd_polytope(args, out):
+    from .parsing import parse_generators, parse_point
+    from .polytopes import (
+        RationalPolytope,
+        SeparationCertificate,
+        _point_str,
+        contains_point,
+        moveaway_bound,
+        orthant_meet,
+    )
+
     gens = parse_generators(args.sigma)
     sigma = RationalPolytope(gens)
     # every input is read and checked before the first line is printed
-    w = None if args.point is None else _query_point(args.point, "point", sigma.arity)
-    beta = None if args.beta is None else _query_point(args.beta, "beta", sigma.arity)
+    w = None if args.point is None else _query_point(parse_point(args.point), "point", sigma.arity)
+    beta = None if args.beta is None else _query_point(parse_point(args.beta), "beta", sigma.arity)
     out.record("subcommand", "polytope")
     status = 0
     if w is not None:
@@ -206,6 +212,10 @@ def cmd_polytope(args, out):
 
 
 def cmd_density(args, out):
+    from . import density
+    from .parsing import parse_point, parse_poly
+    from .polytopes import _point_str
+
     names = _split_vars(args.vars)
     p = parse_poly(_read_arg(args.p), names)
     u = parse_point(args.u)
@@ -235,6 +245,9 @@ def cmd_density(args, out):
 
 
 def cmd_dk(args, out):
+    from . import density
+    from .parsing import parse_poly
+
     names = _split_vars(args.vars)
     f = parse_poly(_read_arg(args.f), names)
     report = density.dk_check(f, args.horizon)
@@ -257,7 +270,8 @@ def cmd_dk(args, out):
     return 2
 
 
-def _emit_verdict(verdict: CaseVerdict, out):
+def _emit_verdict(verdict, out):
+    """Print a `cases.CaseVerdict`; its exit code."""
     out.record("case", verdict.case)
     out.text(f"case {verdict.case}")
     for name, ok in verdict.checks:
@@ -283,19 +297,24 @@ def _emit_verdict(verdict: CaseVerdict, out):
     return {"confirmed": 0, "hypothesis-fails": 1, "failed": 1, "inconclusive": 2}[verdict.status]
 
 
-def _multiplier(args, names):
-    """The case checkers' g: 1 when --g is absent, and an empty --g is a parse error."""
-    return parse_poly("1" if args.g is None else _read_arg(args.g), names)
+def _multiplier(args):
+    """The text of the case checkers' g: 1 when --g is absent; an empty --g
+    is malformed text, which `parse_poly` rejects."""
+    return "1" if args.g is None else _read_arg(args.g)
 
 
 def cmd_case(args, out):
+    from . import cases
+    from .parsing import parse_operator, parse_poly
+
     names = _split_vars(args.vars)
     if args.which == "phi":
         if len(names) != 2:
             raise ValueError("the phi case needs exactly two variables")
         phi = parse_operator(_read_arg(args.phi), [names[1]]).symbol
         f = parse_poly(_read_arg(args.f), names)
-        verdict = cases.phi_case_check(phi, f, _multiplier(args, names), args.horizon)
+        verdict = cases.phi_case_check(phi, f, parse_poly(_multiplier(args), names),
+                                       args.horizon)
     else:
         if args.which == "one-var" and len(names) != 1:
             raise ValueError("the one-variable case needs exactly one variable")
@@ -304,12 +323,14 @@ def cmd_case(args, out):
                  "two-monomial": cases.two_monomial_check}[args.which]
         op = parse_operator(_read_arg(args.op), names)
         p = parse_poly(_read_arg(args.p), names)
-        verdict = check(op, p, _multiplier(args, names), args.horizon)
+        verdict = check(op, p, parse_poly(_multiplier(args), names), args.horizon)
     out.record("subcommand", f"case {args.which}")
     return _emit_verdict(verdict, out)
 
 
 def cmd_counterexample(args, out):
+    from . import cases
+
     if args.which == "ddv":
         report = cases.counterexample_ddv(args.horizon, args.precision)
     else:
@@ -488,7 +509,7 @@ def main(argv=None):
         if "horizon" in args and args.horizon is None:
             args.horizon = _default_horizon()
         return args.func(args, out)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"vanishlab: error: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -5,15 +5,16 @@ int or int/int; a mono is var^exp factors joined by *, exponents any
 integer.  Whitespace is insignificant.  Operators use the same grammar
 with variables d<name>.  Printing in canonical graded-lex order followed
 by parsing is the identity on canonical forms.
+
+The point grammar needs no other library module: `parse_poly` and
+`parse_operator` import `LaurentPoly` and `DiffOp` when they are called,
+so a request that parses only points never loads the polynomial kernel.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from math import lcm
-
-from .diffops import DiffOp
-from .poly import LaurentPoly
 
 
 class ParseError(ValueError):
@@ -67,6 +68,8 @@ class _Parser:
         return value
 
     def parse(self):
+        """The polynomial as ``(arity, nums, den)``, the arguments of
+        `LaurentPoly._from_integers`."""
         if not self.vars:
             raise ValueError("arity must be >= 1")
         sign = 1
@@ -94,7 +97,7 @@ class _Parser:
                 nums[expo] = n
             else:
                 nums.pop(expo, None)
-        return LaurentPoly._from_integers(len(self.vars), nums, den)
+        return len(self.vars), nums, den
 
     def term(self, sign):
         """One term as ``(exponent, numerator, denominator)``, positive denominator."""
@@ -138,14 +141,18 @@ class _Parser:
 
 def parse_poly(src, varnames):
     """Parse a polynomial in the given ordered variables; exact, no floats."""
+    from .poly import LaurentPoly
+
     varnames = list(varnames)
     if len(set(varnames)) != len(varnames):
         raise ValueError("variable names must be unique")
-    return _Parser(src, varnames).parse()
+    return LaurentPoly._from_integers(*_Parser(src, varnames).parse())
 
 
 def parse_operator(src, varnames):
     """Parse an operator expression over variables d<name> into a DiffOp."""
+    from .diffops import DiffOp
+
     symbol = parse_poly(src, ["d" + name for name in varnames])
     return DiffOp(symbol)
 

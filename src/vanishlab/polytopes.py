@@ -12,8 +12,8 @@ tableau is written down from them in closed form and goes straight to
 phase 2.  The simplex answers in integers too.  Every check of an answer
 (weights, a witness point, a witness pair, a separation certificate)
 cross-multiplies integers, and a `Fraction` is built only for a
-coordinate of the answer that is returned: the nonzero weights, the
-points, and c and delta.
+coordinate of the answer that is returned: the points, and c and delta.
+A witness's weights stay integer numerators over the LP's denominator.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .simplex import OPTIMAL, exact, over_lcm, phase_two, solve_lp
-
-_ZERO = Fraction(0)
 
 
 class RationalPolytope:
@@ -87,7 +85,9 @@ class RationalPolytope:
 
 class Witness(NamedTuple):
     """A rational point of the polytope inside the nonnegative orthant, and
-    the convex weights on the polytope's generators that give it."""
+    the convex weights on the polytope's generators that give it, as
+    ``(nums, den)``: a tuple of integer numerators, one per generator, over
+    one positive denominator, not necessarily in lowest terms."""
 
     point: tuple
     weights: tuple
@@ -181,8 +181,8 @@ def _fractions(nums, den):
 
 
 def _is_convex(weights, den):
-    """Whether integer weights over den > 0 are >= 0 and sum to 1."""
-    return sum(weights) == den and all(v >= 0 for v in weights)
+    """Whether integer weights over den are >= 0 and sum to 1, with den > 0."""
+    return den > 0 and sum(weights) == den and all(v >= 0 for v in weights)
 
 
 def _weights(polytope, point):
@@ -293,11 +293,11 @@ def orthant_meet(polytope):
     The LP finds the point sum(lambda_j u_j) of the polytope whose smallest
     coordinate t is largest; it has n + 1 rows however many generators
     there are.  If t >= 0 that point is returned as a Witness, with the
-    primal lambda as its convex weights.  Otherwise the reduced costs of
-    the surplus columns give the SeparationCertificate c, and delta = -t
-    is its largest margin.  Either answer is checked in integers, and only
-    the answer returned is built as `Fraction`s, a zero weight as one
-    shared `Fraction(0)`.
+    primal lambda as its convex weights, integer numerators over the LP's
+    denominator.  Otherwise the reduced costs of the surplus columns give
+    the SeparationCertificate c, and delta = -t is its largest margin.
+    Either answer is checked in integers, and only its point, or c and
+    delta, are built as `Fraction`s.
 
     The simplex starts at the best single generator u_j*, the one whose
     smallest coordinate u_j*,i* is largest: lambda_j* = 1, t = u_j*,i* and
@@ -318,11 +318,10 @@ def orthant_meet(polytope):
                 return SeparationCertificate(c=_fractions(cn, cden), delta=Fraction(-tn, tden))
         else:
             # lambda = xn / xden and the point sum(lambda_j u_j) = point / (xden * den)
-            lam = xn[:k]
+            lam = tuple(xn[:k])
             point = _combination(lam, polytope)
             if _is_convex(lam, xden) and all(v >= 0 for v in point):
-                return Witness(point=_fractions(point, xden * polytope.den),
-                               weights=tuple(Fraction(v, xden) if v else _ZERO for v in lam))
+                return Witness(point=_fractions(point, xden * polytope.den), weights=(lam, xden))
     raise RuntimeError(f"the separation LP gave no valid answer for {polytope}")
 
 
@@ -355,7 +354,7 @@ def witness_pair(a, b, witness):
     point) before it is built as `Fraction`s; RuntimeError if it fails."""
     sa, sb, first = _differences(a, b)
     pairs = [first[row] for row in sorted(first)]
-    wn, l = over_lcm(witness.weights)
+    wn, l = witness.weights
     on_a, on_b = [0] * len(a.nums), [0] * len(b.nums)
     for (i, j), w in zip(pairs, wn):
         on_a[i] += w
@@ -367,3 +366,7 @@ def witness_pair(a, b, witness):
             for p, q, c in zip(u, v, witness.point)):
         return _fractions(u, l * a.den), _fractions(v, l * b.den)
     raise RuntimeError(f"the weights of {witness} give no pair in {a} - {b}")
+
+
+def _point_str(point):
+    return "(" + ",".join(str(v) for v in point) + ")"

@@ -286,10 +286,14 @@ class TestTwoMonomial:
 
     def test_tampered_weights_raise_before_printing(self, monkeypatch, capsys):
         # Sigma = {(1,1), (2,-1)} and the witness (1,1) has the weights (1, 0):
-        # reversed, they are convex but give (2,-1)
+        # with the numerators reversed, they are convex but give (2,-1)
+        def tampered(sigma):
+            witness = meet(sigma)
+            nums, den = witness.weights
+            return witness._replace(weights=(tuple(reversed(nums)), den))
+
         meet = cases.orthant_meet
-        monkeypatch.setattr(cases, "orthant_meet", lambda sigma: meet(sigma)._replace(
-            weights=tuple(reversed(meet(sigma).weights))))
+        monkeypatch.setattr(cases, "orthant_meet", tampered)
         with pytest.raises(RuntimeError):
             main(self.REQUEST)
         assert capsys.readouterr().out == ""

@@ -1,5 +1,6 @@
 """Rules every module of the library keeps."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from golden_corpus import CORPUS
 
 import vanishlab
 from vanishlab.cases import CaseVerdict, CounterexampleReport
@@ -58,6 +60,10 @@ CALLED_FROM_OUTSIDE = {
     "polytopes.py:SeparationCertificate.verify",
     # the public Fraction view; no library code may read it
     "polytopes.py:RationalPolytope.generators",
+    # Python calls it for a module attribute it does not find (PEP 562)
+    "__init__.py:__getattr__",
+    # Python calls it for dir() of the module (PEP 562)
+    "__init__.py:__dir__",
 }
 
 
@@ -145,23 +151,89 @@ def test_simplex_builds_no_fraction():
     assert calls == []
 
 
+def _fresh_python(code, *args):
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports the package from this source tree, with no VANISHLAB_HORIZON."""
+    src = str(Path(vanishlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("VANISHLAB_HORIZON", None)
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return run.stdout
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # a CLI run starts by importing the package and building the parser:
     # the records are NamedTuples, so neither dataclasses nor the inspect
     # tree it pulls in (ast, dis, tokenize, ...) is loaded, which keeps
     # about 1 MB off every run's peak RSS.  A module that the interpreter
     # already holds at start-up (a site hook's import) is not the package's
-    src = str(Path(vanishlab.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "heavy = {'dataclasses', 'inspect'} - set(sys.modules)\n"
             "import vanishlab, vanishlab.cli\n"
             "vanishlab.cli.build_parser()\n"
             "print(' '.join(sorted(heavy & set(sys.modules))))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert run.stdout.split() == []
+    assert _fresh_python(code).split() == []
+
+
+MODULES = sorted(path.stem for path in Path(vanishlab.__file__).parent.glob("*.py")
+                 if path.stem != "__init__")
+
+# the library modules that serving one request of each leaf command loads,
+# besides the package itself
+FOOTPRINT = {
+    ("polytope",): {"cli", "parsing", "polytopes", "simplex"},
+    ("vanish",): {"cli", "parsing", "diffops", "poly"},
+    ("density",): {"cli", "parsing", "density", "diffops", "poly", "polytopes", "simplex"},
+    ("dk",): {"cli", "parsing", "density", "diffops", "poly", "polytopes", "simplex"},
+    **{("case", which): {"cli", "parsing", "cases", "diffops", "poly", "polytopes", "simplex"}
+       for which in ("one-var", "phi", "monomial", "two-monomial")},
+    **{("counterexample", which): {"cli", "cases", "diffops", "poly", "polytopes", "simplex"}
+       for which in ("ddv", "dk")},
+}
+
+
+def _leaf(argv):
+    return tuple(argv[:2]) if argv[0] in ("case", "counterexample") else tuple(argv[:1])
+
+
+@pytest.mark.parametrize("leaf", sorted(FOOTPRINT), ids=" ".join)
+def test_request_loads_only_its_modules(leaf):
+    # with no bytecode cache every module a run imports is compiled from
+    # source, which costs a small request more than its own work: a request
+    # loads only the modules its subcommand runs.  It is the first golden
+    # corpus request of its leaf, and its output is checked too
+    entry = next(e for e in json.loads(CORPUS.read_text()) if _leaf(e["argv"]) == leaf)
+    code = ("import contextlib, io, json, sys\n"
+            "from vanishlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, out.getvalue(), sorted(\n"
+            "    m for m in sys.modules if m == 'vanishlab' or m.startswith('vanishlab.'))]))")
+    code, stdout, loaded = json.loads(_fresh_python(code, json.dumps(entry["argv"])))
+    assert (code, stdout) == (entry["exit"], entry["stdout"])
+    assert loaded == sorted({"vanishlab"} | {f"vanishlab.{m}" for m in FOOTPRINT[leaf]})
+
+
+def test_bare_import_resolves_every_name():
+    # ``import vanishlab`` loads no module of the library, and still gives
+    # every exported name and every module as an attribute
+    code = ("import json, sys\n"
+            "import vanishlab\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('vanishlab.'))\n"
+            "names = {n: getattr(vanishlab, n).__module__ for n in vanishlab.__all__}\n"
+            "modules = {m: getattr(vanishlab, m).__name__ for m in json.loads(sys.argv[1])}\n"
+            "print(json.dumps([loaded, names, modules, dir(vanishlab)]))")
+    loaded, names, modules, listed = json.loads(_fresh_python(code, json.dumps(MODULES)))
+    assert loaded == []
+    assert sorted(names) == sorted(vanishlab.__all__)
+    assert all(getattr(sys.modules[module], name) is getattr(vanishlab, name)
+               for name, module in names.items())
+    assert modules == {m: f"vanishlab.{m}" for m in MODULES}
+    assert set(vanishlab.__all__) <= set(listed)
+    with pytest.raises(AttributeError):
+        vanishlab.no_such_name
 
 
 # each result record with a value for every field, in field order
@@ -178,7 +250,7 @@ RECORDS = [
     (ConstantTermReport, dict(horizon=2, constant_terms=(Fraction(0), Fraction(1)),
                               first_nonzero=2, zero_in_polytope=True,
                               verdict="hypothesis-fails")),
-    (Witness, dict(point=(Fraction(2, 3), Fraction(0)), weights=(Fraction(1, 3), Fraction(2, 3)))),
+    (Witness, dict(point=(Fraction(2, 3), Fraction(0)), weights=((1, 2), 3))),
     (SeparationCertificate, dict(c=(Fraction(1), Fraction(0)), delta=Fraction(1, 2))),
 ]
 

@@ -173,22 +173,22 @@ class TestOrthantMeet:
     ])
     def test_fractions_only_for_the_answer(self, gens, kind):
         # on an integer polytope the LP and every check run in integers: the
-        # only Fractions are the answer's, a witness's n coordinates and its
-        # nonzero weights (the zeros share one Fraction(0)), or a
+        # only Fractions are the answer's, a witness's n coordinates (its
+        # weights stay integers over the LP's denominator), or a
         # certificate's n coordinates of c and its delta
         sigma = RationalPolytope(gens)
         meet, built = fractions_built(lambda: orthant_meet(sigma))
         assert isinstance(meet, kind)
         if kind is Witness:
-            assert len(meet.weights) == len(gens)
-            assert built == sigma.arity + sum(1 for w in meet.weights if w)
+            assert len(meet.weights[0]) == len(gens)
+            assert built == sigma.arity
         else:
             assert built == sigma.arity + 1
 
     def test_witness_maximizes_smallest_coordinate(self):
         sigma = RationalPolytope([(-1, -2), (2, 0), (0, 1), (0, 0), (-3, 2)])
         assert orthant_meet(sigma) == Witness(point=(Fraction(2, 3), Fraction(2, 3)),
-                                              weights=(0, Fraction(1, 3), Fraction(2, 3), 0, 0))
+                                              weights=((0, 1, 2, 0, 0), 3))
 
     def test_tampered_certificate_rejected(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
@@ -267,21 +267,24 @@ class TestWitnessPair:
 
     def test_split_weights(self):
         # the orthant LP puts 1/2 on (0,2) = (1,2) - (1,0) and on (2,0) =
-        # (3,0) - (1,0): u = (2,1) and v = (1,0), built as 2n Fractions
+        # (3,0) - (1,0), as 2/4 over its denominator: u = (2,1) and v = (1,0),
+        # built as 2n Fractions
         meet = orthant_meet(minkowski_diff(self.A, self.B))
-        assert meet == Witness(point=(1, 1), weights=(0, F(1) / 2, 0, F(1) / 2))
+        assert meet == Witness(point=(1, 1), weights=((0, 2, 0, 2), 4))
         assert fractions_built(lambda: witness_pair(self.A, self.B, meet)) == (((2, 1), (1, 0)), 4)
 
     @pytest.mark.parametrize("point, weights", [
         # u - v is the point, but the weights sum to 2
-        ((2, 2), (0, 1, 0, 1)),
+        ((2, 2), ((0, 1, 0, 1), 1)),
         # -1/2, 1, 1/2 and 0 sum to 1 and give the point
-        ((1, 1), (-F(1) / 2, 1, F(1) / 2, 0)),
+        ((1, 1), ((-1, 2, 1, 0), 2)),
         # convex, but they give (0, 2)
-        ((1, 1), (0, 1, 0, 0)),
+        ((1, 1), ((0, 1, 0, 0), 1)),
         # one weight more than A - B has generators
-        ((1, 1), (0, F(1) / 2, 0, F(1) / 2, 0)),
-    ], ids=["sum", "negative-weight", "point", "length"])
+        ((1, 1), ((0, 1, 0, 1, 0), 2)),
+        # the weights 0 over 0: no denominator
+        ((0, 0), ((0, 0, 0, 0), 0)),
+    ], ids=["sum", "negative-weight", "point", "length", "zero-denominator"])
     def test_weights_that_do_not_give_the_point_raise(self, point, weights):
         with pytest.raises(RuntimeError):
             witness_pair(self.A, self.B, Witness(point=point, weights=weights))
@@ -491,9 +494,10 @@ class TestIntegerRows:
         if isinstance(meet, Witness):
             assert t >= 0 and min(meet.point) == t
             # the weights are convex, one per generator, and give the point
-            assert len(meet.weights) == len(gens)
-            assert sum(meet.weights) == 1 and min(meet.weights) >= 0
-            assert tuple(sum(w * F(g[i]) for w, g in zip(meet.weights, gens))
+            wn, wd = meet.weights
+            assert len(wn) == len(gens)
+            assert wd > 0 and sum(wn) == wd and min(wn) >= 0
+            assert tuple(sum(Fraction(w, wd) * F(g[i]) for w, g in zip(wn, gens))
                          for i in range(len(gens[0]))) == meet.point
         else:
             assert t < 0 and meet.delta == -t
