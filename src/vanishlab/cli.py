@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 confirmed/consistent, 1 a hypothesis or check failed,
-2 inconclusive at the horizon, 3 usage or parse errors.  The only
-environment override is VANISHLAB_HORIZON.
+2 inconclusive at the horizon or out of memory, 3 usage or parse errors.
+The only environment override is VANISHLAB_HORIZON.
 
 argparse is the one definition of every option, and a request takes one
 of two paths.  One that names a leaf command in plain spellings
@@ -118,8 +118,8 @@ def _split_vars(spec):
 # ---------------------------------------------------------------------------
 
 def cmd_vanish(args, out):
-    from .diffops import vanishing_profile
-    from .parsing import parse_operator, parse_poly
+    from vanishlab.diffops import vanishing_profile
+    from vanishlab.parsing import parse_operator, parse_poly
 
     names = _split_vars(args.vars)
     op = parse_operator(_read_arg(args.op), names)
@@ -163,8 +163,8 @@ def _query_point(point, name, arity):
 
 
 def cmd_polytope(args, out):
-    from .parsing import parse_generators, parse_point
-    from .polytopes import (
+    from vanishlab.parsing import parse_generators, parse_point
+    from vanishlab.polytopes import (
         RationalPolytope,
         SeparationCertificate,
         _point_str,
@@ -212,9 +212,9 @@ def cmd_polytope(args, out):
 
 
 def cmd_density(args, out):
-    from . import density
-    from .parsing import parse_point, parse_poly
-    from .polytopes import _point_str
+    from vanishlab import density
+    from vanishlab.parsing import parse_point, parse_poly
+    from vanishlab.polytopes import _point_str
 
     names = _split_vars(args.vars)
     p = parse_poly(_read_arg(args.p), names)
@@ -245,8 +245,8 @@ def cmd_density(args, out):
 
 
 def cmd_dk(args, out):
-    from . import density
-    from .parsing import parse_poly
+    from vanishlab import density
+    from vanishlab.parsing import parse_poly
 
     names = _split_vars(args.vars)
     f = parse_poly(_read_arg(args.f), names)
@@ -304,8 +304,8 @@ def _multiplier(args):
 
 
 def cmd_case(args, out):
-    from . import cases
-    from .parsing import parse_operator, parse_poly
+    from vanishlab import cases
+    from vanishlab.parsing import parse_operator, parse_poly
 
     names = _split_vars(args.vars)
     if args.which == "phi":
@@ -329,7 +329,7 @@ def cmd_case(args, out):
 
 
 def cmd_counterexample(args, out):
-    from . import cases
+    from vanishlab import cases
 
     if args.which == "ddv":
         report = cases.counterexample_ddv(args.horizon, args.precision)
@@ -512,6 +512,10 @@ def main(argv=None):
     except ValueError as exc:  # ParseError is a ValueError
         print(f"vanishlab: error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # a request too large to compute is undecided, not a failed hypothesis
+        print("vanishlab: inconclusive: out of memory", file=sys.stderr)
+        return 2
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -1,10 +1,19 @@
 """Text grammar for polynomials, operators, and rational points.
 
-Terms joined by + and -; a term is coeff, mono, or coeff*mono; a coeff is
-int or int/int; a mono is var^exp factors joined by *, exponents any
-integer.  Whitespace is insignificant.  Operators use the same grammar
-with variables d<name>.  Printing in canonical graded-lex order followed
-by parsing is the identity on canonical forms.
+A polynomial is terms joined by + and -, the first one optionally signed;
+a term is factors joined by *, and a factor is int, int/int, name,
+name^int or name^-int, where an int is a run of decimal digits.  A name
+is [A-Za-z_][A-Za-z0-9_]* and one of the given variables, whose names
+must be of that form too.  Blanks are insignificant between tokens.
+Operators use the same grammar with variables d<name>.  Printing in
+canonical graded-lex order followed by parsing is the identity on
+canonical forms.
+
+Polynomial text is read in one pass.  A check that the whole text is
+tokens comes first, so an unexpected character is reported before any
+other error; then one match reads each factor with the separator after
+it.  Only where that match fails is the text read again, to report the
+first error and the position of the token at fault.
 
 The point grammar needs no other library module: `parse_poly` and
 `parse_operator` import `LaurentPoly` and `DiffOp` when they are called,
@@ -23,138 +32,111 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the tokens in a row; where the match ends, only blanks may follow.  It is
+# matched, not fullmatched: a fullmatch of the repeated group backtracks
+# exponentially on a long run of digits that ends in a bad character
+_TOKENS = re.compile(rf"(?:\s*(?:\d+|{_NAME.pattern}|[-+*/^]))*")
+_SIGN = re.compile(r"\s*([-+]?)")
+# one factor (int, int/int, name, name^int or name^-int) and the separator
+# after it: '*' within a term, '+' or '-' between terms, '' at the end
+_FACTOR = re.compile(
+    rf"\s*(?:(\d+)(?:\s*/\s*(\d+))?|({_NAME.pattern})(?:\s*\^\s*(-?)\s*(\d+))?)\s*([-+*]|\Z)")
+# the longest start of a factor that the text has: the token at fault
+# begins where the match ends
+_PARTIAL = re.compile(
+    rf"\s*(?:(\d+)(?:\s*(/)\s*(\d+)?)?|({_NAME.pattern})(?:\s*(\^)\s*-?\s*(\d+)?)?)?\s*")
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            if src[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {src[pos:].strip()[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
+def _read_poly(src, names):
+    """The polynomial as ``(arity, nums, den)``, the arguments of
+    `LaurentPoly._from_integers`: each term read as an integer numerator and
+    denominator, and the terms summed over the lcm of their denominators."""
+    end = _TOKENS.match(src).end()
+    rest = src[end:].strip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", end)
+    if not names:
+        raise ValueError("arity must be >= 1")
+    index = {name: i for i, name in enumerate(names)}
+    sign = _SIGN.match(src)
+    pos, sep = sign.end(), sign[1] or "+"
+    terms = []
+    while sep:
+        if sep != "*":
+            expo, num, den = [0] * len(names), -1 if sep == "-" else 1, 1
+        m = _FACTOR.match(src, pos)
+        if m is None:
+            raise _factor_error(src, pos, index)
+        digits, over, name, minus, power, sep = m.groups()
+        if digits is not None:
+            num *= int(digits)
+            if over is not None:
+                den *= int(over)
+                if not den:
+                    raise _factor_error(src, pos, index)
+        elif name in index:
+            expo[index[name]] += 1 if power is None else int(minus + power)
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
+            raise _factor_error(src, pos, index)
         pos = m.end()
-    tokens.append(("end", None, len(src)))
-    return tokens
+        if sep != "*":
+            terms.append((tuple(expo), num, den))
+    # one sum of integer numerators over a common denominator; a monomial
+    # whose sum cancels leaves the dict, so one that comes back is placed
+    # last, as in a term-by-term sum
+    den = lcm(*(d for _, _, d in terms))
+    nums = {}
+    for expo, n, d in terms:
+        n = nums.get(expo, 0) + n * (den // d)
+        if n:
+            nums[expo] = n
+        else:
+            nums.pop(expo, None)
+    return len(names), nums, den
 
 
-class _Parser:
-    def __init__(self, src, varnames):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-        self.vars = {name: i for i, name in enumerate(varnames)}
+def _factor_error(src, pos, index):
+    """The `ParseError` of the factor at pos, which `_FACTOR` does not read
+    or reads with a zero denominator or an unknown variable."""
+    m = _PARTIAL.match(src, pos)
+    digits, slash, over, name, caret, power = m.groups()
+    if over is not None and not int(over):
+        return ParseError("zero denominator", m.start(1))
+    if name is not None and name not in index:
+        return ParseError(f"unknown variable {name!r}", m.start(4))
+    if digits is None and name is None:
+        return ParseError("expected a coefficient or a variable", m.end())
+    if slash and over is None:
+        return ParseError("expected a denominator", m.end())
+    if caret and power is None:
+        return ParseError("expected an integer exponent", m.end())
+    return ParseError("expected '+' or '-' between terms", m.end())
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_int(self, what):
-        kind, value, pos = self.next()
-        if kind != "int":
-            raise ParseError(f"expected {what}", pos)
-        return value
-
-    def parse(self):
-        """The polynomial as ``(arity, nums, den)``, the arguments of
-        `LaurentPoly._from_integers`."""
-        if not self.vars:
-            raise ValueError("arity must be >= 1")
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            self.next()
-        terms = []
-        while True:
-            terms.append(self.term(sign))
-            kind, value, pos = self.next()
-            if kind == "end":
-                break
-            if kind != "op" or value not in "+-":
-                raise ParseError("expected '+' or '-' between terms", pos)
-            sign = -1 if value == "-" else 1
-        # one sum of integer numerators over a common denominator; a monomial
-        # whose sum cancels leaves the dict, so one that comes back is placed
-        # last, as in a term-by-term sum
-        den = lcm(*(d for _, _, d in terms))
-        nums = {}
-        for expo, n, d in terms:
-            n = nums.get(expo, 0) + n * (den // d)
-            if n:
-                nums[expo] = n
-            else:
-                nums.pop(expo, None)
-        return len(self.vars), nums, den
-
-    def term(self, sign):
-        """One term as ``(exponent, numerator, denominator)``, positive denominator."""
-        expo = [0] * len(self.vars)
-        num, den = sign, 1
-        while True:
-            kind, value, pos = self.next()
-            if kind == "int":
-                num *= value
-                if self.peek()[0] == "op" and self.peek()[1] == "/":
-                    self.next()
-                    d = self.expect_int("a denominator")
-                    if d == 0:
-                        raise ParseError("zero denominator", pos)
-                    den *= d
-            elif kind == "name":
-                if value not in self.vars:
-                    raise ParseError(f"unknown variable {value!r}", pos)
-                power = 1
-                if self.peek()[0] == "op" and self.peek()[1] == "^":
-                    self.next()
-                    power = self.exponent()
-                expo[self.vars[value]] += power
-            else:
-                raise ParseError("expected a coefficient or a variable", pos)
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                continue
-            return tuple(expo), num, den
-
-    def exponent(self):
-        kind, value, pos = self.peek()
-        neg = False
-        if kind == "op" and value == "-":
-            self.next()
-            neg = True
-        value = self.expect_int("an integer exponent")
-        return -value if neg else value
+def _names(varnames):
+    """The variable names as a list: unique, and each one the grammar reads."""
+    varnames = list(varnames)
+    if len(set(varnames)) != len(varnames):
+        raise ValueError("variable names must be unique")
+    for name in varnames:
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"variable names must match {_NAME.pattern}, got {name!r}")
+    return varnames
 
 
 def parse_poly(src, varnames):
     """Parse a polynomial in the given ordered variables; exact, no floats."""
-    from .poly import LaurentPoly
+    from vanishlab.poly import LaurentPoly
 
-    varnames = list(varnames)
-    if len(set(varnames)) != len(varnames):
-        raise ValueError("variable names must be unique")
-    return LaurentPoly._from_integers(*_Parser(src, varnames).parse())
+    return LaurentPoly._from_integers(*_read_poly(src, _names(varnames)))
 
 
 def parse_operator(src, varnames):
     """Parse an operator expression over variables d<name> into a DiffOp."""
-    from .diffops import DiffOp
+    from vanishlab.diffops import DiffOp
 
-    symbol = parse_poly(src, ["d" + name for name in varnames])
-    return DiffOp(symbol)
+    return DiffOp(parse_poly(src, ["d" + name for name in _names(varnames)]))
 
 
 _FRACTION = re.compile(r"(-?\d+)(?:/(\d+))?")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import parsing_oracle
 from golden_corpus import CORPUS
-from vanishlab import cli
+from vanishlab import cli, parsing, poly
 from vanishlab.cli import build_parser, main, parse_request
 from vanishlab.parsing import (
     ParseError,
@@ -70,6 +70,19 @@ def edge_point(draw):
 
 POINT_EDGES = st.lists(edge_point(), min_size=1, max_size=3).map(";".join)
 
+# polynomial text: any string over the grammar's characters, every kind of
+# blank, a non-ASCII digit and letter and characters outside the grammar,
+# and near-misses joined from likely pieces; every int stays far below
+# CPython's 4300-digit limit on int <-> str conversion
+POLY_BLANKS = " \t\n\r\f\v\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u2029\u3000"
+POLY_TEXT = st.text(alphabet="xyq_d0123456789/*^-+" + POLY_BLANKS + "\u0663\xe9$.(", max_size=24)
+POLY_PIECES = st.lists(
+    st.sampled_from(["x", "y", "q", "dx", "x1", "_", "0", "2", "17", "00", "\u0663", "/", "*",
+                     "^", "-", "+", " ", "\t", "\xa0", "\u3000", "\n", "x^2", "y^-1", "x^-",
+                     "x ^ - 3", "1/2", "3/0", "1/", "**", "\xe9", "$", ".", "(", ")"]),
+    max_size=10).map("".join)
+POLY_NAMES = [["x"], ["x", "y"], ["y", "x", "x1", "_"]]
+
 
 def outcome(parse, src):
     """What parse gives for src, or (ValueError, its message)."""
@@ -77,6 +90,16 @@ def outcome(parse, src):
         return parse(src)
     except ValueError as exc:
         return ValueError, str(exc)
+
+
+def poly_outcome(read):
+    """``(arity, nums as a list of items, den)`` from read(), or the type,
+    message and position of the error it raises."""
+    try:
+        arity, nums, den = read()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return arity, list(nums.items()), den
 
 
 class TestParsing:
@@ -204,12 +227,41 @@ class TestParsing:
         ("x*-y", "expected a coefficient or a variable", 2),
         ("dx", "unknown variable 'dx'", 0),
         ("x + y^-q", "expected an integer exponent", 7),
+        # an unexpected character wins over every other error of the text
+        ("x y $", "unexpected character '$'", 3),
+        ("1/0 + (", "unexpected character '('", 5),
+        ("x^ $", "unexpected character '$'", 2),
+        ("q + 1.5", "unexpected character '.'", 5),
+        ("2**x .", "unexpected character '.'", 4),
     ])
     def test_malformed_inputs(self, src, message, position):
         with pytest.raises(ParseError) as exc:
             parse_poly(src, ["x", "y"])
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(POLY_TEXT, POLY_PIECES), st.sampled_from(POLY_NAMES))
+    def test_polynomials_agree_with_term_parser_oracle(self, src, names):
+        # the same (arity, nums, den) in the same key order, or the same
+        # error message and position, as the token-list parser
+        got = poly_outcome(lambda: parsing._read_poly(src, names))
+        want = poly_outcome(lambda: parsing_oracle._Parser(src, names).parse())
+        assert got == want
+        if not isinstance(got[0], type):
+            arity, items, den = want
+            assert parse_poly(src, names) == LaurentPoly._from_integers(arity, dict(items), den)
+
+    @pytest.mark.parametrize("names, bad", [
+        (["x", "2"], "2"), (["x", "y-z"], "y-z"), (["é"], "é"), (["x1", "1x"], "1x"),
+        ([""], ""), (["x "], "x "),
+    ])
+    def test_names_the_grammar_cannot_read(self, names, bad):
+        message = f"variable names must match [A-Za-z_][A-Za-z0-9_]*, got {bad!r}"
+        for parse in (parse_poly, parse_operator):
+            with pytest.raises(ValueError) as exc:
+                parse("1", names)
+            assert type(exc.value) is ValueError and str(exc.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -400,6 +452,26 @@ class TestCli:
         code, out, err = run(capsys, "vanish", "--op", "dx$", "--p", "x")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, bad", [
+        # '2' would read as a coefficient: x*2 is 2x, not the product of x and the variable 2
+        (["vanish", "--vars=x,2", "--op=dx", "--p=x*2", "-M", "2"], "2"),
+        (["vanish", "--vars=x,y-z", "--op=dx", "--p=x"], "y-z"),
+        (["case", "phi", "--vars=x,y z", "--phi=dy", "--f=y"], "y z"),
+    ])
+    def test_unreadable_variable_name_is_usage_error(self, capsys, argv, bad):
+        assert run(capsys, *argv, "--format", "structured") == (
+            3, "", f"vanishlab: error: variable names must match [A-Za-z_][A-Za-z0-9_]*, "
+                   f"got {bad!r}\n")
+
+    def test_out_of_memory_is_inconclusive(self, capsys, monkeypatch):
+        # a kernel that runs out of memory leaves the request undecided (exit 2),
+        # with one line on stderr and no traceback
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(poly, "_product", exhausted)
+        assert run(capsys, "vanish", "--op=dx", "--p=x*y", "-M", "2", "--format",
+                   "structured") == (2, "", "vanishlab: inconclusive: out of memory\n")
 
     @pytest.mark.parametrize("argv", [
         ["polytope", "--sigma", "(1/0,1)"],
