@@ -18,7 +18,6 @@ _EXPORTS = {
     "RationalPolytope": "polytopes",
     "SeparationCertificate": "polytopes",
     "TruncSeries": "poly",
-    "VanishingProfile": "diffops",
     "Witness": "polytopes",
     "apply": "diffops",
     "contains_point": "polytopes",

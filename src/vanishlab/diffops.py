@@ -26,7 +26,7 @@ class DiffOp:
         """The operator of ``symbol``, trusted as given.
 
         ``symbol`` must have nonnegative exponents, as a power of a checked
-        symbol or a monomial of a checked exponent does; this is not checked.
+        symbol does; this is not checked.
         """
         op = object.__new__(cls)
         object.__setattr__(op, "symbol", symbol)
@@ -138,27 +138,6 @@ class VanishingProfile(NamedTuple):
         return start
 
 
-def profile_scan(op, p, g, horizon):
-    """Yield ``(ProfileEntry, L^m, P^m)`` for m = 1..horizon.
-
-    Each power of the symbol and of P is built once, so a caller that needs
-    the powers as well as the profile walks them only once.  No validation:
-    see `vanishing_profile`.
-    """
-    symbol_powers = powers(op.symbol, horizon)
-    for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):
-        op_m = DiffOp._from_symbol(sym_m)
-        pp = apply(op_m, p_m)
-        ppg = apply(op_m, p_m * g)
-        yield ProfileEntry(
-            m=m,
-            pp_zero=pp.is_zero,
-            ppg_zero=ppg.is_zero,
-            pp_residual=None if pp.is_zero else pp,
-            ppg_residual=None if ppg.is_zero else ppg,
-        ), sym_m, p_m
-
-
 def check_horizon(horizon):
     """Refuse a horizon below 1: a scan over no m at all would report
     "all checks pass" vacuously."""
@@ -173,5 +152,18 @@ def vanishing_profile(op, p, g=None, horizon=8):
         raise ValueError("P must be nonzero")
     if g is None:
         g = LaurentPoly.one(p.arity)
-    entries = tuple(entry for entry, _, _ in profile_scan(op, p, g, horizon))
-    return VanishingProfile(horizon=horizon, entries=entries)
+    # each power of the symbol and of P is built once, with one product
+    entries = []
+    symbol_powers = powers(op.symbol, horizon)
+    for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):
+        op_m = DiffOp._from_symbol(sym_m)
+        pp = apply(op_m, p_m)
+        ppg = apply(op_m, p_m * g)
+        entries.append(ProfileEntry(
+            m=m,
+            pp_zero=pp.is_zero,
+            ppg_zero=ppg.is_zero,
+            pp_residual=None if pp.is_zero else pp,
+            ppg_residual=None if ppg.is_zero else ppg,
+        ))
+    return VanishingProfile(horizon=horizon, entries=tuple(entries))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import vanishlab.polytopes
 
-from kernel_oracle import fraction_apply, fraction_mul, series_exp
+from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, series_exp
 from paper_oracle import binomial_gap_check
 from vanishlab import cases
 from vanishlab.cases import (
@@ -229,8 +229,8 @@ class TestTwoMonomial:
         assert verdict.status in ("hypothesis-fails", "inconclusive")
 
     def test_each_power_built_once(self, monkeypatch):
-        # one walk over Lambda^m and P^m serves the support, separation and
-        # profile checks: 7 + 7 powers and 8 products P^m * g at M = 8
+        # the profile builds each Lambda^m and P^m once, and the checker uses
+        # no other power: 7 + 7 powers and 8 products P^m * g at M = 8
         products = []
         mul = LaurentPoly.__mul__
         monkeypatch.setattr(LaurentPoly, "__mul__",
@@ -317,12 +317,18 @@ def monomial_requests(draw):
     return DiffOp(poly), mono
 
 
+def oracle_power(terms, m):
+    """The m-th power of a term map by repeated dict-of-Fraction products."""
+    out = {(0,) * len(next(iter(terms))): Fraction(1)}
+    for _ in range(m):
+        out = fraction_mul(out, terms)
+    return out
+
+
 def oracle_vanishes(op, p, g, m):
     """Whether L^m(P^m g) = 0, recomputed with the dict-of-Fraction kernels."""
-    sym_m, ppg = {(0,) * p.arity: 1}, g.terms
-    for _ in range(m):
-        sym_m, ppg = fraction_mul(sym_m, op.symbol.terms), fraction_mul(ppg, p.terms)
-    return not fraction_apply(sym_m, ppg)
+    return not fraction_apply(oracle_power(op.symbol.terms, m),
+                              fraction_mul(oracle_power(p.terms, m), g.terms))
 
 
 class TestSigmaCertificate:
@@ -366,11 +372,73 @@ class TestSigmaCertificate:
         op, p = data.draw(two_monomial_requests())
         g = data.draw(small_polys(p.arity))
         verdict = two_monomial_check(op, p, g, self.HORIZON)
-        # the support and separation checks are kernel cross-checks: no
-        # valid input fails them
-        assert all(ok for name, ok in verdict.checks
-                   if name.startswith(("Supp(", "each d^")))
+        # the hypothesis scan and the certificate, and no other check
+        assert [name for name, _ in verdict.checks] == [
+            "power-vanishing hypothesis up to horizon",
+            "Poly(P) - Poly(Lambda) disjoint from the orthant"]
         self.check_certified(verdict, op, p, g)
+
+
+def combinations(alpha, beta, m):
+    """The exponents k*alpha + (m-k)*beta, k = 0..m."""
+    return {tuple(k * a + (m - k) * b for a, b in zip(alpha, beta)) for k in range(m + 1)}
+
+
+class TestPaperLemmas:
+    """The lemmas the case checkers rely on, tested here instead of per request."""
+
+    HORIZON = 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_monomial_requests())
+    def test_two_monomial_support_formula(self, request):
+        # Supp((a z^alpha + b z^beta)^m) = {k alpha + (m-k) beta}: the m + 1
+        # exponents have distinct total degrees, so no two terms cancel.  The
+        # two-term factor is the symbol, or P in the mirrored variant.
+        op, p = request
+        exponents = op.symbol.exponents()
+        two = op.symbol if sum(exponents[0]) != sum(exponents[-1]) else p
+        alpha, beta = two.exponents()
+        for m, power in enumerate(powers(two, self.HORIZON), start=1):
+            assert power.terms == oracle_power(two.terms, m)
+            assert set(power.exponents()) == combinations(alpha, beta, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_monomial_requests())
+    def test_two_monomial_degree_separation(self, request):
+        # Lambda = a d^alpha + b d^beta with P homogeneous: each
+        # d^{k alpha + (m-k) beta} P^m is the part of Lambda^m P^m of one total
+        # degree, so Lambda^m P^m = 0 exactly when every one of them is 0.  A
+        # derivative d^mu P^m is 0 when it kills each monomial of P^m, since
+        # distinct monomials keep distinct exponents.
+        op, p = request
+        exponents = op.symbol.exponents()
+        assume(len(exponents) == 2 and sum(exponents[0]) != sum(exponents[1]))
+        alpha, beta = exponents
+        profile = vanishing_profile(op, p, LaurentPoly.one(p.arity), self.HORIZON)
+        for entry in profile.entries:
+            p_m = oracle_power(p.terms, entry.m)
+            assert entry.pp_zero == all(fraction_derivative(mu, gamma)[0] == 0
+                                        for mu in combinations(alpha, beta, entry.m)
+                                        for gamma in p_m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(monomial_requests())
+    def test_monomial_reduction(self, request):
+        # f = Lambda(z^-1) z^alpha for P = c z^alpha, f = z^-alpha P for
+        # Lambda = c d^alpha: hol(f^m) and L^m(P^m) have the same support up to
+        # nonzero falling factorials, so hol(f^m) = 0 exactly when L^m(P^m) = 0
+        op, p = request
+        if p.is_monomial():
+            (alpha,) = p.exponents()
+            f = {tuple(a - u for a, u in zip(alpha, mu)): c for mu, c in op.symbol.terms.items()}
+        else:
+            (alpha,) = op.symbol.exponents()
+            f = {tuple(b - a for a, b in zip(alpha, beta)): c for beta, c in p.terms.items()}
+        one = LaurentPoly.one(p.arity)
+        for entry in vanishing_profile(op, p, one, self.HORIZON).entries:
+            hol_zero = all(min(e) < 0 for e in oracle_power(f, entry.m))
+            assert hol_zero == oracle_vanishes(op, p, one, entry.m) == entry.pp_zero
 
 
 class TestCounterexamples:
