@@ -121,9 +121,10 @@ def _phi_operator(phi):
     return DiffOp(LaurentPoly._from_integers(2, nums, phi.den))
 
 
-def _flow_operator(phi_op):
-    """Lambda = d_x - Phi(d_y), from Phi(d_y)."""
-    return DiffOp(LaurentPoly(2, {(1, 0): Fraction(1)}) - phi_op.symbol)
+def _flow_operator(phi):
+    """Lambda = d_x - Phi(d_y) on two variables, from the one-variable symbol Phi(xi)."""
+    nums = {(1, 0): phi.den, **{(0, k): -n for (k,), n in phi.integer_items()}}
+    return DiffOp(LaurentPoly._from_integers(2, nums, phi.den))
 
 
 def phi_flow(phi, f):
@@ -131,7 +132,8 @@ def phi_flow(phi, f):
 
     Computed as the finite sum over x^k Phi(d_y)^k f / k!; Phi(d_y) is
     nilpotent on polynomials because its order is at least one.  The
-    defining identity is checked on every call; RuntimeError if it fails.
+    defining identity d_x P = Phi(d_y) P is checked on every call;
+    RuntimeError if it fails.
     """
     if f.arity != 2:
         raise ValueError("f must live in two variables")
@@ -151,7 +153,7 @@ def phi_flow(phi, f):
         if cur.is_zero:
             break
         total = total + LaurentPoly.variable(2, 0, k) * cur * Fraction(1, factorial(k))
-    if not apply(_flow_operator(phi_op), total).is_zero:
+    if apply(DiffOp(LaurentPoly.variable(2, 0)), total) != apply(phi_op, total):
         raise RuntimeError("the flow does not solve (d_x - Phi(d_y)) P = 0")
     return total
 
@@ -188,7 +190,7 @@ def phi_case_check(phi, f, g, horizon=8):
     if p.is_zero:
         return CaseVerdict(case="phi", bound=Fraction(0), verified=tuple(range(1, horizon + 1)),
                            notes=("P = 0; everything vanishes identically",))
-    profile = vanishing_profile(_flow_operator(_phi_operator(phi)), p, g, horizon)
+    profile = vanishing_profile(_flow_operator(phi), p, g, horizon)
     checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
     notes = []
     bound = _phi_bound(phi, f, g, checks, notes)

@@ -342,8 +342,9 @@ def cmd_counterexample(args, out):
     for m, checks in report.rows:
         for name, ok in checks:
             out.record(f"m{m}.{name.replace(' ', '_')}", ok)
-        summary = "; ".join(f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks)
-        out.text(f"  m={m}: {summary}")
+        if out.fmt == TEXT:
+            summary = "; ".join(f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks)
+            out.text(f"  m={m}: {summary}")
     out.record("ok", report.ok)
     out.text("all checks pass" if report.ok else "CHECK FAILURE")
     return 0 if report.ok else 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from math import perm, prod
+from operator import add, lshift
 from typing import NamedTuple
 
 from .poly import LaurentPoly, TruncSeries, powers
@@ -145,16 +146,87 @@ def check_horizon(horizon):
         raise ValueError("horizon must be >= 1")
 
 
+def _within(poly, box):
+    """The terms of ``poly`` with exponent at most ``box`` in every variable.
+
+    ``poly`` must have its exponents in N^n and ``box`` must be nonnegative
+    ints; neither is checked.  No exponent passes the reach, so the box is
+    capped at it and its key fits the layout.  Then mu <= box is the
+    guard-bit test of `_apply_to_poly` on ``key(box) + guards - mu``.
+    """
+    layout, reach, nums = poly.layout, poly.reach, poly.nums
+    top = sum(map(lshift, [min(b, reach) for b in box], layout.shifts)) + layout.guards
+    guards = layout.guards
+    kept = {mu: c for mu, c in nums.items() if top - mu & guards == guards}
+    if len(kept) == len(nums):
+        return poly
+    return LaurentPoly._from_keys(poly.arity, kept, poly.den, reach, layout)
+
+
+def _kept_powers(symbol, p, g, horizon):
+    """Yield the part of each power Lambda^m, m = 1..horizon, that lies in
+    the box B_m, and stop at the first empty one (see `vanishing_profile`)."""
+    if symbol.is_zero:
+        return
+    arity = symbol.arity
+    t = [p.degree_in(i) for i in range(arity)]
+    gamma = [g.degree_in(i) for i in range(arity)]
+    ell = [symbol.min_exponent(i) for i in range(arity)]
+    # B_1 = t + gamma + (H - 1) max(0, t - ell), and B_{m+1} = B_m + min(t, ell)
+    box = [ti + gi + (horizon - 1) * max(0, ti - li) for ti, gi, li in zip(t, gamma, ell)]
+    step = list(map(min, t, ell))
+    kept = symbol
+    for m in range(horizon):
+        if m:
+            kept *= symbol
+            box = list(map(add, box, step))
+        kept = _within(kept, box)
+        if kept.is_zero:
+            return
+        yield kept
+
+
 def vanishing_profile(op, p, g=None, horizon=8):
-    """Scan m = 1..horizon and record both vanishing sequences."""
+    """Scan m = 1..horizon and record both vanishing sequences.
+
+    P^m is built once per m, one product each.  When P and g are nonzero
+    with support in N^n (g defaults to 1), the scan builds only the part of
+    Lambda^m that can still act on P^m g.  Per variable, let t = deg P,
+    gamma = deg g, ell the smallest exponent in Supp Lambda and H the
+    horizon, and let B_m = m t + gamma + (H - m) max(0, t - ell).  The
+    scan keeps the terms mu <= B_m of Lambda^m, builds the next power as
+    (kept Lambda^m) * Lambda, cut to B_{m+1}, and stops once the kept power
+    is 0: every later entry is then zero, with no product or application.
+    No entry changes:
+
+    1. Every exponent of P^m g is at most m t + gamma <= B_m, and
+       d^mu z^beta = 0 unless mu <= beta.  So at step m only the terms
+       mu <= m t + gamma of Lambda^m act, on P^m g and on P^m alike.
+    2. A term of Lambda^m' with m' >= m is mu + kappa, mu in Supp Lambda^m
+       and kappa >= (m' - m) ell.  So a term that acts at a later step
+       m' has mu <= B_m' - (m' - m) ell <= B_m, by step 3: each one comes
+       from a kept term, and once none is kept none acts again.
+    3. B_{m+1} - B_m = min(t, ell) <= ell.  The coefficient of Lambda^{m+1}
+       at nu <= B_{m+1} sums Lambda^m at nu - lambda, lambda in Supp Lambda,
+       and nu - lambda <= B_{m+1} - ell <= B_m.  So every kept coefficient
+       is exact, by induction on m.
+
+    Any other input runs the same scan over the whole of each Lambda^m, so
+    it raises the same ValueError at the same m.
+    """
     check_horizon(horizon)
     if p.is_zero:
         raise ValueError("P must be nonzero")
     if g is None:
         g = LaurentPoly.one(p.arity)
-    # each power of the symbol and of P is built once, with one product
+    symbol = op.symbol
+    if (op.arity == p.arity == g.arity and not g.is_zero and p.is_holomorphic()
+            and g.is_holomorphic()):
+        symbol_powers = _kept_powers(symbol, p, g, horizon)
+    else:
+        symbol_powers = powers(symbol, horizon)
+    # zip asks for the symbol's power first: once those stop, no further P^m is built
     entries = []
-    symbol_powers = powers(op.symbol, horizon)
     for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):
         op_m = DiffOp._from_symbol(sym_m)
         pp = apply(op_m, p_m)
@@ -166,4 +238,5 @@ def vanishing_profile(op, p, g=None, horizon=8):
             pp_residual=None if pp.is_zero else pp,
             ppg_residual=None if ppg.is_zero else ppg,
         ))
+    entries += [ProfileEntry(m, True, True) for m in range(len(entries) + 1, horizon + 1)]
     return VanishingProfile(horizon=horizon, entries=tuple(entries))

@@ -116,7 +116,7 @@ class TestPhiCase:
         apply = cases.apply
 
         def broken(op, x):
-            # nonzero only for d_x - Phi(d_y), so the flow's own sum still ends
+            # wrong only for the d_x of the identity check, so the flow's own sum still ends
             return apply(op, x) + 1 if op.symbol.coeff((1, 0)) else apply(op, x)
 
         monkeypatch.setattr(cases, "apply", broken)
@@ -230,14 +230,17 @@ class TestTwoMonomial:
 
     def test_each_power_built_once(self, monkeypatch):
         # the profile builds each Lambda^m and P^m once, and the checker uses
-        # no other power: 7 + 7 powers and 8 products P^m * g at M = 8
+        # no other power.  At M = 8 the box is B_m = (8, 8), and Lambda^m keeps
+        # the terms (2k, 3(m - k)) with k <= 4 and m - k <= 2: Lambda^7 keeps
+        # none, so the scan stops there.  Lambda^2..Lambda^7, P^2..P^6 and
+        # P^m * g for m <= 6 make 6 + 5 + 6 products
         products = []
         mul = LaurentPoly.__mul__
         monkeypatch.setattr(LaurentPoly, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
         verdict = two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=8)
         assert verdict.status == CONFIRMED
-        assert len(products) == 22
+        assert len(products) == 17
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_non_positive_horizon_rejected(self, horizon):
