@@ -1,8 +1,10 @@
-"""The golden corpus: CLI requests whose structured output is a behaviour contract.
+"""The golden corpus: CLI requests whose output is a behaviour contract.
 
 ``tests/golden_corpus.json`` stores, for every request, the argv list, the
-exit code and the exact ``--format structured`` stdout.  ``test_golden.py``
-replays it byte for byte.  The requests are the README examples, the two
+exit code and the exact stdout.  Every request runs with ``--format
+structured``, and one request per case checker runs again with ``--format
+text``, the default.  ``test_golden.py`` replays it byte for byte.  The
+requests are the README examples, the two
 series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
 criterion 8 has no CLI form), one request for each checker path that
@@ -15,8 +17,10 @@ polytope queries on the edges of the orthant LP's start basis, and the
 homogeneous density search, the operator-monomial, two-monomial-P and
 fractional-symbol case paths, and the spellings of points that reach the
 polytope layer as integers or as fractions, the flow case with P = 0,
-Phi = 0 and g = 0, and a profile whose products take poly._reach's bound.
-Only valid inputs are recorded.
+Phi = 0 and g = 0, a profile whose products take poly._reach's bound, the
+case verdicts that no entry above reaches (inconclusive, a bound past the
+horizon, the flow case's anomaly), and the exit paths of vanish, dk and
+density that no entry above pins.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -157,6 +161,36 @@ EDGES = [
     ["vanish", "--vars", "x,y", "--op=dx", "--p=x+y^9000", "-M", "2"],
 ]
 
+# case verdicts no entry above reaches: a one-var bound past the horizon
+# (inconclusive), a Sigma certificate whose bound lies past the horizon,
+# and the flow case's anomaly line (order(Phi) <= deg f, no failure seen)
+VERDICTS = [
+    ["case", "one-var", "--vars", "x", "--op=dx^2", "--p=x", "--g=x^5", "-M", "4"],
+    ["case", "monomial", "--op=dx^3*dy", "--p=x^2+x*y+y^2", "--g=x^5*y", "-M", "3"],
+    ["case", "phi", "--phi=dy^2", "--f=y^2", "-M", "1"],
+]
+
+# exit paths of the other subcommands: an inconclusive profile, a
+# consistent and a predicts-nonzero constant-term scan, a ray with no hit,
+# and a ray through the origin
+EXITS = [
+    ["vanish", "--vars", "x", "--op=dx^2", "--p=x", "--g=x^5", "-M", "2"],
+    ["dk", "--vars=x", "--f=x+x^2", "-M", "3"],
+    ["dk", "--vars=x", "--f=x^-3+x^2", "-M", "4"],
+    ["density", "--p=x+y", "--u=(1/3,2/3)", "-M", "2"],
+    ["density", "--p=1+x", "--u=(0,0)", "-M", "2"],
+]
+
+# one request per case checker in the default text format: a verified
+# range, a coordinate-change note, a certificate with its variant note,
+# and a witness pair
+TEXT = [
+    ["case", "one-var", "--vars=x", "--op=dx^2", "--p=x", "--g=x^3"],
+    ["case", "phi", "--phi=3/2*dy + dy^3", "--f=y^2", "--g=x + y", "-M", "6"],
+    ["case", "monomial", "--op=dx^3", "--p=x*y + y^2", "--g=x", "-M", "6"],
+    ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6"],
+]
+
 NAMES = ("x", "y", "z")
 
 
@@ -281,7 +315,7 @@ def requests():
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES]
+            + EDGES + VERDICTS + EXITS] + [argv + ["--format", "text"] for argv in TEXT]
 
 
 def run(argv):

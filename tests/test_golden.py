@@ -1,4 +1,4 @@
-"""Replay the golden corpus: every request's exit code and structured stdout, byte for byte."""
+"""Replay the golden corpus: every request's exit code and stdout, byte for byte."""
 import json
 
 import pytest
@@ -22,7 +22,11 @@ def test_corpus_matches_request_list():
     assert [e["argv"] for e in ENTRIES] == requests()
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"][:-2]) for e in ENTRIES])
+# a structured request is named without its format words, a text one with them
+IDS = [" ".join(e["argv"]).removesuffix(" --format structured") for e in ENTRIES]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=IDS)
 def test_replay(entry, monkeypatch):
     monkeypatch.delenv("VANISHLAB_HORIZON", raising=False)
     assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
