@@ -1,8 +1,11 @@
 """Checkers for the proved vanishing cases and the two series counterexamples.
 
-Each checker computes the explicit bound for its case, verifies the
-vanishing symbolically past that bound up to a finite horizon, and reports
-a structured verdict.  Verdicts are horizon-bounded by construction.
+Each case checker has the same shape: validation of its inputs, its own
+proof step (the one-variable degree bound, the flow case's `_phi_bound`, or
+a Sigma certificate from `_sigma_certificate`), then `_verdict`.  The
+shared step reads the power-vanishing hypothesis off the vanishing profile,
+checks the vanishing past the bound symbolically up to the horizon, and
+builds the structured verdict.  Verdicts are horizon-bounded by construction.
 """
 from __future__ import annotations
 
@@ -53,29 +56,41 @@ class CaseVerdict(NamedTuple):
         return CONFIRMED
 
 
-def _verify_tail(profile, start):
-    """Split the profile entries with m >= start into verified m's and residuals."""
-    tail = [entry for entry in profile.entries if entry.m >= start]
-    verified = tuple(entry.m for entry in tail if entry.ppg_zero)
-    return verified, {entry.m: entry.ppg_residual.to_string()
-                      for entry in tail if not entry.ppg_zero}
+def _verdict(case, profile, checks, bound, start=None, notes=(), anomalies=(),
+             failures=MappingProxyType({})):
+    """The verdict of a case whose proof step gave ``checks`` and ``bound``.
+
+    The power-vanishing hypothesis, read off ``profile``, is the first check.
+    With a bound, the profile entries with m >= start (by default the first
+    m past the bound) split into verified m's and residuals.  ``failures``
+    maps m to the residual text of the case's own check past the bound: the
+    profile's entry wins, and a failed m is not verified.
+    """
+    checks = (("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None),
+              *checks)
+    verified, residuals = (), {}
+    if bound is not None:
+        start = floor(bound) + 1 if start is None else start
+        tail = [entry for entry in profile.entries if entry.m >= start]
+        residuals = dict(failures) | {entry.m: entry.ppg_residual.to_string()
+                                      for entry in tail if not entry.ppg_zero}
+        verified = tuple(entry.m for entry in tail if entry.m not in residuals)
+    return CaseVerdict(case=case, checks=checks, bound=bound, verified=verified,
+                       residuals=residuals, anomalies=tuple(anomalies), notes=tuple(notes))
 
 
-def _sigma_certificate(sigma, g, profile, checks, name):
-    """The polytope cases' one certificate step, on Sigma = Poly(P) - Poly(Lambda).
+def _sigma_certificate(sigma, g):
+    """The polytope cases' proof step, on Sigma = Poly(P) - Poly(Lambda).
 
-    Asks `orthant_meet` once and appends ``(name, Sigma misses the orthant)``
-    to ``checks``.  Returns ``(meet, bound, verified, residuals)``: for a
-    certificate, the largest move-away bound over Supp g (1 when g has no
-    terms) and the profile's tail split at it; for a witness, None, () and {}.
+    Asks `orthant_meet` once.  Returns ``(meet, bound)``: for a certificate,
+    the largest move-away bound over Supp g (1 when g has no terms); for a
+    witness, None.
     """
     meet = orthant_meet(sigma)
-    checks.append((name, not isinstance(meet, Witness)))
     if isinstance(meet, Witness):
-        return meet, None, (), {}
-    bound = max((moveaway_bound(gamma, sigma, meet) for gamma in g.exponents()), default=1)
-    verified, residuals = _verify_tail(profile, bound)
-    return meet, Fraction(bound), verified, residuals
+        return meet, None
+    return meet, Fraction(max((moveaway_bound(gamma, sigma, meet) for gamma in g.exponents()),
+                              default=1))
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +106,11 @@ def one_var_check(op, p, g, horizon=8):
         raise ValueError("P must be nonzero")
     m1 = op.symbol.min_exponent(0)
     d = p.degree_in(0)
-    dg = g.degree_in(0)  # None when g = 0
     profile = vanishing_profile(op, p, g, horizon)
     deg_ok = d <= m1 - 1
-    checks = (
-        ("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None),
-        ("deg P <= order(symbol at 0) - 1", deg_ok),
-    )
-    bound = None
-    verified, residuals = (), {}
-    if deg_ok:
-        bound = Fraction(dg if dg is not None else 0, m1 - d)
-        verified, residuals = _verify_tail(profile, floor(bound) + 1)
-    return CaseVerdict(
-        case="one-var",
-        checks=checks,
-        bound=bound,
-        verified=verified,
-        residuals=residuals,
-    )
+    # g.degree_in(0) is None for g = 0
+    bound = Fraction(g.degree_in(0) or 0, m1 - d) if deg_ok else None
+    return _verdict("one-var", profile, [("deg P <= order(symbol at 0) - 1", deg_ok)], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +192,12 @@ def phi_case_check(phi, f, g, horizon=8):
         return CaseVerdict(case="phi", bound=Fraction(0), verified=tuple(range(1, horizon + 1)),
                            notes=("P = 0; everything vanishes identically",))
     profile = vanishing_profile(_flow_operator(phi), p, g, horizon)
-    checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
-    notes = []
+    checks, notes, anomalies = [], [], []
     bound = _phi_bound(phi, f, g, checks, notes)
-    anomalies = []
-    verified, residuals = (), {}
-    if bound is not None:
-        verified, residuals = _verify_tail(profile, floor(bound) + 1)
-    elif profile.first_pp_failure is None:
+    if bound is None and profile.first_pp_failure is None:
         anomalies.append("order(Phi) <= deg f predicts a hypothesis failure, "
                          "none observed up to horizon")
-    return CaseVerdict(
-        case="phi",
-        checks=tuple(checks),
-        bound=bound,
-        verified=verified,
-        residuals=residuals,
-        anomalies=tuple(anomalies),
-        notes=tuple(notes),
-    )
+    return _verdict("phi", profile, checks, bound, notes=notes, anomalies=anomalies)
 
 
 # ---------------------------------------------------------------------------
@@ -218,41 +206,33 @@ def phi_case_check(phi, f, g, horizon=8):
 def monomial_case_check(op, p, g, horizon=8):
     """Case where P is a monomial z^alpha, or mirrored, Lambda = d^alpha.
 
-    Reduces the vanishing statement to the holomorphic part of powers of an
-    associated Laurent polynomial f, certifies disjointness of Poly(f) from
-    the orthant, and converts the certificate into a move-away bound.  Past
-    that bound, each monomial of g is cross-checked on both routes, the
-    operator's and the holomorphic part's.  Poly(f) is Poly(P) - Poly(Lambda)
-    in both variants.  The reduction itself, hol(f^m) = 0 exactly when
+    Reduces the vanishing statement to the holomorphic part of powers of the
+    Laurent polynomial f = Lambda(1/z) P, certifies disjointness of Poly(f)
+    from the orthant, and converts the certificate into a move-away bound.
+    Past that bound, each monomial of g is cross-checked on both routes, the
+    operator's and the holomorphic part's.  Poly(f) is Poly(P) - Poly(Lambda),
+    and in both variants one side is a single monomial, whose coefficient
+    only scales f.  The reduction itself, hol(f^m) = 0 exactly when
     L^m(P^m) = 0, is the paper's and is not re-checked per m.
     """
     if op.arity != p.arity or p.arity != g.arity:
         raise ValueError("arity mismatch")
     if p.is_zero or op.symbol.is_zero:
         raise ValueError("P and the operator must be nonzero")
-    n = p.arity
     if p.is_monomial():
         if not p.is_holomorphic():
             raise ValueError("the monomial exponent must be in N^n")
-        alpha, = p.exponents()
-        # f(z) = Lambda(z^{-1}) z^alpha
-        nums = {tuple(a - m for a, m in zip(alpha, mu)): c
-                for mu, c in op.symbol.integer_items()}
-        f = LaurentPoly._from_integers(n, nums, op.symbol.den)
         variant = "P-monomial"
     elif op.symbol.is_monomial():
-        alpha, = op.symbol.exponents()
-        f = LaurentPoly.monomial(tuple(-a for a in alpha)) * p
         variant = "operator-monomial"
     else:
         raise ValueError("either P or the operator symbol must be a monomial")
+    nums = {tuple(-a for a in mu): c for mu, c in op.symbol.integer_items()}
+    f = LaurentPoly._from_integers(p.arity, nums, op.symbol.den) * p
 
     profile = vanishing_profile(op, p, g, horizon)
-    checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
-    anomalies = []
-    meet, bound, verified, residuals = _sigma_certificate(
-        newton_polytope(f), g, profile, checks, "Poly(f) disjoint from the nonnegative orthant")
-    notes = [f"variant: {variant}"]
+    meet, bound = _sigma_certificate(newton_polytope(f), g)
+    notes, anomalies, failures = [f"variant: {variant}"], [], {}
     if bound is None:
         notes.append("witness " + _point_str(meet.point)
                      + " predicts a hypothesis failure at some m")
@@ -269,17 +249,10 @@ def monomial_case_check(op, p, g, horizon=8):
                 if direct != holo:
                     anomalies.append(f"route disagreement at m={m}, gamma={gamma}")
                 elif not direct:
-                    residuals.setdefault(m, f"nonzero on monomial {gamma}")
-        verified = tuple(m for m in verified if m not in residuals)
-    return CaseVerdict(
-        case="monomial",
-        checks=tuple(checks),
-        bound=bound,
-        verified=verified,
-        residuals=residuals,
-        anomalies=tuple(anomalies),
-        notes=tuple(notes),
-    )
+                    failures.setdefault(m, f"nonzero on monomial {gamma}")
+    return _verdict("monomial", profile,
+                    [("Poly(f) disjoint from the nonnegative orthant", bound is not None)],
+                    bound, bound, notes, anomalies, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +286,8 @@ def two_monomial_check(op, p, g, horizon=8):
         if sum(exponents[0]) == sum(exponents[1]):
             raise ValueError("|alpha| must differ from |beta|")
     profile = vanishing_profile(op, p, g, horizon)
-    checks = [("power-vanishing hypothesis up to horizon", profile.first_pp_failure is None)]
     poly_p, poly_lambda = newton_polytope(p), newton_polytope(op.symbol)
-    meet, bound, verified, residuals = _sigma_certificate(
-        minkowski_diff(poly_p, poly_lambda), g, profile, checks,
-        "Poly(P) - Poly(Lambda) disjoint from the orthant")
+    meet, bound = _sigma_certificate(minkowski_diff(poly_p, poly_lambda), g)
     notes = []
     if bound is None:
         u, v = witness_pair(poly_p, poly_lambda, meet)
@@ -325,14 +295,9 @@ def two_monomial_check(op, p, g, horizon=8):
                      "predicts a hypothesis failure at some m")
         if profile.first_pp_failure is None:
             notes.append("no failure observed up to horizon; it must occur beyond it")
-    return CaseVerdict(
-        case="two-monomial-P" if mirrored else "two-monomial",
-        checks=tuple(checks),
-        bound=bound,
-        verified=verified,
-        residuals=residuals,
-        notes=tuple(notes),
-    )
+    return _verdict("two-monomial-P" if mirrored else "two-monomial", profile,
+                    [("Poly(P) - Poly(Lambda) disjoint from the orthant", bound is not None)],
+                    bound, bound, notes)
 
 
 # ---------------------------------------------------------------------------

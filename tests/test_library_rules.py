@@ -151,6 +151,23 @@ def test_simplex_builds_no_fraction():
     assert calls == []
 
 
+def test_case_verdicts_come_from_the_shared_step():
+    # each case checker is validation, its own proof step, then
+    # cases._verdict, so a new proof enters through that one step.  The flow
+    # case's P = 0 verdict, which has no profile, is the one exception;
+    # relabelling a built verdict with _replace is not a construction
+    module = next(node for name, node in library_nodes()
+                  if name == "cases.py" and isinstance(node, ast.Module))
+
+    def builds(node):  # CaseVerdict(...), CaseVerdict._make(...), ...
+        return isinstance(node, ast.Call) and "CaseVerdict" in ast.unparse(node.func)
+
+    builders = [f.name for f in module.body if isinstance(f, ast.FunctionDef)
+                for node in ast.walk(f) if builds(node)]
+    assert builders == ["_verdict", "phi_case_check"]
+    assert sum(map(builds, ast.walk(module))) == len(builders)
+
+
 def _fresh_python(code, *args):
     """The stdout of ``code`` run with ``args`` in a fresh interpreter that
     imports the package from this source tree, with no VANISHLAB_HORIZON."""
