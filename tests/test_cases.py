@@ -23,7 +23,7 @@ from vanishlab.cases import (
     two_monomial_check,
 )
 from vanishlab.cli import main
-from vanishlab.diffops import DiffOp, vanishing_profile
+from vanishlab.diffops import DiffOp, ProfileEntry, VanishingProfile, vanishing_profile
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
 from vanishlab.polytopes import in_polytope, minkowski_diff, newton_polytope, orthant_meet
@@ -380,6 +380,40 @@ class TestSigmaCertificate:
             "power-vanishing hypothesis up to horizon",
             "Poly(P) - Poly(Lambda) disjoint from the orthant"]
         self.check_certified(verdict, op, p, g)
+
+
+class TestVerdictStep:
+    """cases._verdict on a hand-made profile whose tail holds a residual."""
+
+    def profile(self, pp_zero=True):
+        residual = lp2("2*x*y")
+        entries = tuple(ProfileEntry(m, pp_zero, m != 3, ppg_residual=None if m != 3 else residual)
+                        for m in range(1, 6))
+        return VanishingProfile(5, entries)
+
+    def test_split_past_the_bound(self):
+        verdict = cases._verdict("one-var", self.profile(), [("own check", True)], Fraction(3, 2))
+        assert verdict.checks == (("power-vanishing hypothesis up to horizon", True),
+                                  ("own check", True))
+        assert verdict.verified == (2, 4, 5)
+        assert verdict.residuals == {3: "2*x*y"}
+        assert verdict.status == "failed"
+
+    def test_failures_merge_and_the_profile_wins(self):
+        failures = {3: "nonzero on monomial (0, 0)", 4: "nonzero on monomial (1, 0)"}
+        verdict = cases._verdict("monomial", self.profile(), [], Fraction(3), Fraction(3),
+                                 ["variant: P-monomial"], [], failures)
+        assert verdict.verified == (5,)
+        assert verdict.residuals == {3: "2*x*y", 4: "nonzero on monomial (1, 0)"}
+        assert verdict.notes == ("variant: P-monomial",)
+
+    def test_no_bound_verifies_nothing(self):
+        verdict = cases._verdict("phi", self.profile(pp_zero=False), [("order", False)], None,
+                                 anomalies=["seen"])
+        assert (verdict.verified, dict(verdict.residuals)) == ((), {})
+        assert verdict.checks[0] == ("power-vanishing hypothesis up to horizon", False)
+        assert verdict.anomalies == ("seen",)
+        assert verdict.status == "hypothesis-fails"
 
 
 def combinations(alpha, beta, m):
