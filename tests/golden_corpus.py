@@ -19,8 +19,10 @@ fractional-symbol case paths, and the spellings of points that reach the
 polytope layer as integers or as fractions, the flow case with P = 0,
 Phi = 0 and g = 0, a profile whose products take poly._reach's bound, the
 case verdicts that no entry above reaches (inconclusive, a bound past the
-horizon, the flow case's anomaly), and the exit paths of vanish, dk and
-density that no entry above pins.  Only valid inputs are recorded.
+horizon, the flow case's anomaly), the exit paths of vanish, dk and
+density that no entry above pins, and requests that give --vars to the
+flow case, the monomial case and the density search.  Only valid inputs
+are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -181,6 +183,16 @@ EXITS = [
     ["density", "--p=1+x", "--u=(0,0)", "-M", "2"],
 ]
 
+# requests in other variable names than the defaults: the flow case with a
+# coordinate-change note in swapped and in new names, a monomial
+# certificate and a ray search
+RENAMED = [
+    ["case", "phi", "--vars=y,x", "--phi=3/2*dx + dx^3", "--f=x^2", "--g=y + x", "-M", "3"],
+    ["case", "phi", "--vars=a,b", "--phi=3/2*db + db^3", "--f=b^2", "--g=a + b", "-M", "3"],
+    ["case", "monomial", "--vars=u,v", "--op=du^3*dv", "--p=u^2+u*v+v^2", "--g=u^5*v", "-M", "8"],
+    ["density", "--vars=s,t", "--p=s^2 + 3*s*t^2 + t", "--u=(3/2,1)", "-M", "5"],
+]
+
 # one request per case checker in the default text format: a verified
 # range, a coordinate-change note, a certificate with its variant note,
 # and a witness pair
@@ -315,7 +327,7 @@ def requests():
     return [argv + ["--format", "structured"]
             for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES + VERDICTS + EXITS] + [argv + ["--format", "text"] for argv in TEXT]
+            + EDGES + VERDICTS + EXITS + RENAMED] + [argv + ["--format", "text"] for argv in TEXT]
 
 
 def run(argv):
