@@ -159,8 +159,10 @@ def phi_flow(phi, f):
     return total
 
 
-def _phi_bound(phi, f, g, checks, notes):
-    """Recursive bound computation; returns a Fraction or None if no bound applies."""
+def _phi_bound(phi, f, g, checks, notes, names):
+    """Recursive bound computation; returns a Fraction or None if no bound applies.
+
+    ``names`` are the two variables' names, in which a note is written."""
     if g.is_zero:
         return Fraction(0)
     if phi.is_zero:
@@ -170,9 +172,10 @@ def _phi_bound(phi, f, g, checks, notes):
     if order == 1:
         q1 = phi.coeff((1,))
         repl = LaurentPoly.variable(2, 1) - q1 * LaurentPoly.variable(2, 0)
-        notes.append(f"coordinate change y -> y + {q1}*x removes the linear term")
+        x, y = names
+        notes.append(f"coordinate change {y} -> {y} + {q1}*{x} removes the linear term")
         return _phi_bound(phi - q1 * LaurentPoly.variable(1, 0), f, g.substitute(1, repl),
-                          checks, notes)
+                          checks, notes, names)
     d = f.degree_in(1) if not f.is_zero else -1
     checks.append(("order(Phi) > deg f", order > d))
     if order <= d:
@@ -180,8 +183,9 @@ def _phi_bound(phi, f, g, checks, notes):
     return Fraction(order * g.degree_in(0) + g.degree_in(1), order - d)
 
 
-def phi_case_check(phi, f, g, horizon=8):
-    """Case Lambda = d_x - Phi(d_y) with P the flow of f under Phi."""
+def phi_case_check(phi, f, g, horizon=8, names=("x", "y")):
+    """Case Lambda = d_x - Phi(d_y) with P the flow of f under Phi; its notes
+    name the two variables ``names``."""
     check_horizon(horizon)
     if phi.arity != 1:
         raise ValueError("Phi must be a one-variable symbol")
@@ -193,7 +197,7 @@ def phi_case_check(phi, f, g, horizon=8):
                            notes=("P = 0; everything vanishes identically",))
     profile = vanishing_profile(_flow_operator(phi), p, g, horizon)
     checks, notes, anomalies = [], [], []
-    bound = _phi_bound(phi, f, g, checks, notes)
+    bound = _phi_bound(phi, f, g, checks, notes, names)
     if bound is None and profile.first_pp_failure is None:
         anomalies.append("order(Phi) <= deg f predicts a hypothesis failure, "
                          "none observed up to horizon")

@@ -314,7 +314,7 @@ def cmd_case(args, out):
         phi = parse_operator(_read_arg(args.phi), [names[1]]).symbol
         f = parse_poly(_read_arg(args.f), names)
         verdict = cases.phi_case_check(phi, f, parse_poly(_multiplier(args), names),
-                                       args.horizon)
+                                       args.horizon, names=names)
     else:
         if args.which == "one-var" and len(names) != 1:
             raise ValueError("the one-variable case needs exactly one variable")

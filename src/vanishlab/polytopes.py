@@ -67,12 +67,6 @@ class RationalPolytope:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    @property
-    def generators(self):
-        """The generators as `Fraction`s, read-only, built on each read."""
-        den = self.den
-        return tuple(tuple(Fraction(v, den) for v in g) for g in self.nums)
-
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolytope is immutable")
 
@@ -97,30 +91,11 @@ class SeparationCertificate(NamedTuple):
     """A normalized nonnegative functional with c.u <= -delta on every generator.
 
     Existence is equivalent to the polytope missing the nonnegative orthant.
+    `moveaway_bound` checks a certificate before it uses it.
     """
 
     c: tuple
     delta: Fraction
-
-    def verify(self, polytope):
-        """Check the certificate on the polytope's generators, in integers.
-
-        With c = cn / l over the lcm l of its denominators, delta = p / q
-        and the generators nums / den, c.u <= -delta is
-        q * (cn . nums) <= -p * l * den.
-        """
-        return _checked(self, polytope) is not None
-
-
-def _checked(certificate, polytope):
-    """(cn, l, p, q), with c = cn / l over the lcm l of its denominators and
-    delta = p / q, if the certificate is valid for the polytope; else None."""
-    if len(certificate.c) != polytope.arity:
-        return None
-    cn, l = over_lcm(certificate.c)
-    delta = exact(certificate.delta)
-    p, q = delta.numerator, delta.denominator
-    return (cn, l, p, q) if _separates(polytope, cn, l, p, q) else None
 
 
 def _separates(polytope, cn, l, p, q):
@@ -332,16 +307,22 @@ def moveaway_bound(beta, polytope, certificate):
     forces m <= (c.beta)/delta; everything beyond is excluded.  N is not the
     smallest over all certificates: when the orthant LP has tied optima,
     another c with the same delta may give a smaller N.
+
+    The certificate is checked first, in integers: ValueError if it does not
+    separate the polytope from the orthant, TypeError for a float in it.
     """
-    checked = _checked(certificate, polytope)
-    if checked is None:
+    if len(certificate.c) != polytope.arity:
+        raise ValueError("invalid separation certificate for this polytope")
+    # with c = cn / l over the lcm l of its denominators, delta = p / q and
+    # beta = bn / lb: (c.beta) / delta = q * (cn . bn) / (l * lb * p)
+    cn, l = over_lcm(certificate.c)
+    delta = exact(certificate.delta)
+    p, q = delta.numerator, delta.denominator
+    if not _separates(polytope, cn, l, p, q):
         raise ValueError("invalid separation certificate for this polytope")
     if len(beta) != polytope.arity:
         raise ValueError(f"beta has {len(beta)} coordinates, the polytope lives in "
                          f"dimension {polytope.arity}")
-    # with c = cn / l, beta = bn / lb and delta = p / q:
-    # (c.beta) / delta = q * (cn . bn) / (l * lb * p)
-    cn, l, p, q = checked
     bn, lb = over_lcm(beta)
     return max(1, q * sum(map(mul, cn, bn)) // (l * lb * p) + 1)
 

@@ -1,8 +1,10 @@
 """Statements of the paper that the tests check and no library path uses.
 
-Scaling and translating a polytope (the set beta + m*Sigma of the
-move-away argument), semantic equality of two generator lists, and the
-two binomial inequalities behind the order/degree contradiction.
+A polytope's generators as `Fraction` points, the `Fraction` check of a
+separation certificate, scaling and translating a polytope (the set
+beta + m*Sigma of the move-away argument), semantic equality of two
+generator lists, and the two binomial inequalities behind the order/degree
+contradiction.
 """
 from fractions import Fraction
 from math import comb, factorial
@@ -11,10 +13,28 @@ from vanishlab.polytopes import RationalPolytope, contains_point
 from vanishlab.simplex import exact
 
 
+def generators(polytope):
+    """The polytope's generators as `Fraction` points, read from its integer
+    storage ``nums`` over ``den``."""
+    return tuple(tuple(Fraction(v, polytope.den) for v in g) for g in polytope.nums)
+
+
+def fraction_verify(cert, gens):
+    """Whether ``cert`` separates the hull of ``gens`` from the orthant,
+    checked in `Fraction`s: c >= 0, sum(c) = 1, delta > 0 and c.u <= -delta
+    on every generator u."""
+    c, delta = [Fraction(v) for v in cert.c], Fraction(cert.delta)
+    if len(c) != len(gens[0]):
+        return False
+    if any(v < 0 for v in c) or sum(c) != 1 or delta <= 0:
+        return False
+    return all(sum(a * Fraction(b) for a, b in zip(c, g)) <= -delta for g in gens)
+
+
 def scale_translate(polytope, m=1, beta=None):
     beta = (0,) * polytope.arity if beta is None else beta
     m, beta = Fraction(exact(m)), [Fraction(exact(v)) for v in beta]
-    gens = [tuple(bb + m * v for bb, v in zip(beta, g)) for g in polytope.generators]
+    gens = [tuple(bb + m * v for bb, v in zip(beta, g)) for g in generators(polytope)]
     return RationalPolytope(gens)
 
 
@@ -23,8 +43,8 @@ def same_set(a, b):
     if a.arity != b.arity:
         return False
     return (
-        all(contains_point(b, g) is not None for g in a.generators)
-        and all(contains_point(a, g) is not None for g in b.generators)
+        all(contains_point(b, g) is not None for g in generators(a))
+        and all(contains_point(a, g) is not None for g in generators(b))
     )
 
 

@@ -146,6 +146,15 @@ class TestPhiCase:
         assert verdict.status == CONFIRMED
         assert any("coordinate change" in note for note in verdict.notes)
 
+    def test_coordinate_change_note_in_the_given_names(self):
+        # the note names the variables as the request does; x, y by default
+        args = lp1("3/2*x + x^3"), lp2("y^2"), lp2("x + y")
+        note = "coordinate change {1} -> {1} + 3/2*{0} removes the linear term"
+        for names in (("x", "y"), ("y", "x"), ("a", "b")):
+            verdict = phi_case_check(*args, horizon=3, names=names)
+            assert verdict.notes == (note.format(*names),)
+        assert phi_case_check(*args, horizon=3).notes == (note.format("x", "y"),)
+
     def test_order_not_above_degree(self):
         # order(Phi) = 2 <= deg f = 2: the case hypothesis fails
         verdict = phi_case_check(lp1("x^2"), lp2("y^2"), lp2("1"), horizon=8)

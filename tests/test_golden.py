@@ -22,6 +22,39 @@ def test_corpus_matches_request_list():
     assert [e["argv"] for e in ENTRIES] == requests()
 
 
+# the line that carries each subcommand's verdict, and the exit code of each
+# of its words: a corpus regeneration cannot record a wrong code as truth
+EXIT_CODES = {
+    "case": ("status", {"confirmed": 0, "hypothesis-fails": 1, "failed": 1, "inconclusive": 2}),
+    "vanish": ("verdict", {"verified-up-to-horizon": 0, "hypothesis-fails": 1,
+                           "inconclusive": 2}),
+    "density": ("verdict", {"found": 0, "inconclusive": 2}),
+    "dk": ("verdict", {"consistent": 0, "hypothesis-fails": 1, "predicts-nonzero": 2}),
+    "counterexample": ("ok", {"true": 0, "false": 1}),
+    # a move-away bound that is undefined exits 1, any other answer 0
+    "polytope": ("moveaway_N", {"undefined": 1}),
+}
+
+
+def verdict_exit(entry):
+    """The exit code that the verdict line of a corpus entry gives."""
+    key, codes = EXIT_CODES[entry["argv"][0]]
+    lines = entry["stdout"].splitlines()
+    if entry["argv"][-2:] == ["--format", "text"]:
+        # "  status: confirmed (verified up to horizon only)"
+        words = [line.split()[1] for line in lines if line.startswith(f"  {key}: ")]
+    else:
+        words = [line.partition("=")[2] for line in lines if line.startswith(f"{key}=")]
+    if key == "moveaway_N":
+        return max((codes.get(word, 0) for word in words), default=0)
+    (word,) = words
+    return codes[word]
+
+
+def test_exit_codes_follow_the_verdicts():
+    assert [verdict_exit(e) for e in ENTRIES] == [e["exit"] for e in ENTRIES]
+
+
 # a structured request is named without its format words, a text one with them
 IDS = [" ".join(e["argv"]).removesuffix(" --format structured") for e in ENTRIES]
 

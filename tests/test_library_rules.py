@@ -11,6 +11,7 @@ import pytest
 from golden_corpus import CORPUS
 
 import vanishlab
+from vanishlab import cli
 from vanishlab.cases import CaseVerdict, CounterexampleReport
 from vanishlab.density import ConstantTermReport, RaySearchReport
 from vanishlab.diffops import ProfileEntry, VanishingProfile
@@ -52,63 +53,11 @@ def test_every_exported_name_has_a_library_caller():
     assert sorted(set(vanishlab.__all__) - imported) == []
 
 
-# methods that no library code names, because they are called from outside it
-CALLED_FROM_OUTSIDE = {
-    # argparse calls it on every usage error
-    "cli.py:_Parser.error",
-    # the public way to re-check a certificate that a caller holds
-    "polytopes.py:SeparationCertificate.verify",
-    # the public Fraction view; no library code may read it
-    "polytopes.py:RationalPolytope.generators",
-    # Python calls it for a module attribute it does not find (PEP 562)
-    "__init__.py:__getattr__",
-    # Python calls it for dir() of the module (PEP 562)
-    "__init__.py:__dir__",
-}
-
-
-def test_every_module_function_has_a_library_reference():
-    # the module-level twin of the rule above, which also holds for the
-    # methods and properties of every class (bar the dunder methods that
-    # Python calls): a function that no library code names serves only the
-    # tests, and belongs in a test oracle module.  A method or property is
-    # referenced only by an attribute access: a bare name such as a
-    # parameter that shares its name does not reach it
-    defined, named, attributes = [], set(), set()
-    for name, node in library_nodes():
-        if isinstance(node, ast.Module):
-            defined += [(name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
-            defined += [(name, f"{c.name}.{f.name}") for c in node.body
-                        if isinstance(c, ast.ClassDef) for f in c.body
-                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
-        elif name != "__init__.py":
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    named |= attributes
-    unnamed = {f"{name}:{function}" for name, function in defined
-               if function.rpartition(".")[2] not in (attributes if "." in function else named)}
-    assert sorted(unnamed - CALLED_FROM_OUTSIDE) == []
-    # an entry that the library names again, or that is gone, leaves the list
-    assert CALLED_FROM_OUTSIDE <= unnamed
-
-
 def test_only_poly_reads_terms():
     # ``terms`` builds a Fraction for every coefficient on each read: the
     # library reads the integer storage ``nums``/``den`` instead
     reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if name != "poly.py" and isinstance(node, ast.Attribute) and node.attr == "terms"]
-    assert reads == []
-
-
-def test_no_library_reads_generators():
-    # ``RationalPolytope.generators`` builds a Fraction for every coordinate
-    # on each read: the library reads the integer storage ``nums``/``den``
-    reads = [f"{name}:{node.lineno}" for name, node in library_nodes()
-             if isinstance(node, ast.Attribute) and node.attr == "generators"]
     assert reads == []
 
 
@@ -178,6 +127,107 @@ def _fresh_python(code, *args):
     run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     return run.stdout
+
+
+def library_functions():
+    """``{(file name, first line, name): qualified name}`` for every function
+    and method of the library, nested ones too, bar the dunder methods that
+    Python calls.  The first line is that of the first decorator, as in a
+    code object's ``co_firstlineno``."""
+    found = {}
+
+    def visit(name, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(name, child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[name, line, child.name] = f"{name}:{prefix}{child.name}"
+                visit(name, child, f"{prefix}{child.name}.")
+            else:
+                visit(name, child, prefix)
+
+    for name, node in library_nodes():
+        if isinstance(node, ast.Module):
+            visit(name, node, "")
+    return found
+
+
+# requests that no corpus entry can be, since the corpus records valid
+# requests only: each one reaches an error path, and exits 3
+MALFORMED = [
+    # argparse's usage error
+    ["polytope", "--sigma=(-1,0)", "--bogus"],
+    # a factor of the polynomial text that does not match
+    ["vanish", "--op=dx", "--p=x + 2/"],
+]
+
+# the library functions that no request enters, each with its reason
+NOT_ENTERED = {
+    # the default variable names of to_string, reached from __repr__ and
+    # __str__, and from _verdict's residual text past a proved bound, which
+    # no valid request reaches
+    "poly.py:_default_names",
+}
+
+# replays each request of argv[1] through cli.main under sys.setprofile and
+# prints the exit codes and the library functions entered
+REPLAY = """\
+import contextlib, io, json, os, sys
+import vanishlab
+root = os.path.dirname(vanishlab.__file__)
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and os.path.dirname(code.co_filename) == root:
+        entered.add((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name))
+
+codes = []
+sys.setprofile(profile)
+from vanishlab import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+
+def test_every_library_function_is_entered_by_a_request():
+    # the golden corpus is the contract of what the library does: every
+    # function is entered by some corpus request or by one of the malformed
+    # requests, so code that no request reaches fails here instead of
+    # lingering.  An allowlist entry that a request does enter, or that is
+    # gone, leaves the list
+    entries = json.loads(CORPUS.read_text())
+    argvs = [e["argv"] for e in entries] + MALFORMED
+    codes, entered = json.loads(_fresh_python(REPLAY, json.dumps(argvs)))
+    assert codes == [e["exit"] for e in entries] + [3] * len(MALFORMED)
+    functions = library_functions()
+    missed = {functions[key] for key in set(functions) - set(map(tuple, entered))}
+    assert sorted(missed - NOT_ENTERED) == []
+    assert sorted(NOT_ENTERED - missed) == []
+
+
+def test_every_leaf_option_is_given_by_a_corpus_request():
+    # the CLI twin of the rule above: every option of every leaf command is
+    # given, in any of its spellings, by some corpus request
+    parser = cli.build_parser()
+    given = set()
+    for entry in json.loads(CORPUS.read_text()):
+        argv = entry["argv"]
+        options = parser.leaves[_leaf(argv)].options
+        given |= {options.get(word, options.get(word.partition("=")[0]))
+                  for word in argv[len(_leaf(argv)):]}
+    missing = [f"{' '.join(words)} {'/'.join(action.option_strings)}"
+               for words, leaf in parser.leaves.items()
+               for action in dict.fromkeys(leaf.options.values()) if action not in given]
+    assert missing == []
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -1,4 +1,4 @@
-"""Renaming the variables must not change a verdict.
+"""Renaming or rescaling the variables must not change a verdict.
 
 A `case` request is run twice, once with ``--vars=x,y`` and once with
 ``--vars=y,x``: the same text read with the variables in the other order,
@@ -13,15 +13,25 @@ optimal certificate the orthant LP lands on, so they may differ under a
 swap.  They are compared only on the two known pairs that differ, as strict
 expected failures: a change that makes them agree turns the marker into a
 failure.
+
+A `vanish`, `case`, `dk` or `density` request is also run on its image
+under the diagonal change z_i -> s_i*z_i, with s_i in Q* and sign flips
+s_i = -1 among them: Lambda's coefficient at mu is multiplied by s^(-mu),
+P's at beta by s^beta and g's (or f's) at gamma by s^gamma.  Then
+Lambda_s^m(P_s^m g_s)(z) = Lambda^m(P^m g)(s*z), and no exponent set
+changes, so no LP answer can either: every printed line but the residuals
+is the same, and each residual is the image of the original one.
 """
 import contextlib
 import io
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from vanishlab.cli import main
+from vanishlab.parsing import parse_poly
 from vanishlab.poly import LaurentPoly
 
 COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
@@ -170,3 +180,127 @@ def test_pinned_pairs_print_the_same_bound(pair):
     first, second = (structured(argv) for argv in pair)
     keys = {"bound", "verified", "moveaway_N"}
     assert verdict_lines(first[1], keys) == verdict_lines(second[1], keys)
+
+
+# ---------------------------------------------------------------------------
+# Rescaling and sign flips
+
+SCALES = [-1, -1, 1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+NAMES = ["x", "y", "z"]
+
+
+def scaled(poly, scales, sign=1):
+    """The polynomial whose coefficient at e is poly's times s^(sign*e)."""
+    return LaurentPoly(poly.arity, {e: c * prod(v ** (sign * k) for v, k in zip(scales, e))
+                                    for e, c in poly.terms.items()})
+
+
+def _random_poly(rng, n, count, low, high):
+    terms = {}
+    for _ in range(count):
+        expo = tuple(rng.randrange(low, high + 1) for _ in range(n))
+        terms[expo] = terms.get(expo, 0) + Fraction(rng.choice(COEFFS))
+    poly = LaurentPoly(n, terms)
+    return poly if not poly.is_zero else LaurentPoly(n, {expo: Fraction(1)})
+
+
+def _multiplier(rng, n):
+    return {"--g": _random_poly(rng, n, rng.randrange(1, 3), 0, 3)} if rng.random() < 0.7 else {}
+
+
+# each family draws (command words, number of variables, {option: polynomial},
+# the other words); an operator's option is --op
+def vanish_request(rng):
+    n = rng.randrange(2, 4)
+    polys = {"--op": _random_poly(rng, n, rng.randrange(1, 4), 0, 2),
+             "--p": _random_poly(rng, n, rng.randrange(1, 4), 0, 3), **_multiplier(rng, n)}
+    return ["vanish"], n, polys, ["-M", str(rng.randrange(2, 6))]
+
+
+def one_var_request(rng):
+    polys = {"--op": _random_poly(rng, 1, rng.randrange(1, 4), 1, 4),
+             "--p": _random_poly(rng, 1, rng.randrange(1, 3), 0, 3), **_multiplier(rng, 1)}
+    return ["case", "one-var"], 1, polys, ["-M", str(rng.randrange(2, 7))]
+
+
+def polytope_case_request(which, make):
+    def draw(rng):
+        op, p = make(rng)
+        polys = {"--op": op, "--p": p, **_multiplier(rng, 2)}
+        return ["case", which], 2, polys, ["-M", str(rng.randrange(2, 7))]
+    return draw
+
+
+def dk_request(rng):
+    n = rng.randrange(1, 3)
+    polys = {"--f": _random_poly(rng, n, rng.randrange(1, 4), -2, 2)}
+    return ["dk"], n, polys, ["-M", str(rng.randrange(2, 6))]
+
+
+def density_request(rng):
+    p = _random_poly(rng, 2, rng.randrange(1, 4), 0, 3)
+    # u is a point of Poly(P): a weighted mean of some support points
+    some = rng.sample(sorted(p.terms), rng.randrange(1, len(p.terms) + 1))
+    weights = [rng.randrange(1, 6) for _ in some]
+    u = tuple(Fraction(sum(w * v for w, v in zip(weights, c)), sum(weights)) for c in zip(*some))
+    return ["density"], 2, {"--p": p}, ["--u=" + _point(u), "-M", str(rng.randrange(2, 6))]
+
+
+RESCALED = {
+    "vanish": vanish_request,
+    "case one-var": one_var_request,
+    "case monomial": polytope_case_request("monomial", monomial_request),
+    "case two-monomial": polytope_case_request("two-monomial", two_monomial_request),
+    "dk": dk_request,
+    "density": density_request,
+}
+
+
+def rescaled_requests(family, seed):
+    """A request of the family, its image under z_i -> s_i*z_i, the names
+    and the scales s."""
+    rng = random.Random(seed)
+    words, n, polys, rest = RESCALED[family](rng)
+    names = NAMES[:n]
+    scales = [Fraction(rng.choice(SCALES)) for _ in range(n)]
+
+    def argv(image):
+        out = [*words, "--vars=" + ",".join(names)]
+        for option, poly in polys.items():
+            if option == "--op":
+                out.append("--op=" + image(poly, -1).to_string(["d" + v for v in names]))
+            else:
+                out.append(f"{option}=" + image(poly, 1).to_string(names))
+        return out + rest
+
+    return argv(lambda poly, sign: poly), argv(lambda poly, sign: scaled(poly, scales, sign)), \
+        names, scales
+
+
+def _is_residual(key):
+    return key.endswith("_residual") or key.startswith("residual.")
+
+
+def run_lines(argv):
+    """(exit code, stdout lines) of one request in structured format."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv) + ["--format", "structured"])
+    return code, [line.split("=", 1) for line in buf.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("family", sorted(RESCALED))
+@pytest.mark.parametrize("seed", range(25))
+def test_verdict_survives_rescaling_the_variables(family, seed):
+    original, image, names, scales = rescaled_requests(family, seed)
+    (code, lines), (image_code, image_lines) = run_lines(original), run_lines(image)
+    assert code == image_code
+    # the status or verdict, checks, bounds, verified m's, first failures,
+    # zero flags, constant terms and hits: every line but the residuals
+    assert [kv for kv in lines if not _is_residual(kv[0])] == [
+        kv for kv in image_lines if not _is_residual(kv[0])]
+    residuals = [(k, v) for k, v in lines if _is_residual(k)]
+    image_residuals = [(k, v) for k, v in image_lines if _is_residual(k)]
+    assert [k for k, _ in residuals] == [k for k, _ in image_residuals]
+    for (_, text), (_, image_text) in zip(residuals, image_residuals):
+        assert scaled(parse_poly(text, names), scales) == parse_poly(image_text, names)

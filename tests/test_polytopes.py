@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import vanishlab.polytopes
 from counting import fractions_built
 from fm_oracle import hull_meets_orthant
-from paper_oracle import same_set, scale_translate
+from paper_oracle import fraction_verify, generators, same_set, scale_translate
 from simplex_oracle import (
     orthant_lp,
     orthant_start,
@@ -42,7 +42,7 @@ class TestBasics:
     def test_newton_polytope(self):
         p = parse_poly("x^2 + y^2 + x*y", ["x", "y"])
         sigma = newton_polytope(p)
-        assert set(sigma.generators) == {(2, 0), (0, 2), (1, 1)}
+        assert set(generators(sigma)) == {(2, 0), (0, 2), (1, 1)}
         with pytest.raises(ValueError):
             newton_polytope(parse_poly("0", ["x", "y"]))
 
@@ -52,7 +52,7 @@ class TestBasics:
         assert coeffs is not None
         # the coefficients really reconstruct the point
         pt = tuple(
-            sum(c * g[i] for c, g in zip(coeffs, tri.generators)) for i in range(2)
+            sum(c * g[i] for c, g in zip(coeffs, generators(tri))) for i in range(2)
         )
         assert pt == (Fraction(1, 2), Fraction(1, 2))
         assert sum(coeffs) == 1 and all(c >= 0 for c in coeffs)
@@ -69,7 +69,7 @@ class TestBasics:
         a = RationalPolytope([(1, 0), (0, 1)])
         b = RationalPolytope([(1, 1)])
         d = minkowski_diff(a, b)
-        assert set(d.generators) == {(0, -1), (-1, 0)}
+        assert set(generators(d)) == {(0, -1), (-1, 0)}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -83,12 +83,12 @@ class TestBasics:
         want = RationalPolytope(sorted({tuple(F(u) - F(v) for u, v in zip(g, h))
                                         for g in ga for h in gb}))
         assert (got.arity, got.nums, got.den) == (want.arity, want.nums, want.den)
-        assert got.generators == want.generators
+        assert generators(got) == generators(want)
 
     def test_scale_translate(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
         moved = scale_translate(sigma, 2, (3, 3))
-        assert set(moved.generators) == {(-1, 5), (5, -1)}
+        assert set(generators(moved)) == {(-1, 5), (5, -1)}
 
 
 class TestOrthantMeet:
@@ -97,7 +97,7 @@ class TestOrthantMeet:
         meet = orthant_meet(sigma)
         assert isinstance(meet, SeparationCertificate)
         assert meet.delta == Fraction(1, 2)
-        assert meet.verify(sigma)
+        assert fraction_verify(meet, generators(sigma))
 
     def test_witness_example(self):
         sigma = RationalPolytope([(-1, 2), (2, -1)])
@@ -110,7 +110,7 @@ class TestOrthantMeet:
         meet = orthant_meet(RationalPolytope([(-1, -1)]))
         assert isinstance(meet, SeparationCertificate)
         assert meet.delta == 1
-        assert meet.verify(RationalPolytope([(-1, -1)]))
+        assert fraction_verify(meet, [(-1, -1)])
 
     def test_origin_is_a_witness(self):
         meet = orthant_meet(RationalPolytope([(0, 0), (-1, -1)]))
@@ -194,7 +194,9 @@ class TestOrthantMeet:
         sigma = RationalPolytope([(-2, 1), (1, -2)])
         meet = orthant_meet(sigma)
         bad = SeparationCertificate(c=meet.c, delta=meet.delta * 2)
-        assert not bad.verify(sigma)
+        assert not fraction_verify(bad, generators(sigma))
+        with pytest.raises(ValueError, match="invalid separation certificate"):
+            moveaway_bound((0, 0), sigma, bad)
 
     def test_agrees_with_fm_oracle_randomized(self):
         rng = random.Random(2024)
@@ -214,7 +216,7 @@ class TestOrthantMeet:
                 assert not hull_meets_orthant([tuple(v - t for v in g) for g in gens])
             else:
                 assert isinstance(meet, SeparationCertificate)
-                assert meet.verify(sigma)
+                assert fraction_verify(meet, generators(sigma))
                 # no functional has a larger margin: the generators shifted by
                 # delta reach the orthant
                 assert hull_meets_orthant([tuple(v + meet.delta for v in g) for g in gens])
@@ -360,7 +362,7 @@ class TestNoFloats:
     def test_polytope_generators(self):
         with pytest.raises(TypeError, match="exact rational"):
             RationalPolytope([(0.1, 1), (-1, -1)])
-        assert RationalPolytope([(F(1) / 10, 1), (-1, -1)]).generators[0] == (F(1) / 10, 1)
+        assert generators(RationalPolytope([(F(1) / 10, 1), (-1, -1)]))[0] == (F(1) / 10, 1)
 
     def test_contains_point(self):
         tri = RationalPolytope([(0, 0), (2, 0), (0, 2)])
@@ -536,16 +538,16 @@ class TestIntegerRows:
 
     def test_storage(self):
         sigma = RationalPolytope([(Fraction(1, 2), -1), (Fraction(-5, 4), Fraction(2, 3))])
-        assert sigma.generators == ((Fraction(1, 2), F(-1)), (Fraction(-5, 4), Fraction(2, 3)))
+        assert generators(sigma) == ((Fraction(1, 2), F(-1)), (Fraction(-5, 4), Fraction(2, 3)))
         assert (sigma.nums, sigma.den) == (((6, -12), (-15, 8)), 12)
         assert (RationalPolytope([(2, 0)]).nums, RationalPolytope([(2, 0)]).den) == (((2, 0),), 1)
-        # integer generators are kept as they are; generators is built on read
+        # integer generators are kept as they are
         rows = ((2, 0), (-1, 3))
         sigma = RationalPolytope(rows)
         assert (sigma.nums, sigma.den) == (rows, 1)
-        assert [type(v) for g in sigma.generators for v in g] == [Fraction] * 4
+        assert [type(v) for g in generators(sigma) for v in g] == [Fraction] * 4
         with pytest.raises(AttributeError):
-            sigma.generators = ()
+            sigma.nums = ()
         # integral Fractions, bools and lists reach the same storage
         assert RationalPolytope([[F(4) / 2, True]]).nums == ((2, 1),)
         assert repr(sigma) == "RationalPolytope[(2,0); (-1,3)]"
@@ -566,7 +568,7 @@ class TestIntegerRows:
         expected = tuple(tuple(v.numerator * (den // v.denominator) for v in g) for g in fractions)
         for sigma in (RationalPolytope(gens), RationalPolytope(fractions)):
             assert (sigma.nums, sigma.den) == (expected, den)
-            assert sigma.generators == tuple(fractions)
+            assert generators(sigma) == tuple(fractions)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -577,7 +579,7 @@ class TestIntegerRows:
         a = RationalPolytope(data.draw(generator_lists(n, max_size=6)))
         b = RationalPolytope(data.draw(generator_lists(n, max_size=6)))
         expected = RationalPolytope(sorted({tuple(u - v for u, v in zip(ga, gb))
-                                            for ga in a.generators for gb in b.generators}))
+                                            for ga in generators(a) for gb in generators(b)}))
         got = minkowski_diff(a, b)
         assert (got.nums, got.den) == (expected.nums, expected.den)
 
@@ -598,15 +600,6 @@ class TestIntegerRows:
 # ---------------------------------------------------------------------------
 # The integer certificate check against the Fraction one it replaced
 
-def fraction_verify(cert, gens):
-    c, delta = [F(v) for v in cert.c], F(cert.delta)
-    if len(c) != len(gens[0]):
-        return False
-    if any(v < 0 for v in c) or sum(c) != 1 or delta <= 0:
-        return False
-    return all(sum(a * F(b) for a, b in zip(c, g)) <= -delta for g in gens)
-
-
 def tampered(cert):
     """Certificates that must all fail: a margin raised by 1/10**6, a
     negative entry with the sum kept at 1, a sum of 2, and wrong lengths."""
@@ -620,7 +613,18 @@ def tampered(cert):
     return out
 
 
+def accepted(cert, sigma):
+    """Whether `moveaway_bound` takes the certificate for sigma."""
+    try:
+        moveaway_bound((0,) * sigma.arity, sigma, cert)
+    except ValueError:
+        return False
+    return True
+
+
 class TestIntegerVerify:
+    # moveaway_bound checks a certificate in integers before it uses it: it
+    # takes exactly the certificates that the Fraction check accepts
     @settings(max_examples=200, deadline=None)
     @given(generator_lists())
     def test_lp_certificates_and_tampered_ones(self, gens):
@@ -628,9 +632,9 @@ class TestIntegerVerify:
         meet = orthant_meet(sigma)
         if isinstance(meet, Witness):
             return
-        assert meet.verify(sigma) and fraction_verify(meet, gens)
+        assert accepted(meet, sigma) and fraction_verify(meet, gens)
         for bad in tampered(meet):
-            assert not bad.verify(sigma)
+            assert not accepted(bad, sigma)
             assert not fraction_verify(bad, gens)
 
     @settings(max_examples=200, deadline=None)
@@ -642,17 +646,36 @@ class TestIntegerVerify:
         c = tuple(Fraction(v, sum(raw)) for v in raw) if sum(raw) else tuple(map(F, raw))
         delta = data.draw(st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=6)))
         cert = SeparationCertificate(c, delta)
-        assert cert.verify(RationalPolytope(gens)) == fraction_verify(cert, gens)
+        assert accepted(cert, RationalPolytope(gens)) == fraction_verify(cert, gens)
 
     def test_integer_entries(self):
         sigma = RationalPolytope([(-1, Fraction(-1, 2)), (Fraction(-3, 2), 5)])
-        assert SeparationCertificate((1, 0), 1).verify(sigma)
-        assert not SeparationCertificate((1, 0), Fraction(11, 10)).verify(sigma)
-        assert not SeparationCertificate((0, 1), Fraction(1, 2)).verify(sigma)
+        assert accepted(SeparationCertificate((1, 0), 1), sigma)
+        assert not accepted(SeparationCertificate((1, 0), Fraction(11, 10)), sigma)
+        assert not accepted(SeparationCertificate((0, 1), Fraction(1, 2)), sigma)
 
     def test_rejects_floats(self):
         sigma = RationalPolytope([(-2, 1), (1, -2)])
         with pytest.raises(TypeError, match="exact rational"):
-            SeparationCertificate((0.5, Fraction(1, 2)), Fraction(1, 2)).verify(sigma)
+            moveaway_bound((3, 3), sigma, SeparationCertificate((0.5, Fraction(1, 2)),
+                                                                Fraction(1, 2)))
         with pytest.raises(TypeError, match="exact rational"):
-            SeparationCertificate((Fraction(1, 2), Fraction(1, 2)), 0.5).verify(sigma)
+            moveaway_bound((3, 3), sigma, SeparationCertificate((Fraction(1, 2),
+                                                                 Fraction(1, 2)), 0.5))
+
+    @pytest.mark.parametrize("beta, c, delta, error", [
+        # the certificate is checked first: its arity, then its numbers, then
+        # its margin; beta after it
+        ((3, 3), (1,), 0.5, ValueError),
+        ((3, 3.0), (1, 0, 0), Fraction(1, 2), ValueError),
+        ((3, 3), (0.5, 0.5), 1, TypeError),
+        ((3,), (Fraction(1, 2),) * 2, 0.5, TypeError),
+        ((3, 3.0), (F(1), F(0)), F(5), ValueError),
+        ((3,), (F(1), F(0)), F(5), ValueError),
+        ((3,), (Fraction(1, 2),) * 2, Fraction(1, 2), ValueError),
+        ((3, 3.0), (Fraction(1, 2),) * 2, Fraction(1, 2), TypeError),
+    ])
+    def test_moveaway_bound_errors(self, beta, c, delta, error):
+        sigma = RationalPolytope([(-2, 1), (1, -2)])
+        with pytest.raises(error):
+            moveaway_bound(beta, sigma, SeparationCertificate(c, delta))

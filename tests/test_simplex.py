@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import vanishlab.polytopes
 from counting import fractions_built
 from golden_corpus import CORPUS, run
+from paper_oracle import generators
 from simplex_oracle import (
     orthant_lp,
     orthant_start,
@@ -220,7 +221,7 @@ def test_golden_corpus_lps_match_oracle(monkeypatch):
     for args, result in seen:
         assert rational_result(result) == oracle_solve_lp(*args)
     for polytope, result in orthant:
-        gens = polytope.generators
+        gens = generators(polytope)
         assert rational_result(result) == oracle_solve_lp(*orthant_lp(gens),
                                                           start=orthant_start(gens))
 
