@@ -37,12 +37,18 @@ from vanishlab.poly import LaurentPoly
 COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
 
 
-def structured(argv):
-    """(exit code, {key: value}) of one request in structured format."""
+def run_lines(argv):
+    """(exit code, [key, value] per stdout line) of one request in structured format."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv) + ["--format", "structured"])
-    return code, dict(line.split("=", 1) for line in buf.getvalue().splitlines())
+    return code, [line.split("=", 1) for line in buf.getvalue().splitlines()]
+
+
+def structured(argv):
+    """(exit code, {key: value}) of one request in structured format."""
+    code, lines = run_lines(argv)
+    return code, dict(lines)
 
 
 def verdict_lines(fields, keys):
@@ -279,14 +285,6 @@ def rescaled_requests(family, seed):
 
 def _is_residual(key):
     return key.endswith("_residual") or key.startswith("residual.")
-
-
-def run_lines(argv):
-    """(exit code, stdout lines) of one request in structured format."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(list(argv) + ["--format", "structured"])
-    return code, [line.split("=", 1) for line in buf.getvalue().splitlines()]
 
 
 @pytest.mark.parametrize("family", sorted(RESCALED))
