@@ -21,8 +21,9 @@ Phi = 0 and g = 0, a profile whose products take poly._reach's bound, the
 case verdicts that no entry above reaches (inconclusive, a bound past the
 horizon, the flow case's anomaly), the exit paths of vanish, dk and
 density that no entry above pins, and requests that give --vars to the
-flow case, the monomial case and the density search.  Only valid inputs
-are recorded.
+flow case, the monomial case and the density search, and the flow case's
+coordinate-change note for a negative and a unit coefficient.  Only valid
+inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -193,6 +194,13 @@ RENAMED = [
     ["density", "--vars=s,t", "--p=s^2 + 3*s*t^2 + t", "--u=(3/2,1)", "-M", "5"],
 ]
 
+# the flow case's coordinate-change note for a negative and for a unit
+# linear coefficient of Phi
+SIGNS = [
+    ["case", "phi", "--phi=-3/2*dy + dy^3", "--f=y^2", "--g=x + y", "-M", "3"],
+    ["case", "phi", "--phi=dy + dy^3", "--f=y^2", "--g=x + y", "-M", "3"],
+]
+
 # one request per case checker in the default text format: a verified
 # range, a coordinate-change note, a certificate with its variant note,
 # and a witness pair
@@ -324,10 +332,11 @@ def _acceptance_families():
 def requests():
     series = [["counterexample", which, "-M", str(m)]
               for which in ("ddv", "dk") for m in range(1, 9)]
-    return [argv + ["--format", "structured"]
-            for argv in README + series + _acceptance_families() + WITNESS + TIES
+    return ([argv + ["--format", "structured"]
+             for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES + VERDICTS + EXITS + RENAMED] + [argv + ["--format", "text"] for argv in TEXT]
+            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS]
+            + [argv + ["--format", "text"] for argv in TEXT])
 
 
 def run(argv):
