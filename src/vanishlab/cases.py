@@ -172,8 +172,11 @@ def _phi_bound(phi, f, g, checks, notes, names):
     if order == 1:
         q1 = phi.coeff((1,))
         repl = LaurentPoly.variable(2, 1) - q1 * LaurentPoly.variable(2, 0)
-        x, y = names
-        notes.append(f"coordinate change {y} -> {y} + {q1}*{x} removes the linear term")
+        # signed as to_string signs a term: y -> y - 3/2*x, y -> y + x
+        sign = "-" if q1 < 0 else "+"
+        term = LaurentPoly.monomial((1, 0), abs(q1)).to_string(names)
+        notes.append(f"coordinate change {names[1]} -> {names[1]} {sign} {term} "
+                     "removes the linear term")
         return _phi_bound(phi - q1 * LaurentPoly.variable(1, 0), f, g.substitute(1, repl),
                           checks, notes, names)
     d = f.degree_in(1) if not f.is_zero else -1
@@ -322,14 +325,13 @@ def _is_scaled_exp(body, scale, depth):
     """Whether ``body`` is exactly ``scale * e^y`` cut after y^depth: one term
     at each (0, j), j = 0..depth, and nothing else, with ``n_j * j! == scale *
     den`` for its numerator n_j over ``den``."""
-    nums = dict(body.integer_items())
-    if len(nums) != depth + 1:
+    nums = body.numerators_along(1, depth)
+    if nums is None or 0 in nums:
         return False
     target = scale * body.den
     j_factorial = 1
-    for j in range(depth + 1):
-        n = nums.get((0, j))
-        if n is None or n * j_factorial != target:
+    for j, n in enumerate(nums):
+        if n * j_factorial != target:
             return False
         j_factorial *= j + 1
     return True

@@ -60,30 +60,44 @@ def _falling(mu, beta):
 
 
 def _apply_to_poly(op, poly):
+    """The operator applied to a polynomial with exponents in N^n.
+
+    d^mu z^beta vanishes unless beta >= mu.  With both keys at one width
+    that is one guard-bit test (see the poly module): every slot of
+    beta + guards - mu keeps its top bit.  Only those pairs reach
+    `_falling`, mu by mu in the operand's order, which keeps the output's
+    insertion order.  A key in N^n reads its slots without the bias.
+
+    A one-term symbol mu sends each operand term beta >= mu to its own
+    beta - mu, so no two pairs meet: the result is one pass over the
+    operand, with no accumulation.
+    """
     symbol = op.symbol
     if not symbol.is_zero and not poly.is_holomorphic():
         raise ValueError("operand exponents must be in N^n")
-    # d^mu z^beta vanishes unless beta >= mu.  With both keys at one width
-    # that is one guard-bit test (see the poly module): every slot of
-    # beta + guards - mu keeps its top bit.  Only those pairs reach
-    # _falling, mu by mu in the operand's order, which keeps the output's
-    # insertion order.  A key in N^n reads its slots without the bias.
     wide = symbol if symbol.reach >= poly.reach else poly
     layout = wide.layout
     _, shifts, guards, mask, _ = layout
     betas = poly._at(layout)
-    right = list(zip(map(guards.__add__, betas), betas, betas.values()))
-    out = {}
-    get = out.get
-    for mu, c in symbol._at(layout).items():
-        mu_expo = None
-        for biased, beta, b in right:
-            if biased - mu & guards == guards:
-                if mu_expo is None:
-                    mu_expo = tuple([mu >> s & mask for s in shifts])
-                expo = beta - mu
-                beta_expo = tuple([beta >> s & mask for s in shifts])
-                out[expo] = get(expo, 0) + c * b * _falling(mu_expo, beta_expo)
+    mus = symbol._at(layout)
+    if len(mus) == 1:
+        (mu, c), = mus.items()
+        mu_expo = tuple([mu >> s & mask for s in shifts])
+        out = {beta - mu: c * b * _falling(mu_expo, tuple([beta >> s & mask for s in shifts]))
+               for beta, b in betas.items() if beta + guards - mu & guards == guards}
+    else:
+        right = list(zip(map(guards.__add__, betas), betas, betas.values()))
+        out = {}
+        get = out.get
+        for mu, c in mus.items():
+            mu_expo = None
+            for biased, beta, b in right:
+                if biased - mu & guards == guards:
+                    if mu_expo is None:
+                        mu_expo = tuple([mu >> s & mask for s in shifts])
+                    expo = beta - mu
+                    beta_expo = tuple([beta >> s & mask for s in shifts])
+                    out[expo] = get(expo, 0) + c * b * _falling(mu_expo, beta_expo)
     # 0 <= beta - mu <= beta: the output's exponents lie within the wider reach
     return LaurentPoly._from_keys(poly.arity, out, symbol.den * poly.den, wide.reach, layout)
 

@@ -6,7 +6,10 @@ multiplies numerators pair by pair and reduces once with one ``gcd``.
 Coefficients are read as `fractions.Fraction` through ``coeff`` or
 ``terms``; nothing in this module ever touches floating point, and a float
 coefficient raises ``TypeError``.  A series product multiplies only the
-pairs that land within its provable degree.
+pairs that land within its provable degree.  A one-term operand takes no
+pair loop: with one term no two pairs meet, so the product is the other
+operand with every key shifted and every numerator scaled, in one pass.
+`vanishlab.diffops` applies a one-term operator the same way.
 
 Each monomial is stored as one packed ``int`` key (after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -238,6 +241,17 @@ class LaurentPoly:
         coefficient is the numerator over ``den``."""
         nums = self.nums
         return list(zip(_unpack_all(nums, self.layout), nums.values()))
+
+    def numerators_along(self, var, top):
+        """The numerators over ``den`` of ``var``'s powers 0..``top``, 0 where
+        there is no term, or None when a term lies off them.  Each is read by
+        its key ``j << shift``, and no key is unpacked."""
+        shift, get = self.layout.shifts[var], self.nums.get
+        # no term lies past the reach, where a key could alias another slot's
+        found = [get(j << shift, 0) for j in range(min(top, self.reach) + 1)]
+        if len(self.nums) != len(found) - found.count(0):
+            return None
+        return found + [0] * (top + 1 - len(found))
 
     def is_holomorphic(self):
         """Whether every exponent vector lies in N^n: the AND of the biased
@@ -554,6 +568,12 @@ def _product(a, b, cut=None):
     operand is sorted by that exponent and each left term takes the prefix
     that a bisection finds, so the pair loop tests nothing.  Without a cut
     the terms come out in the order each exponent is first reached.
+
+    When either operand has one term, no two pairs share a key and nothing
+    accumulates: the product is one pass over the other operand, each key
+    shifted by the one term's key and each numerator scaled by its
+    numerator, in the other operand's order.  A cut is then one slot test
+    per term.  Reach, layout and denominator are those of the pair loop.
     """
     a._check_arity(b)
     reach = a.reach + b.reach
@@ -564,6 +584,19 @@ def _product(a, b, cut=None):
         if reach >> (layout.width - 1):
             layout = _layout(a.arity, _width(a.arity, reach))
     a_nums, b_nums = a._at(layout), b._at(layout)
+    if len(a_nums) == 1 or len(b_nums) == 1:
+        # one term k with numerator c: every pair lands on its own key, so
+        # the product is the other operand shifted by k and scaled by c
+        one, many = (a_nums, b_nums) if len(a_nums) == 1 else (b_nums, a_nums)
+        (k, c), = one.items()
+        if cut is None:
+            out = {e + k: n * c for e, n in many.items()}
+        else:
+            var, degree = cut
+            top = degree + 2 * layout.half - next(_slots((k,), layout, var))
+            out = {e + k: n * c for (e, n), slot in zip(many.items(), _slots(many, layout, var))
+                   if slot <= top}
+        return LaurentPoly._from_keys(a.arity, out, a.den * b.den, reach, layout)
     if cut is None:
         rows = zip(a_nums.items(), repeat(list(b_nums.items())))
     else:

@@ -154,6 +154,15 @@ class TestPhiCase:
             verdict = phi_case_check(*args, horizon=3, names=names)
             assert verdict.notes == (note.format(*names),)
         assert phi_case_check(*args, horizon=3).notes == (note.format("x", "y"),)
+        # the coefficient's sign goes in place of the plus, and a unit
+        # magnitude is dropped, as to_string prints a term
+        for phi, term in (("-3/2*x + x^3", "- 3/2*{0}"), ("-x + x^3", "- {0}"),
+                          ("x + x^3", "+ {0}"), ("2*x + x^3", "+ 2*{0}")):
+            note = "coordinate change {1} -> {1} " + term + " removes the linear term"
+            for names in (("x", "y"), ("y", "x"), ("a", "b")):
+                verdict = phi_case_check(lp1(phi), lp2("y^2"), lp2("x + y"), horizon=3,
+                                         names=names)
+                assert verdict.notes == (note.format(*names),)
 
     def test_order_not_above_degree(self):
         # order(Phi) = 2 <= deg f = 2: the case hypothesis fails

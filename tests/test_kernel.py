@@ -522,6 +522,149 @@ class TestPackedKeys:
         assert apply(d, fits) == LaurentPoly.monomial((top - 1,) * arity, top ** arity)
 
 
+def one_term(arity, values):
+    """One-term polynomials whose exponents are drawn from -3..3 and ``values``."""
+    expo = st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(values))] * arity)
+    return st.builds(LaurentPoly.monomial, expo, fractions.filter(bool))
+
+
+class TestOneTermOperands:
+    """A one-term operand takes the product's and the application's one-pass
+    path: the result must still be the oracle's, in the oracle's order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    def test_product_matches_oracle(self, data, arity, mono_left):
+        # exponents at the slot-width edges put the two operands at different
+        # widths, so the narrower one is repacked before the pass
+        values = slot_edges(arity)
+        mono = data.draw(one_term(arity, values))
+        many = data.draw(packed_polys(arity, values, max_size=6))
+        a, b = (mono, many) if mono_left else (many, mono)
+        prod = a * b
+        assert_packed(prod)
+        assert_canonical(prod)
+        assert list(prod.terms.items()) == list(fraction_mul(a.terms, b.terms).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    def test_cut_product_matches_oracle_in_one_pass(self, data, arity, mono_left):
+        values = slot_edges(arity)
+        mono = data.draw(one_term(arity, values))
+        many = data.draw(packed_polys(arity, values, max_size=6))
+        var = data.draw(st.integers(0, arity - 1))
+        degree = data.draw(st.one_of(st.integers(-6, 6), st.sampled_from(values)))
+        a, b = (mono, many) if mono_left else (many, mono)
+
+        def no_bisection(*args):
+            raise AssertionError("the one-term path bisects nothing")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "bisect_right", no_bisection)
+            cut = poly._product(a, b, (var, degree))
+            prod = TruncSeries(a, var, degree) * b
+        assert_packed(cut)
+        assert_canonical(cut)
+        exact = fraction_mul(a.terms, b.terms)
+        assert list(cut.terms.items()) == list(truncate(exact, var, degree).items())
+        assert prod.body.terms == truncate(exact, var, prod.degree)
+
+    def test_repacks_the_narrower_operand(self):
+        # x^top fits the first width of arity 2, x^(top+1) needs twice that
+        top = 2 ** (poly._width(2, 0) - 1) - 1
+        wide = LaurentPoly(2, {(top + 1, 0): 1, (0, -1): Fraction(1, 2)})
+        narrow = LaurentPoly.monomial((-1, 2), Fraction(-3))
+        assert narrow.layout.width < wide.layout.width
+        for a, b in ((narrow, wide), (wide, narrow)):
+            prod = a * b
+            assert prod.layout is wide.layout
+            assert list(prod.terms.items()) == list(fraction_mul(a.terms, b.terms).items())
+            # the cut keeps -3/2*x^-1*y and drops -3*x^top*y^2
+            cut = poly._product(a, b, (0, top - 1))
+            assert cut.terms == {(-1, 1): Fraction(-3, 2)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_one_term_symbol_matches_oracle(self, data, arity):
+        # operand slots up to one past the first width's edge, symbol slots of
+        # order 0..3 or past every operand slot: either side may be the wider
+        # one and be repacked, and a slot past the operand's is a dead pair
+        top = 2 ** (poly._width(arity, 0) - 1) - 1
+        mu = data.draw(st.tuples(*[st.one_of(st.integers(0, 3), st.just(top + 2))] * arity))
+        c = data.draw(fractions.filter(bool))
+        expo = st.tuples(*[st.one_of(st.integers(0, 6), st.sampled_from([top, top + 1]))]
+                         * arity)
+        operand = data.draw(st.builds(lambda items: LaurentPoly(arity, dict(items)),
+                                      st.lists(st.tuples(expo, fractions), max_size=6)))
+        seen = []
+        falling = diffops._falling
+
+        def checked(mu_expo, beta):
+            assert all(b >= m for m, b in zip(mu_expo, beta))
+            seen.append(beta)
+            return falling(mu_expo, beta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffops, "_falling", checked)
+            out = apply(DiffOp(LaurentPoly.monomial(mu, c)), operand)
+        assert_packed(out)
+        assert_canonical(out)
+        live = [beta for beta in operand.terms if all(b >= m for m, b in zip(mu, beta))]
+        expected = {}
+        for beta in live:
+            coeff, e = fraction_derivative(mu, beta)
+            expected[e] = c * operand.terms[beta] * coeff
+        assert list(out.terms.items()) == list(expected.items())
+        assert seen == live
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_one_term_symbol_on_a_series(self, data, arity):
+        mu = data.draw(st.tuples(*[st.integers(0, 3)] * arity))
+        c = data.draw(fractions.filter(bool))
+        var = data.draw(st.integers(0, arity - 1))
+        degree = data.draw(st.integers(-2, 8))
+        body = data.draw(polys(arity, lo=0, hi=8))
+        series = TruncSeries(body, var, degree)
+        out = apply(DiffOp(LaurentPoly.monomial(mu, c)), series)
+        assert (out.var, out.degree) == (var, degree - mu[var])
+        expected = {}
+        for beta, b in series.body.terms.items():
+            coeff, e = fraction_derivative(mu, beta)
+            if coeff:
+                expected[e] = c * b * coeff
+        assert out.body.terms == truncate(expected, var, out.degree)
+
+
+class TestNumeratorsAlong:
+    @pytest.mark.parametrize("var", [0, 1, 2])
+    def test_reads_the_powers_of_one_variable(self, var):
+        def power(j, coeff):
+            return LaurentPoly.monomial(tuple(j if i == var else 0 for i in range(3)), coeff)
+
+        p = power(0, Fraction(1, 2)) + power(2, 3) + power(3, Fraction(-1, 3))
+        assert p.den == 6
+        assert p.numerators_along(var, 5) == [3, 0, 18, -2, 0, 0]
+        assert p.numerators_along(var, 3) == [3, 0, 18, -2]
+        # a term past top, or off the variable's axis, is not on the line
+        assert p.numerators_along(var, 2) is None
+        assert (p + LaurentPoly.monomial((1, 1, 1))).numerators_along(var, 5) is None
+        assert (p + power(-1, 1)).numerators_along(var, 5) is None
+        assert LaurentPoly.zero(3).numerators_along(var, 2) == [0, 0, 0]
+        assert LaurentPoly.zero(3).numerators_along(var, -1) == []
+
+    @pytest.mark.parametrize("arity", range(3, 7))
+    def test_past_the_reach_no_key_aliases(self, arity):
+        # at width W (at most 10 bits from arity 3 on), 2**W in one slot packs
+        # to the key of 1 in the next: reading past the reach must not find it
+        width = poly._width(arity, 0)
+        assert width <= 10
+        p = LaurentPoly.monomial((0, 1) + (0,) * (arity - 2))
+        assert p.numerators_along(0, 2 ** width) is None
+        q = LaurentPoly.monomial((0,) * arity, 5)
+        assert q.numerators_along(0, 2 ** width) == [5] + [0] * 2 ** width
+
+
 # unit and 1/d magnitudes of both signs, beside general mixed denominators
 printed_coeffs = st.one_of(
     fractions,
