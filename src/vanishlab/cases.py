@@ -324,9 +324,10 @@ class CounterexampleReport(NamedTuple):
 def _is_scaled_exp(body, scale, depth):
     """Whether ``body`` is exactly ``scale * e^y`` cut after y^depth: one term
     at each (0, j), j = 0..depth, and nothing else, with ``n_j * j! == scale *
-    den`` for its numerator n_j over ``den``."""
+    den`` for its numerator n_j over ``den``.  ``scale`` is positive, so a
+    missing term, read as numerator 0, fails."""
     nums = body.numerators_along(1, depth)
-    if nums is None or 0 in nums:
+    if nums is None:
         return False
     target = scale * body.den
     j_factorial = 1

@@ -585,8 +585,6 @@ def _product(a, b, cut=None):
             layout = _layout(a.arity, _width(a.arity, reach))
     a_nums, b_nums = a._at(layout), b._at(layout)
     if len(a_nums) == 1 or len(b_nums) == 1:
-        # one term k with numerator c: every pair lands on its own key, so
-        # the product is the other operand shifted by k and scaled by c
         one, many = (a_nums, b_nums) if len(a_nums) == 1 else (b_nums, a_nums)
         (k, c), = one.items()
         if cut is None:
