@@ -22,8 +22,8 @@ case verdicts that no entry above reaches (inconclusive, a bound past the
 horizon, the flow case's anomaly), the exit paths of vanish, dk and
 density that no entry above pins, and requests that give --vars to the
 flow case, the monomial case and the density search, and the flow case's
-coordinate-change note for a negative and a unit coefficient.  Only valid
-inputs are recorded.
+coordinate-change note for a negative and a unit coefficient, and profiles
+with g = 0.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -201,6 +201,13 @@ SIGNS = [
     ["case", "phi", "--phi=dy + dy^3", "--f=y^2", "--g=x + y", "-M", "3"],
 ]
 
+# profiles with g = 0, where every L^m(P^m g) is 0: a three-term operator
+# at M=30, and the README profile
+ZERO_G = [
+    ["vanish", "--vars", "x,y", "--op=dx^2*dy^2+dx^3", "--p=x*y+x+y", "--g=0", "-M", "30"],
+    ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "--g=0", "-M", "6"],
+]
+
 # one request per case checker in the default text format: a verified
 # range, a coordinate-change note, a certificate with its variant note,
 # and a witness pair
@@ -335,7 +342,7 @@ def requests():
     return ([argv + ["--format", "structured"]
              for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS]
+            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS + ZERO_G]
             + [argv + ["--format", "text"] for argv in TEXT])
 
 
