@@ -2,8 +2,8 @@
 
 ``tests/golden_corpus.json`` stores, for every request, the argv list, the
 exit code and the exact stdout.  Every request runs with ``--format
-structured``, and one request per case checker runs again with ``--format
-text``, the default.  ``test_golden.py`` replays it byte for byte.  The
+structured``, and some run again with ``--format text``, the default: one
+per case checker and one per verdict of every other subcommand.  ``test_golden.py`` replays it byte for byte.  The
 requests are the README examples, the two
 series counterexamples at M = 1..8, and one seeded instance of each
 acceptance-test family that the CLI can express (the binomial gap of
@@ -208,14 +208,32 @@ ZERO_G = [
     ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "--g=0", "-M", "6"],
 ]
 
-# one request per case checker in the default text format: a verified
-# range, a coordinate-change note, a certificate with its variant note,
-# and a witness pair
+# requests above run again in the default text format: one per case
+# checker (a verified range, a coordinate-change note, a certificate with
+# its variant note, a witness pair), each verdict of vanish and dk, a
+# polytope certificate with a point outside and a move-away bound, a
+# witness with a point inside and no bound, the ray search found and
+# inconclusive, the homogeneous search, and both series counterexamples
 TEXT = [
     ["case", "one-var", "--vars=x", "--op=dx^2", "--p=x", "--g=x^3"],
     ["case", "phi", "--phi=3/2*dy + dy^3", "--f=y^2", "--g=x + y", "-M", "6"],
     ["case", "monomial", "--op=dx^3", "--p=x*y + y^2", "--g=x", "-M", "6"],
     ["case", "two-monomial", "--op=dx + dy^2", "--p=x^2*y", "-M", "6"],
+    ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "-M", "6"],
+    ["vanish", "--vars=x,y,z", "--op=dx^2*dy + dy^3 + dx*dz^2", "--p=x*y + y*z + x*z + x^2",
+     "-M", "10"],
+    ["vanish", "--vars", "x", "--op=dx^2", "--p=x", "--g=x^5", "-M", "2"],
+    ["polytope", "--sigma=(-1/2,2/3,-5/4);(1/2,-5/4,-2/3);(-5/4,-1/2,2/3)", "--point=(1,1,1)",
+     "--beta=(1/2,2/3,5/4)"],
+    ["polytope", "--sigma=(1,2/3);(2,2/3);(-5/4,0)", "--point=(3/2,2/3)", "--beta=(1,1)"],
+    ["density", "--p=x + y", "--u=(1/2,1/2)", "-M", "8"],
+    ["density", "--p=x^2 + y^2", "--u=(1/2,3/2)", "--homogeneous", "-M", "6"],
+    ["density", "--p=x+y", "--u=(1/3,2/3)", "-M", "2"],
+    ["dk", "--vars=x", "--f=x^-1 + x"],
+    ["dk", "--vars=x", "--f=x+x^2", "-M", "3"],
+    ["dk", "--vars=x", "--f=x^-3+x^2", "-M", "4"],
+    ["counterexample", "ddv", "-M", "6", "-D", "12"],
+    ["counterexample", "dk", "-M", "4"],
 ]
 
 NAMES = ("x", "y", "z")
