@@ -1,11 +1,10 @@
 """Constant-coefficient differential operators and vanishing profiles."""
 from __future__ import annotations
 
-from math import perm, prod
-from operator import add, lshift
+from operator import add
 from typing import NamedTuple
 
-from .poly import LaurentPoly, TruncSeries, powers
+from .poly import LaurentPoly, _apply, _within, powers
 
 
 class DiffOp:
@@ -53,55 +52,6 @@ class DiffOp:
         return f"DiffOp({self.symbol.to_string()!r})"
 
 
-def _falling(mu, beta):
-    """The integer product of the falling factorials b (b-1) ... (b-m+1), for
-    beta >= mu: every factor is positive."""
-    return prod(map(perm, beta, mu))
-
-
-def _apply_to_poly(op, poly):
-    """The operator applied to a polynomial with exponents in N^n.
-
-    d^mu z^beta vanishes unless beta >= mu.  With both keys at one width
-    that is one guard-bit test (see the poly module): every slot of
-    beta + guards - mu keeps its top bit.  Only those pairs reach
-    `_falling`, mu by mu in the operand's order, which keeps the output's
-    insertion order.  A key in N^n reads its slots without the bias.
-
-    A one-term symbol mu sends each operand term beta >= mu to its own
-    beta - mu, so no two pairs meet: the result is one pass over the
-    operand, with no accumulation.
-    """
-    symbol = op.symbol
-    if not symbol.is_zero and not poly.is_holomorphic():
-        raise ValueError("operand exponents must be in N^n")
-    wide = symbol if symbol.reach >= poly.reach else poly
-    layout = wide.layout
-    _, shifts, guards, mask, _ = layout
-    betas = poly._at(layout)
-    mus = symbol._at(layout)
-    if len(mus) == 1:
-        (mu, c), = mus.items()
-        mu_expo = tuple([mu >> s & mask for s in shifts])
-        out = {beta - mu: c * b * _falling(mu_expo, tuple([beta >> s & mask for s in shifts]))
-               for beta, b in betas.items() if beta + guards - mu & guards == guards}
-    else:
-        right = list(zip(map(guards.__add__, betas), betas, betas.values()))
-        out = {}
-        get = out.get
-        for mu, c in mus.items():
-            mu_expo = None
-            for biased, beta, b in right:
-                if biased - mu & guards == guards:
-                    if mu_expo is None:
-                        mu_expo = tuple([mu >> s & mask for s in shifts])
-                    expo = beta - mu
-                    beta_expo = tuple([beta >> s & mask for s in shifts])
-                    out[expo] = get(expo, 0) + c * b * _falling(mu_expo, beta_expo)
-    # 0 <= beta - mu <= beta: the output's exponents lie within the wider reach
-    return LaurentPoly._from_keys(poly.arity, out, symbol.den * poly.den, wide.reach, layout)
-
-
 def apply(op, operand):
     """Apply an operator to a LaurentPoly or TruncSeries, exactly.
 
@@ -111,11 +61,7 @@ def apply(op, operand):
     """
     if op.arity != operand.arity:
         raise ValueError("arity mismatch between operator and operand")
-    if isinstance(operand, TruncSeries):
-        v = operand.var
-        degree = operand.degree - (op.symbol.degree_in(v) or 0)
-        return TruncSeries(_apply_to_poly(op, operand.body), v, degree)
-    return _apply_to_poly(op, operand)
+    return _apply(op.symbol, operand)
 
 
 class ProfileEntry(NamedTuple):
@@ -160,23 +106,6 @@ def check_horizon(horizon):
         raise ValueError("horizon must be >= 1")
 
 
-def _within(poly, box):
-    """The terms of ``poly`` with exponent at most ``box`` in every variable.
-
-    ``poly`` must have its exponents in N^n and ``box`` must be nonnegative
-    ints; neither is checked.  No exponent passes the reach, so the box is
-    capped at it and its key fits the layout.  Then mu <= box is the
-    guard-bit test of `_apply_to_poly` on ``key(box) + guards - mu``.
-    """
-    layout, reach, nums = poly.layout, poly.reach, poly.nums
-    top = sum(map(lshift, [min(b, reach) for b in box], layout.shifts)) + layout.guards
-    guards = layout.guards
-    kept = {mu: c for mu, c in nums.items() if top - mu & guards == guards}
-    if len(kept) == len(nums):
-        return poly
-    return LaurentPoly._from_keys(poly.arity, kept, poly.den, reach, layout)
-
-
 def _kept_powers(symbol, p, g, horizon):
     """Yield the part of each power Lambda^m, m = 1..horizon, that lies in
     the box B_m, and stop at the first empty one (see `vanishing_profile`)."""
@@ -184,7 +113,7 @@ def _kept_powers(symbol, p, g, horizon):
         return
     arity = symbol.arity
     t = [p.degree_in(i) for i in range(arity)]
-    gamma = [g.degree_in(i) for i in range(arity)]
+    gamma = [g.degree_in(i) or 0 for i in range(arity)]
     ell = [symbol.min_exponent(i) for i in range(arity)]
     # B_1 = t + gamma + (H - 1) max(0, t - ell), and B_{m+1} = B_m + min(t, ell)
     box = [ti + gi + (horizon - 1) * max(0, ti - li) for ti, gi, li in zip(t, gamma, ell)]
@@ -203,19 +132,20 @@ def _kept_powers(symbol, p, g, horizon):
 def vanishing_profile(op, p, g=None, horizon=8):
     """Scan m = 1..horizon and record both vanishing sequences.
 
-    P^m is built once per m, one product each.  When P and g are nonzero
-    with support in N^n (g defaults to 1), the scan builds only the part of
-    Lambda^m that can still act on P^m g.  Per variable, let t = deg P,
-    gamma = deg g, ell the smallest exponent in Supp Lambda and H the
+    P^m is built once per m, one product each.  When P and g have support
+    in N^n (g defaults to 1), the scan builds only the part of Lambda^m
+    that can still act on P^m g.  Per variable, let t = deg P, gamma =
+    deg g (0 for g = 0), ell the smallest exponent in Supp Lambda and H the
     horizon, and let B_m = m t + gamma + (H - m) max(0, t - ell).  The
     scan keeps the terms mu <= B_m of Lambda^m, builds the next power as
     (kept Lambda^m) * Lambda, cut to B_{m+1}, and stops once the kept power
     is 0: every later entry is then zero, with no product or application.
     No entry changes:
 
-    1. Every exponent of P^m g is at most m t + gamma <= B_m, and
-       d^mu z^beta = 0 unless mu <= beta.  So at step m only the terms
-       mu <= m t + gamma of Lambda^m act, on P^m g and on P^m alike.
+    1. Every exponent of P^m is at most m t, every one of P^m g at most
+       m t + gamma <= B_m (g = 0 has none), and d^mu z^beta = 0 unless
+       mu <= beta.  So at step m only the terms mu <= m t + gamma of
+       Lambda^m act, on P^m g and on P^m alike.
     2. A term of Lambda^m' with m' >= m is mu + kappa, mu in Supp Lambda^m
        and kappa >= (m' - m) ell.  So a term that acts at a later step
        m' has mu <= B_m' - (m' - m) ell <= B_m, by step 3: each one comes
@@ -225,8 +155,9 @@ def vanishing_profile(op, p, g=None, horizon=8):
        and nu - lambda <= B_{m+1} - ell <= B_m.  So every kept coefficient
        is exact, by induction on m.
 
-    Any other input runs the same scan over the whole of each Lambda^m, so
-    it raises the same ValueError at the same m.
+    Any other input (a P or g with a negative exponent, or arities that
+    differ) runs the same scan over the whole of each Lambda^m, so it
+    raises the same ValueError at the same m.
     """
     check_horizon(horizon)
     if p.is_zero:
@@ -234,8 +165,7 @@ def vanishing_profile(op, p, g=None, horizon=8):
     if g is None:
         g = LaurentPoly.one(p.arity)
     symbol = op.symbol
-    if (op.arity == p.arity == g.arity and not g.is_zero and p.is_holomorphic()
-            and g.is_holomorphic()):
+    if op.arity == p.arity == g.arity and p.is_holomorphic() and g.is_holomorphic():
         symbol_powers = _kept_powers(symbol, p, g, horizon)
     else:
         symbol_powers = powers(symbol, horizon)

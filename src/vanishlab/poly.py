@@ -9,7 +9,8 @@ coefficient raises ``TypeError``.  A series product multiplies only the
 pairs that land within its provable degree.  A one-term operand takes no
 pair loop: with one term no two pairs meet, so the product is the other
 operand with every key shifted and every numerator scaled, in one pass.
-`vanishlab.diffops` applies a one-term operator the same way.
+A one-term operator is applied the same way: operator application
+(`_apply`) and a profile's box cut (`_within`) live here too.
 
 Each monomial is stored as one packed ``int`` key (after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -37,8 +38,7 @@ operand stored narrower.  A width therefore only ever widens, and no slot
 wraps into its neighbour.  Two equal polynomials with different reach
 bounds compare equal and hash alike.  The tuple views
 (``terms``, ``exponents``, ``integer_items``, ``to_string`` and the rest)
-unpack the keys, and outside this module and `vanishlab.diffops` nothing
-reads a key.
+unpack the keys, and outside this module no module touches a key.
 
 Values are immutable after construction and every operation returns a
 fresh object, so sharing across threads is safe.
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, lcm, perm, prod
 from numbers import Rational
 from operator import and_, index, itemgetter, lshift, rshift
 from types import MappingProxyType
@@ -614,6 +614,81 @@ def _product(a, b, cut=None):
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
     return LaurentPoly._from_keys(a.arity, out, a.den * b.den, reach, layout)
+
+
+def _falling(mu, beta):
+    """The integer product of the falling factorials b (b-1) ... (b-m+1), for
+    beta >= mu: every factor is positive."""
+    return prod(map(perm, beta, mu))
+
+
+def _apply_to_poly(symbol, poly):
+    """The operator of ``symbol`` applied to a polynomial with exponents in N^n.
+
+    d^mu z^beta vanishes unless beta >= mu.  With both keys at one width
+    that is one guard-bit test (see the module docstring): every slot of
+    beta + guards - mu keeps its top bit.  Only those pairs reach
+    `_falling`, mu by mu in the operand's order, which keeps the output's
+    insertion order.  A key in N^n reads its slots without the bias.
+
+    A one-term symbol mu sends each operand term beta >= mu to its own
+    beta - mu, so no two pairs meet: the result is one pass over the
+    operand, with no accumulation.
+    """
+    if not symbol.is_zero and not poly.is_holomorphic():
+        raise ValueError("operand exponents must be in N^n")
+    wide = symbol if symbol.reach >= poly.reach else poly
+    layout = wide.layout
+    _, shifts, guards, mask, _ = layout
+    betas = poly._at(layout)
+    mus = symbol._at(layout)
+    if len(mus) == 1:
+        (mu, c), = mus.items()
+        mu_expo = tuple([mu >> s & mask for s in shifts])
+        out = {beta - mu: c * b * _falling(mu_expo, tuple([beta >> s & mask for s in shifts]))
+               for beta, b in betas.items() if beta + guards - mu & guards == guards}
+    else:
+        right = list(zip(map(guards.__add__, betas), betas, betas.values()))
+        out = {}
+        get = out.get
+        for mu, c in mus.items():
+            mu_expo = None
+            for biased, beta, b in right:
+                if biased - mu & guards == guards:
+                    if mu_expo is None:
+                        mu_expo = tuple([mu >> s & mask for s in shifts])
+                    expo = beta - mu
+                    beta_expo = tuple([beta >> s & mask for s in shifts])
+                    out[expo] = get(expo, 0) + c * b * _falling(mu_expo, beta_expo)
+    # 0 <= beta - mu <= beta: the output's exponents lie within the wider reach
+    return LaurentPoly._from_keys(poly.arity, out, symbol.den * poly.den, wide.reach, layout)
+
+
+def _apply(symbol, x):
+    """`vanishlab.diffops.apply` on the operator's symbol, arities unchecked: on
+    a series the degree drops by the symbol's order in the truncated variable."""
+    if isinstance(x, TruncSeries):
+        v = x.var
+        degree = x.degree - (symbol.degree_in(v) or 0)
+        return TruncSeries(_apply_to_poly(symbol, x.body), v, degree)
+    return _apply_to_poly(symbol, x)
+
+
+def _within(poly, box):
+    """The terms of ``poly`` with exponent at most ``box`` in every variable.
+
+    ``poly`` must have its exponents in N^n and ``box`` must be nonnegative
+    ints; neither is checked.  No exponent passes the reach, so the box is
+    capped at it and its key fits the layout.  Then mu <= box is the
+    guard-bit test of `_apply_to_poly` on ``key(box) + guards - mu``.
+    """
+    layout, reach, nums = poly.layout, poly.reach, poly.nums
+    top = sum(map(lshift, [min(b, reach) for b in box], layout.shifts)) + layout.guards
+    guards = layout.guards
+    kept = {mu: c for mu, c in nums.items() if top - mu & guards == guards}
+    if len(kept) == len(nums):
+        return poly
+    return LaurentPoly._from_keys(poly.arity, kept, poly.den, reach, layout)
 
 
 def powers(x, horizon):

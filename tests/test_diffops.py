@@ -261,6 +261,18 @@ class TestBoxedProfile:
         assert all(e.pp_zero and e.ppg_zero for e in profile.entries)
         assert len(profile.entries) == 6
 
+    @pytest.mark.parametrize("symbol, p, horizon", [("dx^2*dy^2 + dx^3", "x*y + x + y", 30),
+                                                     ("dx*dy", "x^2 + y^2", 6)])
+    def test_zero_g_makes_as_many_products_as_g_1(self, monkeypatch, symbol, p, horizon):
+        # with g = 0 every P^m g is 0, and the box with gamma = 0 covers P^m
+        counts = []
+        for g in ("0", "1"):
+            products = count_products(monkeypatch)
+            vanishing_profile(op(symbol), lp(p), lp(g), horizon)
+            monkeypatch.undo()
+            counts.append(len(products))
+        assert counts[0] == counts[1]
+
     def test_negative_g_runs_uncut(self):
         # P g = x^(m-1) lies in N^n although g does not
         profile = vanishing_profile(op("dx"), lp("x"), lp("x^-1"), horizon=5)

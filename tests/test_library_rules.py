@@ -66,17 +66,17 @@ PACKING = {"_Layout", "_layout", "_width", "_pack_all", "_unpack_all", "_slots",
            "_at", "layout", "reach"}
 
 
-def test_only_poly_and_diffops_touch_packed_keys():
+def test_only_poly_touches_packed_keys():
     # LaurentPoly.nums is keyed by packed exponent ints, whose layout only
-    # poly.py and diffops.py know; every other module reads exponent tuples
-    # through the views (exponents, integer_items, is_holomorphic, coeff,
-    # ...).  polytopes.py reads the integer rows of its own RationalPolytope,
-    # which are also named ``nums``, through ``self``, ``polytope``, ``a``
-    # and ``b``
+    # poly.py knows; every other module reads exponent tuples through the
+    # views (exponents, integer_items, is_holomorphic, coeff, ...) and
+    # applies operators through poly's kernels.  polytopes.py reads the
+    # integer rows of its own RationalPolytope, which are also named
+    # ``nums``, through ``self``, ``polytope``, ``a`` and ``b``
     polytope_names = {"self", "polytope", "a", "b"}
     touches = []
     for name, node in library_nodes():
-        if name in ("poly.py", "diffops.py"):
+        if name == "poly.py":
             continue
         if isinstance(node, ast.Attribute):
             polytope_rows = (name == "polytopes.py" and isinstance(node.value, ast.Name)
