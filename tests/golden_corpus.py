@@ -22,8 +22,11 @@ case verdicts that no entry above reaches (inconclusive, a bound past the
 horizon, the flow case's anomaly), the exit paths of vanish, dk and
 density that no entry above pins, and requests that give --vars to the
 flow case, the monomial case and the density search, and the flow case's
-coordinate-change note for a negative and a unit coefficient, and profiles
-with g = 0.  Only valid inputs are recorded.
+coordinate-change note for a negative and a unit coefficient, profiles
+with g = 0, and the output paths no other entry reaches (the full profile
+scan of a g with a negative exponent, a two-monomial failure past the
+horizon, a certificate verified from its bound, a mirrored two-monomial case
+and a profile that stops early).  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -208,6 +211,18 @@ ZERO_G = [
     ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "--g=0", "-M", "6"],
 ]
 
+# output paths no entry above reaches: the full profile scan for a g with a
+# negative exponent, and a two-monomial witness whose failure lies past the
+# horizon; then a monomial certificate verified from its bound, a mirrored
+# two-monomial case and a one-var profile that stops after m = 1
+UNREACHED = [
+    ["vanish", "--vars", "x,y", "--op=dx*dy", "--p=x*y", "--g=x^-1 + y", "-M", "3"],
+    ["case", "two-monomial", "--op=dx*dy^2 + dx^2*dy^2", "--p=x^3 + y^3", "-M", "2"],
+    ["case", "monomial", "--op=dx^3*dy", "--p=x^2+x*y+y^2", "--g=x^5*y", "-M", "8"],
+    ["case", "two-monomial", "--op=dx^2+dy^2", "--p=1 + x"],
+    ["case", "one-var", "--vars", "x", "--op=dx^3", "--p=x", "--g=x^2", "-M", "8"],
+]
+
 # requests above run again in the default text format: one per case
 # checker (a verified range, a coordinate-change note, a certificate with
 # its variant note, a witness pair), each verdict of vanish and dk, a
@@ -360,7 +375,7 @@ def requests():
     return ([argv + ["--format", "structured"]
              for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS + ZERO_G]
+            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS + ZERO_G + UNREACHED]
             + [argv + ["--format", "text"] for argv in TEXT])
 
 
