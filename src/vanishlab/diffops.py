@@ -132,15 +132,16 @@ def _kept_powers(symbol, p, g, horizon):
 def vanishing_profile(op, p, g=None, horizon=8):
     """Scan m = 1..horizon and record both vanishing sequences.
 
-    P^m is built once per m, one product each.  When P and g have support
-    in N^n (g defaults to 1), the scan builds only the part of Lambda^m
-    that can still act on P^m g.  Per variable, let t = deg P, gamma =
-    deg g (0 for g = 0), ell the smallest exponent in Supp Lambda and H the
-    horizon, and let B_m = m t + gamma + (H - m) max(0, t - ell).  The
-    scan keeps the terms mu <= B_m of Lambda^m, builds the next power as
-    (kept Lambda^m) * Lambda, cut to B_{m+1}, and stops once the kept power
-    is 0: every later entry is then zero, with no product or application.
-    No entry changes:
+    P^m is built once per m, one product each.  Without g, L^m(P^m g) is
+    L^m(P^m): no product with g and one application per m.  When P and g
+    have support in N^n (no g counts as g = 1), the scan builds only the
+    part of Lambda^m that can still act on P^m g.  Per variable, let t =
+    deg P, gamma = deg g (0 for g = 0), ell the smallest exponent in Supp
+    Lambda and H the horizon, and let B_m = m t + gamma + (H - m) max(0,
+    t - ell).  The scan keeps the terms mu <= B_m of Lambda^m, builds the
+    next power as (kept Lambda^m) * Lambda, cut to B_{m+1}, and stops once
+    the kept power is 0: every later entry is then zero, with no product or
+    application.  No entry changes:
 
     1. Every exponent of P^m is at most m t, every one of P^m g at most
        m t + gamma <= B_m (g = 0 has none), and d^mu z^beta = 0 unless
@@ -162,7 +163,8 @@ def vanishing_profile(op, p, g=None, horizon=8):
     check_horizon(horizon)
     if p.is_zero:
         raise ValueError("P must be nonzero")
-    if g is None:
+    times_g = g is not None
+    if not times_g:
         g = LaurentPoly.one(p.arity)
     symbol = op.symbol
     if op.arity == p.arity == g.arity and p.is_holomorphic() and g.is_holomorphic():
@@ -174,7 +176,7 @@ def vanishing_profile(op, p, g=None, horizon=8):
     for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):
         op_m = DiffOp._from_symbol(sym_m)
         pp = apply(op_m, p_m)
-        ppg = apply(op_m, p_m * g)
+        ppg = apply(op_m, p_m * g) if times_g else pp
         entries.append(ProfileEntry(
             m=m,
             pp_zero=pp.is_zero,

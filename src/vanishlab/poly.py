@@ -30,15 +30,15 @@ exponents, and packs its keys at ``width = _width(arity, reach)``: ``30 //
 arity`` bits, doubled until ``reach < 2**(width-1)``.  At the first width a
 key stays below 2**30 even plus ``guards``, which keeps it one digit of a
 CPython int, whose arithmetic and hash take the fast path.  An operation
-bounds the reach of its result before it starts: the sum of the operands'
-reaches for a product (or, where the sum would widen, a bound from their
-extremes in each variable, with a cut variable capped at the cut), their
-maximum for a sum.  It works at the width of that bound and repacks an
-operand stored narrower.  A width therefore only ever widens, and no slot
-wraps into its neighbour.  Two equal polynomials with different reach
-bounds compare equal and hash alike.  The tuple views
-(``terms``, ``exponents``, ``integer_items``, ``to_string`` and the rest)
-unpack the keys, and outside this module no module touches a key.
+bounds the reach of its result before it starts, by one rule: the sum of
+the operands' reaches for a product, cut or not, and the larger reach for a
+sum, an operator application or a box cut, which keeps its operand's.  It
+works at the width of that bound and repacks an operand stored narrower.
+A width therefore only ever widens, and no slot wraps into its neighbour.
+Two equal polynomials with different reach bounds compare equal and hash
+alike.  The tuple views (``terms``, ``exponents``, ``integer_items``,
+``to_string`` and the rest) unpack the keys, and outside this module no
+module touches a key.
 
 Values are immutable after construction and every operation returns a
 fresh object, so sharing across threads is safe.
@@ -539,29 +539,12 @@ class TruncSeries:
         return f"TruncSeries({text!r})"
 
 
-def _reach(a, b, cut):
-    """A bound on the exponents of ``a * b`` (cut by ``cut``) from the
-    operands' extremes in each variable, the cut variable's top capped at
-    the cut degree; a zero operand gives 0."""
-    if a.is_zero or b.is_zero:
-        return 0
-    bound = 0
-    for var in range(a.arity):
-        low = a.min_exponent(var) + b.min_exponent(var)
-        high = a.degree_in(var) + b.degree_in(var)
-        if cut is not None and var == cut[0]:
-            high = min(high, cut[1])
-        bound = max(bound, -low, high)
-    return bound
-
-
 def _product(a, b, cut=None):
     """``a * b`` for two polynomials: integer numerators multiplied pair by
     pair over the product of the denominators, then reduced once.  Each
-    pair's key is the sum of the two keys, at a width that holds the
-    bound ``a.reach + b.reach``.  Where that bound would widen the layout,
-    the product takes the tighter bound of `_reach` (at least the operands'
-    reaches, which the layout must also hold) and widens only if that needs it.
+    pair's key is the sum of the two keys, and the product's reach is
+    ``a.reach + b.reach``, cut or not: its layout is the wider operand's,
+    or a wider one only when that sum needs it.
 
     With ``cut = (var, degree)`` only the pairs whose product has exponent
     at most ``degree`` in variable ``var`` are multiplied: the right
@@ -580,9 +563,7 @@ def _product(a, b, cut=None):
     # the wider layout is that of the larger reach; it may hold the sum
     layout = a.layout if a.reach >= b.reach else b.layout
     if reach >> (layout.width - 1):
-        reach = max(a.reach, b.reach, _reach(a, b, cut))
-        if reach >> (layout.width - 1):
-            layout = _layout(a.arity, _width(a.arity, reach))
+        layout = _layout(a.arity, _width(a.arity, reach))
     a_nums, b_nums = a._at(layout), b._at(layout)
     if len(a_nums) == 1 or len(b_nums) == 1:
         one, many = (a_nums, b_nums) if len(a_nums) == 1 else (b_nums, a_nums)

@@ -17,7 +17,7 @@ polytope queries on the edges of the orthant LP's start basis, and the
 homogeneous density search, the operator-monomial, two-monomial-P and
 fractional-symbol case paths, and the spellings of points that reach the
 polytope layer as integers or as fractions, the flow case with P = 0,
-Phi = 0 and g = 0, a profile whose products take poly._reach's bound, the
+Phi = 0 and g = 0, a profile whose products widen the packed keys, the
 case verdicts that no entry above reaches (inconclusive, a bound past the
 horizon, the flow case's anomaly), the exit paths of vanish, dk and
 density that no entry above pins, and requests that give --vars to the
@@ -158,8 +158,7 @@ SPELLINGS = [
 ]
 
 # the flow case's early exits (P = 0, Phi = 0, g = 0), and a profile whose
-# summed reaches would widen the packed-key layout, so its products take
-# the tighter bound of poly._reach
+# summed reaches widen the packed-key layout
 EDGES = [
     ["case", "phi", "--phi=dy^2", "--f=0", "-M", "3"],
     ["case", "phi", "--phi=0", "--f=y", "--g=x^2*y", "-M", "4"],

@@ -273,6 +273,20 @@ class TestBoxedProfile:
             counts.append(len(products))
         assert counts[0] == counts[1]
 
+    def test_no_g_applies_once_per_m(self, monkeypatch):
+        # without g, L^m(P^m g) is L^m(P^m): no product P^m * 1 and no
+        # second application, and the same profile as g = 1
+        counts, profiles = [], []
+        for g in (None, lp("1")):
+            products = count_products(monkeypatch)
+            applied = []
+            monkeypatch.setattr(diffops, "apply", lambda *args: applied.append(1) or apply(*args))
+            profiles.append(vanishing_profile(op("dx*dy"), lp("x^2 + y^2"), g, 6))
+            monkeypatch.undo()
+            counts.append((len(applied), len(products)))
+        assert counts == [(6, 10), (12, 16)]
+        assert profiles[0] == profiles[1]
+
     def test_negative_g_runs_uncut(self):
         # P g = x^(m-1) lies in N^n although g does not
         profile = vanishing_profile(op("dx"), lp("x"), lp("x^-1"), horizon=5)

@@ -29,10 +29,18 @@ random permutation of ``--vars``.  Every line but the residuals agrees,
 and each residual, read back in the request's names, is the same
 polynomial.  This checks that the packed-key layout treats every slot
 alike.
+
+A two-variable `dk` request agrees line for line with the same text read
+with ``--vars=y,x``.  A `density` request agrees with that swap and u's
+coordinates swapped in exit code and verdict, and in each m's hit point
+once its coordinates are swapped back.  A `case phi` request agrees line
+for line with the same text in the names a, b, once x and y are renamed;
+swapping ``--vars`` is not a symmetry of the flow case.
 """
 import contextlib
 import io
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -380,3 +388,85 @@ def test_profile_survives_permuting_the_variables(seed):
         assert code != 1
     assert code == image_code
     assert_image_lines(lines, image_lines, names, lambda poly: poly)
+
+
+# ---------------------------------------------------------------------------
+# Swapping the variables of dk, density and the flow case
+
+def _swap(point):
+    return tuple(reversed(point))
+
+
+def dk_swapped(seed):
+    """A two-variable `dk` request beside the same text read with --vars=y,x."""
+    rng = random.Random(seed)
+    f = _random_poly(rng, 2, rng.randrange(1, 5), -2, 2).to_string(["x", "y"])
+    rest = ["--f=" + f, "-M", str(rng.randrange(2, 6))]
+    return ["dk", "--vars=x,y", *rest], ["dk", "--vars=y,x", *rest]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_dk_survives_swapping_the_variables(seed):
+    # the constant term of f^m, and whether 0 lies in Poly(f), are the same
+    # in either variable order: every line agrees
+    first, second = (run_lines(argv) for argv in dk_swapped(seed))
+    assert first == second
+
+
+def density_swapped(seed):
+    """A `density` request with u in Poly(P), beside the same text read with
+    --vars=y,x and u's coordinates swapped."""
+    rng = random.Random(seed)
+    p = _random_poly(rng, 2, rng.randrange(1, 5), 0, 3)
+    some = rng.sample(sorted(p.terms), rng.randrange(1, len(p.terms) + 1))
+    weights = [rng.randrange(1, 6) for _ in some]
+    u = tuple(Fraction(sum(w * v for w, v in zip(weights, c)), sum(weights)) for c in zip(*some))
+    rest = ["--p=" + p.to_string(["x", "y"]), "-M", str(rng.randrange(2, 7))]
+    return (["density", "--vars=x,y", "--u=" + _point(u), *rest],
+            ["density", "--vars=y,x", "--u=" + _point(_swap(u)), *rest])
+
+
+def _hits(fields):
+    """m -> the hit point of Supp(P^m) on the ray, as a tuple of Fractions."""
+    return {k: tuple(map(Fraction, v.strip("()").split(",")))
+            for k, v in fields.items() if k.startswith("hit.")}
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_density_survives_swapping_the_variables(seed):
+    first, second = (structured(argv) for argv in density_swapped(seed))
+    assert first[0] == second[0]
+    assert first[1]["verdict"] == second[1]["verdict"]
+    assert _hits(first[1]) == {k: _swap(v) for k, v in _hits(second[1]).items()}
+
+
+def phi_renamed(seed):
+    """A `case phi` request in the names x, y and the same text in a, b.
+
+    Swapping --vars is not a symmetry of the flow case, which treats its two
+    variables differently; renaming them is.  Phi has order 1-3, so some
+    requests take the coordinate change of an order-1 term."""
+    rng = random.Random(seed)
+    phi = _random_poly(rng, 1, rng.randrange(1, 3), 1, 3)
+    f = LaurentPoly(2, {(0, e[0]): c for e, c in
+                        _random_poly(rng, 1, rng.randrange(1, 3), 0, 3).terms.items()})
+    g = _random_poly(rng, 2, rng.randrange(1, 3), 0, 2)
+    horizon = str(rng.randrange(2, 6))
+
+    def argv(names):
+        return ["case", "phi", "--vars=" + ",".join(names),
+                "--phi=" + phi.to_string(["d" + names[1]]), "--f=" + f.to_string(names),
+                "--g=" + g.to_string(names), "-M", horizon]
+
+    return argv(["x", "y"]), argv(["a", "b"])
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_flow_case_survives_renaming_the_variables(seed):
+    # the names appear only in the notes and residuals; x and y never stand
+    # alone in the fixed words of a line, so renaming them there is exact
+    (code, lines), (image_code, image_lines) = (run_lines(argv) for argv in phi_renamed(seed))
+    renamed = [[k, re.sub(r"\b[xy]\b", lambda m: {"x": "a", "y": "b"}[m.group()], v)]
+               for k, v in lines]
+    assert code == image_code
+    assert renamed == image_lines
