@@ -26,7 +26,8 @@ coordinate-change note for a negative and a unit coefficient, profiles
 with g = 0, and the output paths no other entry reaches (the full profile
 scan of a g with a negative exponent, a two-monomial failure past the
 horizon, a certificate verified from its bound, a mirrored two-monomial case
-and a profile that stops early).  Only valid inputs are recorded.
+and a profile that stops early), and two profiles with P or g outside
+N^n that raise no error.  Only valid inputs are recorded.
 
 Regenerate (only when an output change is intended, and say so):
 
@@ -222,6 +223,14 @@ UNREACHED = [
     ["case", "one-var", "--vars", "x", "--op=dx^3", "--p=x", "--g=x^2", "-M", "8"],
 ]
 
+# profiles with P or g outside N^n that raise no error: a g whose box
+# (8, 5) drops xi_x^9 and xi_y^6 from Lambda^3, and a zero symbol on P and
+# g outside N^n, where every entry is zero
+OUTSIDE = [
+    ["vanish", "--vars", "x,y", "--op=dy^2 + dx^3", "--p=x*y + x^2", "--g=x^-1*y", "-M", "4"],
+    ["vanish", "--vars", "x,y", "--op=0", "--p=x^-1 + y", "--g=y^-2", "-M", "3"],
+]
+
 # requests above run again in the default text format: one per case
 # checker (a verified range, a coordinate-change note, a certificate with
 # its variant note, a witness pair), each verdict of vanish and dk, a
@@ -374,7 +383,7 @@ def requests():
     return ([argv + ["--format", "structured"]
              for argv in README + series + _acceptance_families() + WITNESS + TIES
             + FRACTIONAL + PRINTING + SERIES_EDGES + START_EDGES + CASE_PATHS + SPELLINGS
-            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS + ZERO_G + UNREACHED]
+            + EDGES + VERDICTS + EXITS + RENAMED + SIGNS + ZERO_G + UNREACHED + OUTSIDE]
             + [argv + ["--format", "text"] for argv in TEXT])
 
 
