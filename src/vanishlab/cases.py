@@ -154,7 +154,7 @@ def phi_flow(phi, f):
         if cur.is_zero:
             break
         total = total + LaurentPoly.variable(2, 0, k) * cur * Fraction(1, factorial(k))
-    if apply(DiffOp(LaurentPoly.variable(2, 0)), total) != apply(phi_op, total):
+    if not apply(_flow_operator(phi), total).is_zero:
         raise RuntimeError("the flow does not solve (d_x - Phi(d_y)) P = 0")
     return total
 
@@ -356,9 +356,9 @@ def counterexample_ddv(horizon, precision=12):
     if precision < horizon + 2:
         raise ValueError("precision must be at least horizon + 2")
     e = _exp_series(precision)
-    p = LaurentPoly.variable(2, 0) + e
-    symbol = LaurentPoly(2, {(1, 1): Fraction(1)})
     x = LaurentPoly.variable(2, 0)
+    p = x + e
+    symbol = LaurentPoly(2, {(1, 1): Fraction(1)})
     rows = []
     for m, (p_m, p_next) in enumerate(pairwise(powers(p, horizon + 1)), start=1):
         op_m = DiffOp(symbol ** m)

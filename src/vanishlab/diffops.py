@@ -108,12 +108,13 @@ def check_horizon(horizon):
 
 def _kept_powers(symbol, p, g, horizon):
     """Yield the part of each power Lambda^m, m = 1..horizon, that lies in
-    the box B_m, and stop at the first empty one (see `vanishing_profile`)."""
+    the box B_m, and stop at the first empty one (see `vanishing_profile`).
+    P and each P^m g must lie in N^n unless Lambda = 0, which yields none."""
     if symbol.is_zero:
         return
     arity = symbol.arity
     t = [p.degree_in(i) for i in range(arity)]
-    gamma = [g.degree_in(i) or 0 for i in range(arity)]
+    gamma = [max(g.degree_in(i) or 0, 0) for i in range(arity)]
     ell = [symbol.min_exponent(i) for i in range(arity)]
     # B_1 = t + gamma + (H - 1) max(0, t - ell), and B_{m+1} = B_m + min(t, ell)
     box = [ti + gi + (horizon - 1) * max(0, ti - li) for ti, gi, li in zip(t, gamma, ell)]
@@ -133,15 +134,17 @@ def vanishing_profile(op, p, g=None, horizon=8):
     """Scan m = 1..horizon and record both vanishing sequences.
 
     P^m is built once per m, one product each.  Without g, L^m(P^m g) is
-    L^m(P^m): no product with g and one application per m.  When P and g
-    have support in N^n (no g counts as g = 1), the scan builds only the
-    part of Lambda^m that can still act on P^m g.  Per variable, let t =
-    deg P, gamma = deg g (0 for g = 0), ell the smallest exponent in Supp
-    Lambda and H the horizon, and let B_m = m t + gamma + (H - m) max(0,
-    t - ell).  The scan keeps the terms mu <= B_m of Lambda^m, builds the
-    next power as (kept Lambda^m) * Lambda, cut to B_{m+1}, and stops once
-    the kept power is 0: every later entry is then zero, with no product or
-    application.  No entry changes:
+    L^m(P^m): no product with g and one application per m.  Unless the
+    arities agree and P and g lie in N^n (no g counts as g = 1), L(P) and
+    then L(P g) are applied first, to raise any ValueError; past them P and
+    each P^m g = P^(m-1) (P g) lie in N^n, or L = 0.  The scan builds only
+    the part of Lambda^m that can still act on P^m g.  Per variable, let t
+    = deg P, gamma = max(deg g, 0) (0 for g = 0), ell the smallest exponent
+    in Supp Lambda and H the horizon, and let B_m = m t + gamma + (H - m)
+    max(0, t - ell).  The scan keeps the terms mu <= B_m of Lambda^m,
+    builds the next power as (kept Lambda^m) * Lambda, cut to B_{m+1}, and
+    stops once the kept power is 0: every later entry is then zero, with no
+    product or application.  No entry changes:
 
     1. Every exponent of P^m is at most m t, every one of P^m g at most
        m t + gamma <= B_m (g = 0 has none), and d^mu z^beta = 0 unless
@@ -155,10 +158,6 @@ def vanishing_profile(op, p, g=None, horizon=8):
        at nu <= B_{m+1} sums Lambda^m at nu - lambda, lambda in Supp Lambda,
        and nu - lambda <= B_{m+1} - ell <= B_m.  So every kept coefficient
        is exact, by induction on m.
-
-    Any other input (a P or g with a negative exponent, or arities that
-    differ) runs the same scan over the whole of each Lambda^m, so it
-    raises the same ValueError at the same m.
     """
     check_horizon(horizon)
     if p.is_zero:
@@ -166,11 +165,11 @@ def vanishing_profile(op, p, g=None, horizon=8):
     times_g = g is not None
     if not times_g:
         g = LaurentPoly.one(p.arity)
-    symbol = op.symbol
-    if op.arity == p.arity == g.arity and p.is_holomorphic() and g.is_holomorphic():
-        symbol_powers = _kept_powers(symbol, p, g, horizon)
-    else:
-        symbol_powers = powers(symbol, horizon)
+    if not (op.arity == p.arity == g.arity and p.is_holomorphic() and g.is_holomorphic()):
+        apply(op, p)
+        if times_g:
+            apply(op, p * g)
+    symbol_powers = _kept_powers(op.symbol, p, g, horizon)
     # zip asks for the symbol's power first: once those stop, no further P^m is built
     entries = []
     for m, (sym_m, p_m) in enumerate(zip(symbol_powers, powers(p, horizon)), start=1):

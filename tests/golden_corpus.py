@@ -23,8 +23,8 @@ horizon, the flow case's anomaly), the exit paths of vanish, dk and
 density that no entry above pins, and requests that give --vars to the
 flow case, the monomial case and the density search, and the flow case's
 coordinate-change note for a negative and a unit coefficient, profiles
-with g = 0, and the output paths no other entry reaches (the full profile
-scan of a g with a negative exponent, a two-monomial failure past the
+with g = 0, and the output paths no other entry reaches (a profile of a
+g with a negative exponent, a two-monomial failure past the
 horizon, a certificate verified from its bound, a mirrored two-monomial case
 and a profile that stops early), and two profiles with P or g outside
 N^n that raise no error.  Only valid inputs are recorded.
@@ -211,10 +211,11 @@ ZERO_G = [
     ["vanish", "--op=dx*dy", "--p=x^2 + y^2", "--g=0", "-M", "6"],
 ]
 
-# output paths no entry above reaches: the full profile scan for a g with a
-# negative exponent, and a two-monomial witness whose failure lies past the
-# horizon; then a monomial certificate verified from its bound, a mirrored
-# two-monomial case and a one-var profile that stops after m = 1
+# output paths no entry above reaches: a profile of a g with a negative
+# exponent whose P g lies in N^n, and a two-monomial witness whose failure
+# lies past the horizon; then a monomial certificate verified from its
+# bound, a mirrored two-monomial case and a one-var profile that stops
+# after m = 1
 UNREACHED = [
     ["vanish", "--vars", "x,y", "--op=dx*dy", "--p=x*y", "--g=x^-1 + y", "-M", "3"],
     ["case", "two-monomial", "--op=dx*dy^2 + dx^2*dy^2", "--p=x^3 + y^3", "-M", "2"],

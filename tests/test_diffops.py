@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,10 @@ from vanishlab.poly import LaurentPoly, TruncSeries
 
 def lp(src):
     return parse_poly(src, ["x", "y"])
+
+
+def lp1(src):
+    return parse_poly(src, ["x"])
 
 
 def op(src):
@@ -217,6 +222,24 @@ def profile_requests(draw):
     return symbol, p, g, horizon
 
 
+@st.composite
+def outside_g_requests(draw):
+    """(symbol, P, g, horizon) with g = h z^-kappa outside N^n and P g in N^n:
+    h has a term free of one variable v, kappa is at most P's smallest
+    exponent in each variable, and kappa_v >= 1."""
+    horizon = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    symbol = LaurentPoly(n, draw(term_maps(n, min_size=0)))
+    p = LaurentPoly(n, draw(term_maps(n, low=1)))
+    v = draw(st.integers(0, n - 1))
+    h = draw(term_maps(n))
+    first = next(iter(h))
+    h[first[:v] + (0,) + first[v + 1:]] = h.pop(first)
+    kappa = [draw(st.integers(1 if i == v else 0, p.min_exponent(i))) for i in range(n)]
+    g = LaurentPoly(n, {tuple(e - k for e, k in zip(expo, kappa)): c for expo, c in h.items()})
+    return symbol, p, g, horizon
+
+
 def count_products(monkeypatch):
     products = []
     mul = LaurentPoly.__mul__
@@ -287,8 +310,8 @@ class TestBoxedProfile:
         assert counts == [(6, 10), (12, 16)]
         assert profiles[0] == profiles[1]
 
-    def test_negative_g_runs_uncut(self):
-        # P g = x^(m-1) lies in N^n although g does not
+    def test_negative_g_takes_the_box(self):
+        # P g = x^(m-1) lies in N^n although g does not; the box takes gamma = 0
         profile = vanishing_profile(op("dx"), lp("x"), lp("x^-1"), horizon=5)
         assert_matches_oracle(profile, op("dx").symbol, lp("x"), lp("x^-1"))
         assert [e.pp_zero for e in profile.entries] == [False] * 5
@@ -297,6 +320,31 @@ class TestBoxedProfile:
     def test_negative_operand_raises_as_before(self):
         with pytest.raises(ValueError, match=r"operand exponents must be in N\^n"):
             vanishing_profile(op("dx"), lp("y"), lp("x^-1"), horizon=5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(outside_g_requests())
+    def test_g_outside_n_n_with_p_g_inside(self, request):
+        symbol, p, g, horizon = request
+        assert not g.is_holomorphic() and (p * g).is_holomorphic()
+        profile = vanishing_profile(DiffOp(symbol), p, g, horizon)
+        assert_matches_oracle(profile, symbol, p, g)
+
+    @pytest.mark.parametrize("symbol, p, g, message", [
+        # one fault each: operator/P arity, P outside N^n, P/g arity, and P g
+        # outside N^n where dx^5 misses B_1 = (1, 0), so no box keeps a term
+        ("dx", lp1("x"), None, "arity mismatch between operator and operand"),
+        ("dx", lp("x^-1 + y"), lp("y"), "operand exponents must be in N^n"),
+        ("dx", lp("x + y"), lp1("x"), "arity mismatch: 2 vs 1"),
+        ("dx^5", lp("x"), lp("y^-1"), "operand exponents must be in N^n"),
+        # two faults each: the first of the four raises
+        ("dx", lp1("x^-1"), None, "arity mismatch between operator and operand"),
+        ("dx", lp1("x"), lp("x"), "arity mismatch between operator and operand"),
+        ("dx", lp("x^-1"), lp1("x"), "operand exponents must be in N^n"),
+        ("dx", lp("x*y"), lp1("x^-2"), "arity mismatch: 2 vs 1"),
+    ])
+    def test_errors_in_order(self, symbol, p, g, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vanishing_profile(op(symbol), p, g, horizon=3)
 
     def test_zero_symbol(self, monkeypatch):
         zero = LaurentPoly.zero(2)
@@ -308,6 +356,9 @@ class TestBoxedProfile:
         # with no power to apply, the operator/operand arity check still runs
         with pytest.raises(ValueError, match="arity mismatch between operator and operand"):
             vanishing_profile(DiffOp(zero), parse_poly("x", ["x"]), horizon=4)
+        # no power acts, so P and P g outside N^n raise nothing
+        profile = vanishing_profile(DiffOp(zero), lp("x^-1 + y"), lp("y^-2"), horizon=3)
+        assert profile.entries == tuple(diffops.ProfileEntry(m, True, True) for m in (1, 2, 3))
 
     def test_zero_g(self):
         zero = LaurentPoly.zero(2)

@@ -464,6 +464,11 @@ class TestCli:
             3, "", f"vanishlab: error: variable names must match [A-Za-z_][A-Za-z0-9_]*, "
                    f"got {bad!r}\n")
 
+    def test_operand_outside_n_n_is_usage_error(self, capsys):
+        # P g = x*y^-1 leaves N^n though dx^5 keeps no term of Lambda in the box B_1
+        assert run(capsys, "vanish", "--vars", "x,y", "--op=dx^5", "--p=x", "--g=y^-1",
+                   "-M", "3") == (3, "", "vanishlab: error: operand exponents must be in N^n\n")
+
     def test_out_of_memory_is_inconclusive(self, capsys, monkeypatch):
         # a kernel that runs out of memory leaves the request undecided (exit 2),
         # with one line on stderr and no traceback
