@@ -12,7 +12,8 @@ prints an orthant witness, a few polytope queries with several optimal
 answers, which pin the one the orthant LP prints, polytope queries whose
 generators have mixed denominators, requests that pin the printing and
 parsing of coefficients and the operator kernel at a larger horizon, and
-the series counterexamples at their precision edges and at M=10/D=20,
+the series counterexamples at their precision edges and at M=10/D=20 and
+M=30/D=60,
 polytope queries on the edges of the orthant LP's start basis, and the
 homogeneous density search, the operator-monomial, two-monomial-P and
 fractional-symbol case paths, and the spellings of points that reach the
@@ -114,13 +115,18 @@ START_EDGES = [
 ]
 
 # the series counterexamples at the precision edges, where the depth
-# D - m of the last m is smallest, and at the benchmark's M=10/D=20 size
+# D - m of the last m is smallest, at the benchmark's M=10/D=20 size, and
+# at M=30/D=60 with its precision edges M=20/D=22 (ddv) and M=20/D=20 (dk)
 SERIES_EDGES = [
     ["counterexample", "ddv", "-M", "8", "-D", "10"],
     ["counterexample", "dk", "-M", "8", "-D", "8"],
     ["counterexample", "dk", "-M", "12", "-D", "12"],
     ["counterexample", "ddv", "-M", "10", "-D", "20"],
     ["counterexample", "dk", "-M", "10", "-D", "20"],
+    ["counterexample", "ddv", "-M", "30", "-D", "60"],
+    ["counterexample", "dk", "-M", "30", "-D", "60"],
+    ["counterexample", "ddv", "-M", "20", "-D", "22"],
+    ["counterexample", "dk", "-M", "20", "-D", "20"],
 ]
 
 # the homogeneous density search (a hit, no hit, a negative degree), the
