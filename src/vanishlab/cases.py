@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .diffops import DiffOp, apply, check_horizon, vanishing_profile
-from .poly import LaurentPoly, TruncSeries, powers
+from .poly import LaurentPoly, TruncSeries, _binomial_powers, powers
 from .polytopes import (
     Witness,
     _point_str,
@@ -351,16 +351,17 @@ def counterexample_ddv(horizon, precision=12):
 
     Verifies, exactly per truncation: the powers hypothesis holds, yet
     L^m(P^{m+1}) = (m+1)! e^y and L^m(P^m x) = m*m! e^y for every m.
+    P is never built: P^m is the sum of C(m, k) x^(m-k) e^(ky) over k, with
+    e^(ky) = e^((k-1)y) e^y one series product each (`_binomial_powers`).
     """
     check_horizon(horizon)
     if precision < horizon + 2:
         raise ValueError("precision must be at least horizon + 2")
     e = _exp_series(precision)
     x = LaurentPoly.variable(2, 0)
-    p = x + e
     symbol = LaurentPoly(2, {(1, 1): Fraction(1)})
     rows = []
-    for m, (p_m, p_next) in enumerate(pairwise(powers(p, horizon + 1)), start=1):
+    for m, (p_m, p_next) in enumerate(pairwise(_binomial_powers(x, e, horizon + 1)), start=1):
         op_m = DiffOp(symbol ** m)
         depth = precision - m
         r1 = apply(op_m, p_m)
@@ -381,14 +382,17 @@ def counterexample_dk(horizon, precision=12):
 
     The constant term of f^m x is read as the coefficient of f^m at
     x^{-1} y^0, which f^m knows because its degree is precision - m >= 0.
+    f is never built: f^m is the sum of C(m, k) y^(k-m) (x^{-1} y^{-1} e^y)^k
+    over k, each power of x^{-1} y^{-1} e^y one series product
+    (`_binomial_powers`).
     """
     check_horizon(horizon)
     if precision < horizon:
         raise ValueError("precision must be at least the horizon")
-    e = _exp_series(precision)
-    f = e * LaurentPoly.monomial((-1, -1)) + LaurentPoly.monomial((0, -1))
+    y_inv = LaurentPoly.monomial((0, -1))
+    e_over_xy = _exp_series(precision) * LaurentPoly.monomial((-1, -1))
     rows = []
-    for m, f_m in enumerate(powers(f, horizon), start=1):
+    for m, f_m in enumerate(_binomial_powers(y_inv, e_over_xy, horizon), start=1):
         body = f_m.body
         checks = (
             ("constant term of f^m is 0", f_m.constant_term() == 0),

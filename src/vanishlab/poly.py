@@ -10,7 +10,9 @@ pairs that land within its provable degree.  A one-term operand takes no
 pair loop: with one term no two pairs meet, so the product is the other
 operand with every key shifted and every numerator scaled, in one pass.
 A one-term operator is applied the same way: operator application
-(`_apply`) and a profile's box cut (`_within`) live here too.
+(`_apply`) and a profile's box cut (`_within`) live here too.  The powers
+of a sum a + b whose terms C(m, k) a^(m-k) b^k never meet, a having one
+term, are one pass each over the powers of b (`_binomial_powers`).
 
 Each monomial is stored as one packed ``int`` key (after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -49,7 +51,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, repeat
-from math import gcd, lcm, perm, prod
+from math import comb, gcd, lcm, perm, prod
 from numbers import Rational
 from operator import and_, index, itemgetter, lshift, rshift
 from types import MappingProxyType
@@ -178,6 +180,12 @@ class LaurentPoly:
             if g != 1:
                 den //= g
                 nums = {e: n // g for e, n in nums.items()}
+        return cls._from_keys_lowest(arity, nums, den, reach, layout)
+
+    @classmethod
+    def _from_keys_lowest(cls, arity, nums, den, reach, layout):
+        """``_from_keys`` on numerators that are nonzero and in lowest terms
+        over ``den`` already, which is not checked."""
         poly = object.__new__(cls)
         _set_arity(poly, arity)
         _set_nums(poly, nums)
@@ -687,11 +695,96 @@ def powers(x, horizon):
         yield x_m
 
 
+def _binomial_powers(a, b, horizon):
+    """Yield ``(a + b)^m`` for m = 1..horizon, a one-term polynomial ``a``
+    and a polynomial or series ``b``, equal to ``powers(a + b, horizon)`` in
+    body, denominator, reach and claimed degree.
+
+    The powers b^k come from ``powers(b, horizon)``, one product each.  Each
+    (a + b)^m is then one pass over b^0..b^m, the sum of the components
+    C(m, k) a^(m-k) b^k: a key of b^k shifted by m - k times a's key (the
+    packing is linear), a numerator scaled.  Its reach is m times the larger
+    of the two reaches, as for ``powers(a + b)``, so no slot width changes.
+    The components must not meet, so that the pass adds nothing up: every
+    term of ``b`` must have one exponent in some variable and ``a`` another
+    one there, which puts component k at its own exponent in that variable.
+    ValueError otherwise.
+
+    For a series truncated in z, with alpha a's exponent in z, the degree of
+    (a + b)^m is the least of deg b^k + (m - k) alpha over k = 1..m, the
+    degree ``powers(a + b)`` reaches, and a component that could pass it is
+    cut to it.
+    """
+    series = isinstance(b, TruncSeries)
+    body = b.body if series else b
+    a._check_arity(body)
+    expo = a.exponents()[0] if len(a.nums) == 1 else ()
+    if body.is_zero or not any(body.min_exponent(i) == body.degree_in(i) != e
+                               for i, e in enumerate(expo)):
+        raise ValueError("the terms of (a + b)^m meet: a needs one term, and b one exponent "
+                         "in a variable where a has another")
+    arity, reach, (c,), d = a.arity, max(a.reach, body.reach), a.nums.values(), a.den
+    layout = _layout(arity, _width(arity, reach))
+    (key,) = a._at(layout)
+    # den is the lcm of the denominators of b^1..b^m, and (a + b)^m is taken
+    # over d^m den.  Per k = 0..m: the numerators of b^k over their gcd n_k,
+    # packed by layout; their factor besides C(m, k), the weight c^(m-k) d^k
+    # n_k den / den(b^k); and for a series, deg b^k - k alpha
+    packed, weights, offsets, den = [{0: 1}], [1], [0], 1
+    if series:
+        var, alpha = b.var, expo[b.var]
+    for m, b_m in enumerate(powers(b, horizon), start=1):
+        if m * reach >> (layout.width - 1):
+            wide = _layout(arity, _width(arity, m * reach))
+            packed = [dict(zip(_pack_all(_unpack_all(nums, layout), wide), nums.values()))
+                      for nums in packed]
+            layout = wide
+            (key,) = a._at(layout)
+        body_m = b_m.body if series else b_m
+        nums = body_m._at(layout)
+        content = gcd(*nums.values())
+        packed.append(nums if content == 1 else {e: n // content for e, n in nums.items()})
+        grow = lcm(den, body_m.den) // den
+        den *= grow
+        if c * grow != 1:
+            weights = [w * c * grow for w in weights]
+        weights.append(d ** m * content * (den // body_m.den))
+        # the gcd of component k's numerators is its scale: b^k's are taken out
+        scales = [comb(m, k) * w for k, w in enumerate(weights)]
+        den_m = d ** m * den
+        g = gcd(den_m, *scales)
+        if g != 1:
+            den_m //= g
+            scales = [s // g for s in scales]
+        parts = packed
+        if series:
+            # component k lies at most deg b^k + (m - k) alpha = offset_k + m alpha
+            # in var, and a^m at m alpha; the least over k >= 1 is the degree
+            offsets.append(b_m.degree - m * alpha)
+            lowest = min(offsets[1:])
+            if max(offsets) > lowest:
+                # b^k's terms up to lowest + k alpha, which the shift takes to the degree
+                parts = [nums if offset <= lowest else
+                         {e: n for (e, n), slot in zip(nums.items(), _slots(nums, layout, var))
+                          if slot <= lowest + k * alpha + layout.half}
+                         for k, (offset, nums) in enumerate(zip(offsets, packed))]
+        out = {e + shift: n * scale
+               for shift, scale, nums in zip(map(key.__mul__, range(m, -1, -1)), scales, parts)
+               for e, n in nums.items()}
+        if parts is packed:
+            power = LaurentPoly._from_keys_lowest(arity, out, den_m, m * reach, layout)
+        else:
+            # a cut can leave numerators with a larger common factor
+            power = LaurentPoly._from_keys(arity, out, den_m, m * reach, layout)
+        yield TruncSeries._from_cut(power, var, lowest + m * alpha) if series else power
+
+
 def _power(x, m):
     """``x ** m`` for m != 0: the last element of ``powers(x, m)``.
 
-    This is the only power algorithm, one product with ``x`` per step, so
-    ``x ** m`` and ``powers`` agree in body and in claimed precision.
+    ``x ** m`` and ``powers`` are one algorithm, one product with ``x`` per
+    step, so they agree in body and in claimed precision; so does
+    `_binomial_powers` on a sum whose components do not meet.
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")

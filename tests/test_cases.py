@@ -10,7 +10,7 @@ import vanishlab.polytopes
 
 from kernel_oracle import fraction_apply, fraction_derivative, fraction_mul, series_exp
 from paper_oracle import binomial_gap_check
-from vanishlab import cases
+from vanishlab import cases, poly
 from vanishlab.cases import (
     CONFIRMED,
     CaseVerdict,
@@ -112,7 +112,7 @@ class TestPhiCase:
 
     def test_flow_identity_failure_raises(self, monkeypatch):
         # the identity check must survive python -O, so it cannot be an assert
-        from vanishlab import cases
+        from vanishlab import cases, poly
         apply = cases.apply
 
         def broken(op, x):
@@ -250,15 +250,15 @@ class TestTwoMonomial:
         # the profile builds each Lambda^m and P^m once, and the checker uses
         # no other power.  At M = 8 the box is B_m = (8, 8), and Lambda^m keeps
         # the terms (2k, 3(m - k)) with k <= 4 and m - k <= 2: Lambda^7 keeps
-        # none, so the scan stops there.  Lambda^2..Lambda^7, P^2..P^6 and
-        # P^m * g for m <= 6 make 6 + 5 + 6 products
+        # none, so the scan stops there.  Lambda^2..Lambda^7 and P^2..P^6
+        # make 6 + 5 products; g = 1 takes no product P^m * g
         products = []
         mul = LaurentPoly.__mul__
         monkeypatch.setattr(LaurentPoly, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
         verdict = two_monomial_check(op2("dx^2 + dy^3"), lp2("x*y"), lp2("1"), horizon=8)
         assert verdict.status == CONFIRMED
-        assert len(products) == 17
+        assert len(products) == 11
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_non_positive_horizon_rejected(self, horizon):
@@ -604,3 +604,23 @@ class TestSeriesCounterexampleKernels:
             report = counterexample_dk(horizon, depth)
         assert report.ok
         assert len(reads) == 2 * horizon and all(reads)
+
+    def test_powers_cost_one_series_product_and_one_pass_each(self, monkeypatch):
+        # P^m and f^m come from the binomial theorem: b^k = b^(k-1) * b is a
+        # product of two (D+1)-term series, so both requests make O(M D^2 +
+        # M^2 D) pairs; P^(m-1) * P would make O(M^2 D^2), 371,280 for ddv
+        # and 328,019 for dk here
+        pairs = []
+        kernel = poly._product
+
+        def counting_product(*args):
+            pairs.append(len(args[0].nums) * len(args[1].nums))
+            return kernel(*args)
+
+        monkeypatch.setattr(poly, "_product", counting_product)
+        horizon, depth = 20, 40
+        for check, products in ((counterexample_ddv, 230), (counterexample_dk, 20)):
+            pairs.clear()
+            assert check(horizon, depth).ok
+            assert len(pairs) == products
+            assert sum(pairs) <= 2 * (horizon + 1) * (depth + 2) ** 2

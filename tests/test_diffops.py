@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kernel_oracle import fraction_apply, fraction_mul
 from vanishlab import diffops
 from vanishlab.cases import phi_flow
+from vanishlab.cli import main
 from vanishlab.diffops import DiffOp, apply, vanishing_profile
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries
@@ -298,17 +299,36 @@ class TestBoxedProfile:
 
     def test_no_g_applies_once_per_m(self, monkeypatch):
         # without g, L^m(P^m g) is L^m(P^m): no product P^m * 1 and no
-        # second application, and the same profile as g = 1
+        # second application, and the same profile as g = 1, which takes
+        # the same path; a g other than 1 applies twice per m
         counts, profiles = [], []
-        for g in (None, lp("1")):
+        for g in (None, lp("1"), lp("2")):
             products = count_products(monkeypatch)
             applied = []
             monkeypatch.setattr(diffops, "apply", lambda *args: applied.append(1) or apply(*args))
             profiles.append(vanishing_profile(op("dx*dy"), lp("x^2 + y^2"), g, 6))
             monkeypatch.undo()
             counts.append((len(applied), len(products)))
-        assert counts == [(6, 10), (12, 16)]
+        assert counts == [(6, 10), (6, 10), (12, 16)]
         assert profiles[0] == profiles[1]
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["case", "one-var", "--vars=x", "--op=dx + dx^2", "--p=x^2", "-M", "6"], (6, 10)),
+        (["case", "monomial", "--op=dx*dy", "--p=x^2 + y^2", "-M", "6"], (6, 11)),
+    ])
+    def test_case_without_g_applies_once_per_m(self, monkeypatch, capsys, argv, counts):
+        # the case checkers receive a parsed 1 when --g is absent, and the
+        # profile treats it as no g: one application per m and no P^m * 1
+        outputs = []
+        for extra in ([], ["--g=1"], ["--g=x^0"]):
+            products = count_products(monkeypatch)
+            applied = []
+            monkeypatch.setattr(diffops, "apply", lambda *args: applied.append(1) or apply(*args))
+            code = main(argv + extra + ["--format", "structured"])
+            monkeypatch.undo()
+            assert (len(applied), len(products)) == counts
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_negative_g_takes_the_box(self):
         # P g = x^(m-1) lies in N^n although g does not; the box takes gamma = 0

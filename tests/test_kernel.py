@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import (
@@ -14,6 +14,7 @@ from kernel_oracle import (
     truncate,
 )
 from vanishlab import poly
+from vanishlab.cases import _exp_series
 from vanishlab.diffops import DiffOp, apply
 from vanishlab.parsing import parse_operator, parse_poly
 from vanishlab.poly import LaurentPoly, TruncSeries, powers
@@ -313,6 +314,100 @@ class TestPowers:
         for x in (p, s):
             with pytest.raises(ValueError):
                 x ** -1
+
+
+nonzero_fractions = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def binomial_operands(draw):
+    """``(a, b, horizon)``: a one-term ``a`` with a coefficient other than 1,
+    and a polynomial, a series or a scaled ``x^beta y^k e^y`` as ``b``, whose
+    terms all have the exponent beta in a variable where ``a`` has another."""
+    kind = draw(st.sampled_from(["poly", "series", "exp"]))
+    arity = 2 if kind == "exp" else draw(st.integers(1, 3))
+    shared = 0 if kind == "exp" else draw(st.integers(0, arity - 1))
+    beta = draw(st.integers(-2, 2))
+    expo = st.tuples(*[st.integers(-3, 3)] * arity)
+    a = LaurentPoly.monomial(draw(expo.filter(lambda e: e[shared] != beta)),
+                             draw(nonzero_fractions.filter(lambda c: c != 1)))
+    if kind == "exp":
+        depth, k = draw(st.integers(0, 6)), draw(st.integers(-2, 2))
+        b = _exp_series(depth) * LaurentPoly.monomial((beta, k), draw(nonzero_fractions))
+    else:
+        on_beta = expo.map(lambda e: e[:shared] + (beta,) + e[shared + 1:])
+        b = LaurentPoly(arity, dict(draw(st.lists(st.tuples(on_beta, nonzero_fractions),
+                                                  min_size=1, max_size=5))))
+        if kind == "series":
+            b = TruncSeries(b, draw(st.integers(0, arity - 1)), draw(st.integers(-3, 4)))
+        assume(not (b.body if kind == "series" else b).is_zero)
+    return a, b, draw(st.integers(0, 5))
+
+
+def assert_same_power(got, want):
+    """Equal in body, denominator, reach, layout and, for a series, degree."""
+    assert type(got) is type(want)
+    if isinstance(want, TruncSeries):
+        assert (got.var, got.degree) == (want.var, want.degree)
+        got, want = got.body, want.body
+    assert_canonical(got)
+    assert (got.nums, got.den, got.reach, got.layout) == (want.nums, want.den, want.reach,
+                                                          want.layout)
+
+
+class TestBinomialPowers:
+    """``_binomial_powers(a, b, horizon)`` is ``powers(a + b, horizon)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binomial_operands())
+    def test_matches_powers_of_the_sum(self, operands):
+        a, b, horizon = operands
+        seq = list(poly._binomial_powers(a, b, horizon))
+        assert len(seq) == horizon
+        for got, want in zip(seq, powers(a + b, horizon)):
+            assert_same_power(got, want)
+
+    def test_cuts_components_past_the_degree(self):
+        # a = 2 x y^2 lies 2 up in y, b = y^-1 + 3 y^2 goes down to y^-1: a^m
+        # and the components near it pass the degree of (a + b)^m
+        a = LaurentPoly(2, {(1, 2): 2})
+        b = TruncSeries(LaurentPoly(2, {(0, -1): 1, (0, 2): 3}), 1, 2)
+        cut = 0
+        for m, (got, want) in enumerate(zip(poly._binomial_powers(a, b, 5),
+                                            powers(a + b, 5)), start=1):
+            assert_same_power(got, want)
+            cut += max(e[1] for e in ((a + b.body) ** m).exponents()) > got.degree
+        assert cut == 4
+
+    @pytest.mark.parametrize("series", [False, True])
+    def test_widens_like_powers_of_the_sum(self, series):
+        # m * 5000 passes 2^14 at m = 4: the keys move to 30-bit slots
+        a = LaurentPoly(2, {(5000, 0): Fraction(-3, 2)})
+        b = LaurentPoly(2, {(0, 1): 1, (0, 2): Fraction(1, 3)})
+        b = TruncSeries(b, 1, 6) if series else b
+        seq = list(poly._binomial_powers(a, b, 5))
+        assert [p_m.body.layout.width if series else p_m.layout.width for p_m in seq] == [
+            15, 15, 15, 30, 30]
+        for got, want in zip(seq, powers(a + b, 5)):
+            assert_same_power(got, want)
+
+    @pytest.mark.parametrize("a, b", [
+        ("x + y", "y"),                # a has two terms
+        ("0", "y"),                    # a has none
+        ("x", "0"),                    # b has none
+        ("x", "x*y + y^2"),            # no variable where b's terms share an exponent
+        ("x*y", "x*y^2 + x*y^3"),      # they share x^1, and so does a
+    ])
+    def test_components_that_meet_raise(self, a, b):
+        a, b = parse_poly(a, ["x", "y"]), parse_poly(b, ["x", "y"])
+        for b in (b, TruncSeries(b, 1, 3)):
+            with pytest.raises(ValueError, match="meet"):
+                list(poly._binomial_powers(a, b, 3))
+
+    def test_arities_must_agree(self):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            list(poly._binomial_powers(LaurentPoly.variable(1, 0),
+                                       LaurentPoly.variable(2, 1), 2))
 
 
 def monomial_derivative(mu, beta):
